@@ -7,7 +7,6 @@ exactly the sunlit (high-variance) group.
 
 from wsn3d import (
     PlacementParams,
-    cluster_costs,
     form_clusters,
     generate_synthetic,
     load_bundled_deployment,
@@ -23,18 +22,18 @@ print(f"deployment split: {len(sun)} sunlit nodes, {len(shade)} shaded nodes")
 
 matrix = generate_synthetic(sun_shade_scenario(dep, seed=42), dep)
 clusters = form_clusters(dep, 6.0)
-params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300, threshold=5.0)
-state = run_placement(dep, matrix, clusters, params, seed=42)
+params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
+threshold = 5.0
+state, costs = run_placement(matrix, clusters, params)
 
 print()
 print("mean cost over rounds (window of readings grows, then saturates)")
 for k in (1, 5, 20, 50, 100, 200, 270, 300):
     print(f"  round {k:>3}: {state.cost_history[k - 1]:7.3f}")
 
-costs = cluster_costs(matrix, clusters)
-selected = select_nodes(state, costs, params.threshold)
+selected = select_nodes(costs, threshold)
 print()
-print(f"threshold {params.threshold:g} selects {len(selected)} nodes")
+print(f"threshold {threshold:g} selects {len(selected)} nodes")
 print(f"selection equals the sunlit group: {selected == sun}")
 
 print()

@@ -52,7 +52,6 @@ from .geometry import (
     event_volume,
 )
 from .placement import (
-    NodeState,
     PlacementParams,
     PlacementState,
     cluster_costs,

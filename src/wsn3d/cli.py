@@ -8,13 +8,14 @@ Exit codes: 0 success, 1 usage or configuration error, 2 input-data error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import data_io, estimation, placement
-from .clustering import Deployment, euclidean_distance, form_clusters
+from .clustering import ClusterSet, Deployment, euclidean_distance, form_clusters
 from .errors import ConfigurationError, DataFormatError
 from .geometry import CorrelationModel, EventSource, correlation, correlation_radius
 
@@ -207,7 +208,8 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
+def _estimate(args) -> tuple[Deployment, ClusterSet]:
+    """Cluster, score every cluster, write clusters.json and print the table."""
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     dep, radius, cs = _cluster(args, model)
     event, event_origin = _event_for_estimation(args, dep)
@@ -228,22 +230,29 @@ def cmd_estimate(args) -> int:
         print(f"note: no --event given; using the deployment centroid {event.position}")
     _print_cluster_table(cs, reports)
     print(f"wrote {out / 'clusters.json'}")
+    return dep, cs
+
+
+def cmd_estimate(args) -> int:
+    _estimate(args)
     return 0
 
 
-def cmd_predict(args) -> int:
-    model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    dep = data_io.parse_nodes(args.nodes)
+def _dead_ids(args, dep: Deployment) -> list[int]:
+    """The --dead ids, checked against the deployment; notes when there are none."""
     dead_ids = [int(v) for v in args.dead.split(",") if v.strip()]
     if not dead_ids:
         print("no dead nodes given; nothing to predict")
-        return 0
     unknown = set(dead_ids) - set(dep.ids())
     if unknown:
         raise ConfigurationError(f"dead ids not in deployment: {sorted(unknown)}")
     if set(dead_ids) == set(dep.ids()):
         raise ConfigurationError("all nodes are dead; nothing observed")
-    matrix = _readings_matrix(args, dep)
+    return dead_ids
+
+
+def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
+    model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     live_ids = [i for i in sorted(matrix.node_ids) if i not in dead_ids]
     missing = [i for i in live_ids if matrix.present_values(i).size == 0]
     if missing:
@@ -265,36 +274,42 @@ def cmd_predict(args) -> int:
             o_total, rho_dead, rho_pair, divisor=divisor, live_count=len(live_ids)
         )
         print(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}")
+
+
+def cmd_predict(args) -> int:
+    dep = data_io.parse_nodes(args.nodes)
+    dead_ids = _dead_ids(args, dep)
+    if dead_ids:
+        _predict(args, dep, _readings_matrix(args, dep), dead_ids)
     return 0
 
 
-def _place(args, dep: Deployment):
-    model = CorrelationModel(theta=args.theta, alpha=args.alpha)
+def _place(args, dep: Deployment, cs: ClusterSet):
+    """Run the placement search on the partition ``cs``; write curve.csv and nodes.csv."""
+    if not cs.clusters:
+        raise ConfigurationError("no node was clustered; nothing to place")
     matrix = _readings_matrix(args, dep)
-    cs = form_clusters(dep, args.radius)
     missing = set(cs.all_ids()) - set(matrix.node_ids)
     if missing:
         raise DataFormatError(f"readings do not cover nodes {sorted(missing)}")
-    params = placement.PlacementParams(
-        phi1=args.phi1, phi2=args.phi2, rounds=args.rounds, threshold=args.threshold
-    )
-    state = placement.run_placement(dep, matrix, cs, params, seed=args.seed)
-    costs = placement.cluster_costs(matrix, cs)
-    selected = placement.select_nodes(state, costs, args.threshold)
-    return state, costs, selected
-
-
-def cmd_place(args) -> int:
-    dep = data_io.parse_nodes(args.nodes)
-    state, costs, selected = _place(args, dep)
+    params = placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
+    state, costs = placement.run_placement(matrix, cs, params)
+    selected = placement.select_nodes(costs, args.threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curve, nodes = data_io.write_cost_curves(state, costs, selected)
     (out / "curve.csv").write_text(curve, encoding="utf-8")
     (out / "nodes.csv").write_text(nodes, encoding="utf-8")
     print(f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}")
+    return matrix, selected
+
+
+def cmd_place(args) -> int:
+    dep = data_io.parse_nodes(args.nodes)
+    _, selected = _place(args, dep, form_clusters(dep, args.radius))
     if selected:
         print("selected:", ",".join(str(i) for i in sorted(selected)))
+    out = Path(args.out)
     print(f"wrote {out / 'curve.csv'} and {out / 'nodes.csv'}")
     return 0
 
@@ -310,19 +325,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    rc = cmd_estimate(args)
-    if rc != 0:
-        return rc
-    dep = data_io.parse_nodes(args.nodes)
-    state, costs, selected = _place(args, dep)
-    out = Path(args.out)
-    curve, nodes = data_io.write_cost_curves(state, costs, selected)
-    (out / "curve.csv").write_text(curve, encoding="utf-8")
-    (out / "nodes.csv").write_text(nodes, encoding="utf-8")
-    print(f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}")
+    dep, cs = _estimate(args)
+    matrix, _ = _place(args, dep, cs)
     if args.dead:
-        rc = cmd_predict(args)
-    return rc
+        dead_ids = _dead_ids(args, dep)
+        if dead_ids:
+            _predict(args, dep, matrix, dead_ids)
+    return 0
 
 
 _COMMANDS = {
@@ -335,7 +344,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -354,6 +363,18 @@ def main(argv=None) -> int:
         return 2
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Whoever read stdout has gone. Point stdout at devnull so the flush
+        # at interpreter exit has somewhere to write what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

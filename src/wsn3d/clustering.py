@@ -125,6 +125,11 @@ class ElectionRecord:
     singleton_sweep: bool = False
 
 
+def _check_radius(radius: float) -> None:
+    if not (0.0 < radius < math.inf):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
 def euclidean_distance(a, b) -> float:
     """L2 distance between two 3D points."""
     pa, pb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -150,8 +155,7 @@ def neighbor_sets(nodes, radius: float) -> dict[int, set[int]]:
 
     The boundary is inclusive, so the relation is symmetric.
     """
-    if not (radius > 0.0):
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_radius(radius)
     node_list = list(nodes.nodes) if isinstance(nodes, Deployment) else list(nodes)
     ids = [n.id for n in node_list]
     pos = np.asarray([n.position for n in node_list], dtype=float)
@@ -186,8 +190,7 @@ def form_clusters(
     Pass a list as ``trace`` to capture, per elected head, the candidate set
     and any residual ties.
     """
-    if not (radius > 0.0):
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_radius(radius)
     if dep.event is not None:
         if model is None:
             raise ConfigurationError("event filtering needs a correlation model")
@@ -236,8 +239,7 @@ def capture_clusters(dep: Deployment, heads, radius: float) -> ClusterSet:
     turn comes, and must exhaust the deployment. Useful for verifying whether
     an externally reported partition is consistent with a capture radius.
     """
-    if not (radius > 0.0):
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_radius(radius)
     by_id = {n.id: np.asarray(n.position, dtype=float) for n in dep.nodes}
     remaining = set(dep.ids())
     clusters: list[Cluster] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -67,8 +68,8 @@ class SyntheticScenario:
     scales: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not (0.0 < self.variance < math.inf):
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if self.epochs < 2:
             raise ValueError(f"need at least 2 epochs, got {self.epochs}")
         bad = {i: s for i, s in self.scales.items() if s <= 0.0}
@@ -271,7 +272,7 @@ def write_cluster_report(
     doc: dict[str, object] = {"radius": cs.radius, "clusters": entries}
     if metadata:
         doc["metadata"] = dict(metadata)
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def read_cluster_report(text: str) -> ClusterSet:

@@ -36,8 +36,8 @@ class SignalModel:
     speed: float = 3.0e8
 
     def __post_init__(self):
-        if self.sigma_s2 <= 0.0:
-            raise ValueError(f"sigma_s2 must be positive, got {self.sigma_s2}")
+        if not (0.0 < self.sigma_s2 < math.inf):
+            raise ValueError(f"sigma_s2 must be positive and finite, got {self.sigma_s2}")
         if self.wavelength <= 0.0 or self.speed <= 0.0:
             raise ValueError("wavelength and speed must be positive")
 
@@ -49,9 +49,9 @@ class NoiseProfile:
     variances: Mapping[int, float]
 
     def __post_init__(self):
-        bad = {i: v for i, v in self.variances.items() if v < 0.0}
+        bad = {i: v for i, v in self.variances.items() if not (0.0 <= v < math.inf)}
         if bad:
-            raise ValueError(f"noise variances must be non-negative: {bad}")
+            raise ValueError(f"noise variances must be non-negative and finite: {bad}")
 
     @classmethod
     def uniform(cls, node_ids, variance: float) -> "NoiseProfile":

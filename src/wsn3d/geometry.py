@@ -27,8 +27,8 @@ class CorrelationModel:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not (0.0 < self.theta < math.inf):
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
 

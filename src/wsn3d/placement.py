@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import ClusterSet, Deployment
+from .clustering import ClusterSet
 from .data_io import ReadingMatrix
 
 
@@ -25,36 +25,30 @@ class PlacementParams:
     phi1: float = 0.5
     phi2: float = 0.5
     rounds: int = 300
-    threshold: float = 5.0
 
     def __post_init__(self):
-        if self.phi1 < 0.0 or self.phi2 < 0.0 or self.phi1 + self.phi2 <= 0.0:
-            raise ValueError("adaptation factors must be non-negative and not both zero")
+        if not (0.0 <= self.phi1 < math.inf and 0.0 <= self.phi2 < math.inf and self.phi1 + self.phi2 > 0.0):
+            raise ValueError(f"adaptation factors must be finite, non-negative, not both 0: {self.phi1}, {self.phi2}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
 
 
-@dataclass(frozen=True)
-class NodeState:
-    node_id: int
-    sigma_p2: float  # present signal variance
-    sigma_b2: float  # personal best variance
-    best_cost: float  # highest cost seen so far (-inf before the first round)
-    i_a: float  # accumulated variance increment
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementState:
-    nodes: tuple[NodeState, ...]
-    sigma_gb2: float
-    round: int
-    cost_history: tuple[float, ...]
+    """Search state after ``round`` rounds.
 
-    def node(self, node_id: int) -> NodeState:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(f"no state for node {node_id}")
+    Entry k of each (N,) array belongs to node ``node_ids[k]``; the ids are
+    ascending. Compare two states field by field with ``np.array_equal``.
+    """
+
+    node_ids: tuple[int, ...]
+    sigma_p2: np.ndarray  # present signal variance
+    sigma_b2: np.ndarray  # personal best variance
+    best_cost: np.ndarray  # highest cost seen so far (-inf before the first round)
+    i_a: np.ndarray  # accumulated variance increment
+    sigma_gb2: float = 0.0
+    round: int = 0
+    cost_history: tuple[float, ...] = ()
 
 
 def cost_function(readings, neighbor_readings=None) -> float:
@@ -76,91 +70,101 @@ def cost_function(readings, neighbor_readings=None) -> float:
     return cost
 
 
+def _covariance(n, sx, sy, sxy):
+    """One-pass sample covariance from prefix moments (the variance when y is x)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (sxy - sx * sy / n) / (n - 1)
+
+
+def _variance(n, sx, sx2):
+    """Sample variance from prefix moments: 0 below 2 epochs, clamped at 0."""
+    v = _covariance(n, sx, sx, sx2)
+    return np.where((n < 2) | (v < 0.0), 0.0, v)
+
+
 class PrefixMoments:
     """Prefix-resolved variances and pairwise covariances for cluster costs.
 
     Missing cells are excluded pairwise: a node's variance uses its present
-    epochs, a covariance uses epochs present in both series. Prefix sums make
-    a cost query over the first k epochs O(1) per node and pair, which keeps
-    many-round placement runs cheap. Terms with fewer than 2 usable epochs
-    contribute nothing yet.
+    epochs, a covariance uses epochs present in both series. Prefix sums along
+    the epochs make the costs over the first k epochs a lookup at column k-1,
+    so every window of a placement run is scored from one build. Terms with
+    fewer than 2 usable epochs contribute nothing yet.
     """
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
-        ids = sorted(clusters.all_ids())
+        self.node_ids = ids = sorted(clusters.all_ids())
         missing = set(ids) - set(matrix.node_ids)
         if missing:
             raise ValueError(f"readings missing for nodes {sorted(missing)}")
-        self.node_ids = ids
         self.epoch_count = len(matrix.epochs)
-        row = {nid: matrix.node_ids.index(nid) for nid in ids}
-        present = (~matrix.missing).astype(float)
-        values = np.where(matrix.missing, 0.0, matrix.values)
+        row = {nid: r for r, nid in enumerate(matrix.node_ids)}
+        rows = [row[nid] for nid in ids]
+        present = (~matrix.missing[rows]).astype(float)
+        values = np.where(matrix.missing[rows], 0.0, matrix.values[rows])
+        self._nodes = np.cumsum([present, values, values**2], axis=2)  # n, sx, sx2: (3, N, T)
 
-        self._n = {}
-        self._sx = {}
-        self._sx2 = {}
-        for nid in ids:
-            r = row[nid]
-            self._n[nid] = np.cumsum(present[r])
-            self._sx[nid] = np.cumsum(values[r])
-            self._sx2[nid] = np.cumsum(values[r] ** 2)
-
-        self.neighbors: dict[int, list[int]] = {nid: [] for nid in ids}
-        self._pair: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # One block per cluster of 2 or more: its members (positions in node_ids),
+        # the (m, m) index of each member pair into the upper-triangle pair rows,
+        # and their prefix sums n, sx, sy, sxy as (4, P, T), filled in place.
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._block_of: dict[int, tuple[int, int]] = {}  # id -> (block, member index)
         for cluster in clusters:
-            group = sorted(cluster.node_ids())
-            for a_idx, i in enumerate(group):
-                for j in group[a_idx + 1 :]:
-                    self.neighbors[i].append(j)
-                    self.neighbors[j].append(i)
-                    ri, rj = row[i], row[j]
-                    both = present[ri] * present[rj]
-                    self._pair[(i, j)] = (
-                        np.cumsum(both),
-                        np.cumsum(values[ri] * both),
-                        np.cumsum(values[rj] * both),
-                        np.cumsum(values[ri] * values[rj] * both),
-                    )
-
-    def present_count(self, node_id: int) -> int:
-        return int(self._n[node_id][-1])
-
-    def variance(self, node_id: int, upto: int) -> float:
-        n = self._n[node_id][upto - 1]
-        if n < 2:
-            return 0.0
-        sx = self._sx[node_id][upto - 1]
-        sx2 = self._sx2[node_id][upto - 1]
-        return max((sx2 - sx * sx / n) / (n - 1), 0.0)
+            members = np.searchsorted(ids, sorted(cluster.node_ids()))
+            if members.size < 2:
+                continue
+            a, b = np.triu_indices(members.size, k=1)
+            pair = np.zeros((members.size, members.size), dtype=np.intp)
+            pair[a, b] = pair[b, a] = np.arange(a.size)
+            sums = np.empty((4, a.size, self.epoch_count))
+            np.multiply(present[members[a]], present[members[b]], out=sums[0])
+            np.multiply(values[members[a]], sums[0], out=sums[1])
+            np.multiply(values[members[b]], sums[0], out=sums[2])
+            np.multiply(values[members[a]] * values[members[b]], sums[0], out=sums[3])
+            np.cumsum(sums, axis=2, out=sums)
+            self._block_of.update({ids[p]: (len(self._blocks), k) for k, p in enumerate(members)})
+            self._blocks.append((members, pair, sums))
 
     def covariance(self, i: int, j: int, upto: int) -> float | None:
-        key = (i, j) if i < j else (j, i)
-        n, sx, sy, sxy = (arr[upto - 1] for arr in self._pair[key])
-        if n < 2:
-            return None
-        return (sxy - sx * sy / n) / (n - 1)
+        """Covariance of nodes i and j over the first ``upto`` epochs, or None
+        below 2 shared epochs. Both nodes must be in the same cluster."""
+        (bi, ki), (bj, kj) = self._block_of[i], self._block_of[j]
+        if bi != bj or ki == kj:
+            raise KeyError(f"nodes {i} and {j} are not a pair of one cluster")
+        _, pair, sums = self._blocks[bi]
+        n, sx, sy, sxy = sums[:, pair[ki, kj], upto - 1]
+        return None if n < 2 else _covariance(n, sx, sy, sxy)
 
-    def costs(self, upto: int | None = None) -> dict[int, float]:
-        """Per-node cost using the first `upto` epochs (all epochs by default)."""
-        k = self.epoch_count if upto is None else min(upto, self.epoch_count)
-        if k < 2:
-            raise ValueError(f"need at least 2 epochs, got {k}")
-        out = {}
-        for nid in self.node_ids:
-            cost = self.variance(nid, k)
-            covs = [c for j in self.neighbors[nid] if (c := self.covariance(nid, j, k)) is not None]
-            if covs:
-                cost += float(np.mean(covs))
-            out[nid] = cost
+    def costs(self, windows: Sequence[int]) -> np.ndarray:
+        """(len(windows), N) cost matrix: row w scores every node, in node_ids
+        order, over its first ``windows[w]`` epochs (capped at the series).
+
+        A node's neighbor term is the mean over its cluster neighbors, in
+        ascending id, of the covariances with at least 2 shared epochs.
+        """
+        at = np.minimum(np.asarray(windows, dtype=np.intp), self.epoch_count) - 1
+        if at.size and at.min() < 1:
+            raise ValueError(f"need at least 2 epochs, got {at.min() + 1}")
+        out = _variance(*self._nodes[:, :, at]).T
+        for members, pair, sums in self._blocks:
+            n, sx, sy, sxy = sums[:, :, at].transpose(0, 2, 1)  # each (W, P)
+            neighbors = pair[~np.eye(members.size, dtype=bool)].reshape(members.size, -1)
+            cov, usable = _covariance(n, sx, sy, sxy)[:, neighbors], (n >= 2)[:, neighbors]
+            count = usable.sum(axis=2)
+            cost = out[:, members]
+            # np.mean over each node's usable covariances as one contiguous row,
+            # so the sum runs in the same order as over that node's list alone
+            for length in np.unique(count[count > 0]):
+                sel = count == length
+                cost[sel] += cov[sel][usable[sel]].reshape(-1, length).mean(axis=1)
+            out[:, members] = cost
         return out
 
 
-def cluster_costs(
-    matrix: ReadingMatrix, clusters: ClusterSet, upto: int | None = None
-) -> dict[int, float]:
-    """Cost of every clustered node from its readings and its cluster neighbors."""
-    return PrefixMoments(matrix, clusters).costs(upto)
+def cluster_costs(matrix: ReadingMatrix, clusters: ClusterSet) -> dict[int, float]:
+    """Full-series cost of every clustered node from its readings and its cluster neighbors."""
+    moments = PrefixMoments(matrix, clusters)
+    return dict(zip(moments.node_ids, moments.costs([moments.epoch_count])[0].tolist()))
 
 
 def placement_step(
@@ -175,78 +179,72 @@ def placement_step(
         i_a     += phi1 * (sigma_b2 - sigma_p2) + phi2 * (sigma_gb2 - sigma_p2)
         sigma_p2 += i_a
 
-    The round's mean cost is appended to the history.
+    The round's mean cost is appended to the history. The arrays of ``state``
+    are left as they are.
     """
-    missing = {ns.node_id for ns in state.nodes} - set(costs)
+    missing = set(state.node_ids) - set(costs)
     if missing:
         raise ValueError(f"costs missing for nodes {sorted(missing)}")
+    c = np.asarray([costs[nid] for nid in state.node_ids], dtype=float)
 
-    rewarded = []
-    for ns in state.nodes:
-        c = float(costs[ns.node_id])
-        if c > ns.best_cost:
-            ns = replace(ns, best_cost=c, sigma_b2=ns.sigma_p2)
-        rewarded.append(ns)
+    improved = c > state.best_cost
+    best_cost = np.where(improved, c, state.best_cost)
+    sigma_b2 = np.where(improved, state.sigma_p2, state.sigma_b2)
+    sigma_gb2 = float(sigma_b2[np.argmax(best_cost)])
+    i_a = state.i_a + params.phi1 * (sigma_b2 - state.sigma_p2) + params.phi2 * (sigma_gb2 - state.sigma_p2)
 
-    leader = max(rewarded, key=lambda ns: (ns.best_cost, -ns.node_id))
-    sigma_gb2 = leader.sigma_b2
-
-    updated = []
-    for ns in rewarded:
-        i_a = ns.i_a + params.phi1 * (ns.sigma_b2 - ns.sigma_p2) + params.phi2 * (sigma_gb2 - ns.sigma_p2)
-        updated.append(replace(ns, i_a=i_a, sigma_p2=ns.sigma_p2 + i_a))
-
-    mean_cost = float(np.mean([costs[ns.node_id] for ns in state.nodes]))
-    return PlacementState(
-        nodes=tuple(updated),
+    return replace(
+        state,
+        sigma_p2=state.sigma_p2 + i_a,
+        sigma_b2=sigma_b2,
+        best_cost=best_cost,
+        i_a=i_a,
         sigma_gb2=sigma_gb2,
         round=state.round + 1,
-        cost_history=state.cost_history + (mean_cost,),
+        cost_history=state.cost_history + (float(np.mean(c)),),
     )
 
 
-def initial_state(matrix: ReadingMatrix, clusters: ClusterSet) -> PlacementState:
-    """Start-of-search state: present variance from each node's full reading series."""
-    moments = PrefixMoments(matrix, clusters)
-    nodes = []
-    for nid in moments.node_ids:
-        if moments.present_count(nid) < 2:
-            raise ValueError(f"node {nid} has fewer than 2 readings; variance undefined")
-        v = moments.variance(nid, moments.epoch_count)
-        nodes.append(NodeState(node_id=nid, sigma_p2=v, sigma_b2=v, best_cost=-math.inf, i_a=0.0))
-    return PlacementState(nodes=tuple(nodes), sigma_gb2=0.0, round=0, cost_history=())
-
-
 def run_placement(
-    dep: Deployment,
     matrix: ReadingMatrix,
     clusters: ClusterSet,
     params: PlacementParams,
-    seed: int | None = None,
     record: list[PlacementState] | None = None,
-) -> PlacementState:
-    """Run the full placement search and return the final state.
+) -> tuple[PlacementState, dict[int, float]]:
+    """Run the full placement search; return the final state and the
+    full-series cost of every clustered node.
 
+    The search starts from each node's variance over its full reading series.
     Each round scores nodes over a growing data window: the window fills
     linearly across the first 90 percent of the rounds and then covers the
     complete series, so the cost stream settles once additional rounds stop
-    bringing new data. The update itself is deterministic; the seed parameter
-    is accepted for interface stability only and randomness enters solely
-    through synthetic data generation upstream. Pass a list as ``record`` to
-    capture the state after every round.
+    bringing new data. One moments build serves the start state, every round's
+    window and the returned costs. Pass a list as ``record`` to capture the
+    state after every round.
     """
     moments = PrefixMoments(matrix, clusters)
-    state = initial_state(matrix, clusters)
+    ids = tuple(moments.node_ids)
+    n, sx, sx2 = moments._nodes[:, :, -1]
+    if (n < 2).any():
+        raise ValueError(f"node {ids[np.argmax(n < 2)]} has fewer than 2 readings; variance undefined")
+    start = _variance(n, sx, sx2)
     total = moments.epoch_count
     fill_rounds = max(1, math.ceil(0.9 * params.rounds))
-    for k in range(1, params.rounds + 1):
-        upto = min(total, max(2, math.ceil(total * k / fill_rounds)))
-        state = placement_step(state, moments.costs(upto), params)
+    windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, params.rounds + 1)]
+    *rounds, full = moments.costs(windows + [total])
+
+    state = PlacementState(
+        ids, sigma_p2=start, sigma_b2=start, best_cost=np.full(len(ids), -math.inf), i_a=np.zeros(len(ids))
+    )
+    for row in rounds:
+        state = placement_step(state, dict(zip(ids, row.tolist())), params)
         if record is not None:
             record.append(state)
-    return state
+    return state, dict(zip(ids, full.tolist()))
 
 
-def select_nodes(state: PlacementState, costs: Mapping[int, float], threshold: float) -> set[int]:
+def select_nodes(costs: Mapping[int, float], threshold: float) -> set[int]:
     """Ids of nodes whose cost meets or exceeds the threshold."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     return {nid for nid, c in costs.items() if c >= threshold}

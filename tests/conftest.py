@@ -12,7 +12,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # below about 1e-12 relative are rounding noise, not results:
 # - the synthetic field draw (LAPACK Cholesky, BLAS matmul, numpy's SIMD exp)
 #   changes its last bits with the OpenBLAS kernel and numpy's CPU dispatch;
-# - PrefixMoments.variance uses the one-pass sx2 - sx*sx/n, which loses digits
+# - placement._variance uses the one-pass sx2 - sx*sx/n, which loses digits
 #   to the reading offsets (18 and 25 against variances 0.25 and 9).
 # For `place --synthetic sun-shade --seed 42` on the bundled deployment, the
 # full-series costs sit up to 2.3e-12 relative from an exact rational

@@ -1,10 +1,16 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wsn3d
 from wsn3d import data_io
 from wsn3d.cli import main
+from wsn3d.placement import cluster_costs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -246,6 +252,28 @@ class TestPipeline:
         for name in ("clusters.json", "curve.csv", "nodes.csv"):
             assert (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("flags", [["--derive-radius", "--tau-n", "0.95"], ["--event", "2,2,2"]])
+    def test_places_on_the_partition_it_reports(self, nodes_arg, deployment, tmp_path, capsys, flags):
+        argv = ["pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade",
+                "--rounds", "5", "--epochs", "60", "--out", str(tmp_path), *flags]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        cs = data_io.read_cluster_report((tmp_path / "clusters.json").read_text())
+        with (tmp_path / "nodes.csv").open(newline="") as f:
+            written = {int(r["node_id"]): float(r["cost"]) for r in csv.DictReader(f)}
+        assert set(written) == cs.all_ids()
+        scn = data_io.sun_shade_scenario(deployment, epochs=60, seed=42)
+        assert written == cluster_costs(data_io.generate_synthetic(scn, deployment), cs)
+
+
+    def test_event_out_of_reach_places_nothing(self, nodes_arg, tmp_path, capsys):
+        argv = ["pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade", "--rounds", "3",
+                "--epochs", "30", "--event", "100,100,100", "--out", str(tmp_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "nothing to place" in err
+        assert not (tmp_path / "nodes.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
@@ -264,6 +292,39 @@ class TestExitCodes:
             ["cluster", "--nodes", nodes_arg, "--alpha", "9", "--out", str(tmp_path)], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--sigma-s2", "inf"],
+            ["estimate", "--sigma-n2", "nan"],
+            ["cluster", "--radius", "inf"],
+            ["cluster", "--theta", "inf"],
+            ["synth", "--synthetic", "uniform", "--variance", "nan"],
+            ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
+            ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--phi1", "nan"],
+        ],
+    )
+    def test_non_finite_number_is_usage_error(self, argv, nodes_arg, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run([*argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert code == 1
+        assert "finite" in err
+        assert not out.exists()
+
+    def test_closed_stdout_exits_without_traceback(self, nodes_arg, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(wsn3d.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wsn3d", "cluster", "--nodes", nodes_arg, "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        proc.stdout.close()  # the reader goes away before the first write
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(["cluster", "--bogus"], capsys)

@@ -166,13 +166,19 @@ class TestClusterReport:
         assert text.count('"accuracy"') == 7
 
 
+def empty_state(round, cost_history):
+    from wsn3d.placement import PlacementState
+
+    none = np.empty(0)
+    return PlacementState(
+        node_ids=(), sigma_p2=none, sigma_b2=none, best_cost=none, i_a=none,
+        sigma_gb2=0.0, round=round, cost_history=cost_history,
+    )
+
+
 class TestCostCurves:
     def test_row_counts(self):
-        from wsn3d.placement import PlacementState
-
-        state = PlacementState(
-            nodes=(), sigma_gb2=0.0, round=300, cost_history=tuple(float(i) for i in range(300))
-        )
+        state = empty_state(round=300, cost_history=tuple(float(i) for i in range(300)))
         curve, nodes = data_io.write_cost_curves(state, {1: 2.0, 2: 7.0}, {2})
         assert len(curve.splitlines()) == 301
         lines = nodes.splitlines()
@@ -180,22 +186,19 @@ class TestCostCurves:
         assert lines[1] == "1,2.0,0" and lines[2] == "2,7.0,1"
 
     def test_empty_run(self):
-        from wsn3d.placement import PlacementState
-
-        state = PlacementState(nodes=(), sigma_gb2=0.0, round=0, cost_history=())
+        state = empty_state(round=0, cost_history=())
         curve, nodes = data_io.write_cost_curves(state, {}, set())
         assert curve == "round,mean_cost\n"
         assert nodes == "node_id,cost,selected\n"
 
     def test_selected_column_count(self, deployment):
-        from wsn3d.placement import PlacementParams, cluster_costs, run_placement, select_nodes
+        from wsn3d.placement import PlacementParams, run_placement, select_nodes
 
         scn = data_io.sun_shade_scenario(deployment, epochs=60)
         matrix = data_io.generate_synthetic(scn, deployment)
         clusters = form_clusters(deployment, 6.0)
-        state = run_placement(deployment, matrix, clusters, PlacementParams(rounds=20))
-        costs = cluster_costs(matrix, clusters)
-        selected = select_nodes(state, costs, 5.0)
+        state, costs = run_placement(matrix, clusters, PlacementParams(rounds=20))
+        selected = select_nodes(costs, 5.0)
         _, nodes = data_io.write_cost_curves(state, costs, selected)
         ones = sum(1 for line in nodes.splitlines()[1:] if line.endswith(",1"))
         assert ones == len(selected)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsn3d import data_io
-from wsn3d.clustering import form_clusters
+from wsn3d.clustering import Cluster, ClusterSet, form_clusters
 from wsn3d.placement import (
-    NodeState,
     PlacementParams,
     PlacementState,
+    PrefixMoments,
     cluster_costs,
     cost_function,
     placement_step,
@@ -17,9 +20,19 @@ from wsn3d.placement import (
 )
 
 
+FIELDS = ("sigma_p2", "sigma_b2", "best_cost", "i_a")
+
+
 def make_state(entries, sigma_gb2=0.0):
-    nodes = tuple(NodeState(node_id=i, **kw) for i, kw in entries)
-    return PlacementState(nodes=nodes, sigma_gb2=sigma_gb2, round=0, cost_history=())
+    values = {f: np.asarray([kw[f] for _, kw in entries], dtype=float) for f in FIELDS}
+    ids = tuple(i for i, _ in entries)
+    return PlacementState(node_ids=ids, **values, sigma_gb2=sigma_gb2, round=0, cost_history=())
+
+
+def node(state, node_id):
+    """One node's entries of the array state, by field name."""
+    k = state.node_ids.index(node_id)
+    return {f: getattr(state, f)[k] for f in FIELDS}
 
 
 class TestCostFunction:
@@ -58,7 +71,7 @@ class TestCostFunction:
 
 
 class TestPlacementStep:
-    PARAMS = PlacementParams(phi1=0.5, phi2=0.5, rounds=10, threshold=5.0)
+    PARAMS = PlacementParams(phi1=0.5, phi2=0.5, rounds=10)
 
     def test_equilibrium_keeps_accumulator(self):
         # both attraction terms vanish, so sigma_p2 moves by exactly i_a
@@ -66,9 +79,9 @@ class TestPlacementStep:
             [(1, dict(sigma_p2=2.0, sigma_b2=2.0, best_cost=9.0, i_a=0.25))], sigma_gb2=2.0
         )
         new = placement_step(state, {1: 1.0}, self.PARAMS)
-        ns = new.nodes[0]
-        assert ns.i_a == 0.25
-        assert ns.sigma_p2 == 2.25
+        ns = node(new, 1)
+        assert ns["i_a"] == 0.25
+        assert ns["sigma_p2"] == 2.25
 
     def test_increment_formula_single_step(self):
         params = PlacementParams(phi1=0.3, phi2=0.7, rounds=10)
@@ -80,10 +93,10 @@ class TestPlacementStep:
             sigma_gb2=6.0,
         )
         new = placement_step(state, {1: 1.0, 2: 1.0}, params)
-        ns = new.node(1)
+        ns = node(new, 1)
         want_ia = 0.1 + 0.3 * (3.0 - 2.0) + 0.7 * (6.0 - 2.0)
-        assert ns.i_a == pytest.approx(want_ia, abs=1e-15)
-        assert ns.sigma_p2 == pytest.approx(2.0 + want_ia, abs=1e-15)
+        assert ns["i_a"] == pytest.approx(want_ia, abs=1e-15)
+        assert ns["sigma_p2"] == pytest.approx(2.0 + want_ia, abs=1e-15)
 
     def test_halfway_move_toward_global_best(self):
         params = PlacementParams(phi1=0.0, phi2=0.5, rounds=10)
@@ -96,22 +109,22 @@ class TestPlacementStep:
         )
         new = placement_step(state, {1: 1.0, 2: 9.0}, params)
         assert new.sigma_gb2 == 4.0
-        ns = new.node(1)
-        assert ns.i_a == 1.0
-        assert ns.sigma_p2 == 3.0
+        ns = node(new, 1)
+        assert ns["i_a"] == 1.0
+        assert ns["sigma_p2"] == 3.0
 
     def test_personal_best_updates_on_improvement(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=2.0, i_a=0.0))])
         new = placement_step(state, {1: 5.0}, self.PARAMS)
-        ns = new.nodes[0]
-        assert ns.best_cost == 5.0
-        assert ns.sigma_b2 == 7.0
+        ns = node(new, 1)
+        assert ns["best_cost"] == 5.0
+        assert ns["sigma_b2"] == 7.0
 
     def test_no_update_without_improvement(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=6.0, i_a=0.0))])
         new = placement_step(state, {1: 5.0}, self.PARAMS)
-        assert new.nodes[0].best_cost == 6.0
-        assert new.nodes[0].sigma_b2 == 1.0
+        assert node(new, 1)["best_cost"] == 6.0
+        assert node(new, 1)["sigma_b2"] == 1.0
 
     def test_global_best_follows_best_cost(self):
         state = make_state(
@@ -123,6 +136,16 @@ class TestPlacementStep:
         new = placement_step(state, {1: 2.0, 2: 10.0}, self.PARAMS)
         assert new.sigma_gb2 == 8.0
 
+    def test_tied_best_cost_goes_to_the_smaller_id(self):
+        state = make_state(
+            [
+                (1, dict(sigma_p2=3.0, sigma_b2=3.0, best_cost=-math.inf, i_a=0.0)),
+                (2, dict(sigma_p2=8.0, sigma_b2=8.0, best_cost=-math.inf, i_a=0.0)),
+            ]
+        )
+        new = placement_step(state, {1: 10.0, 2: 10.0}, self.PARAMS)
+        assert new.sigma_gb2 == 3.0
+
     def test_fixed_point_is_stationary(self):
         state = make_state(
             [
@@ -132,9 +155,17 @@ class TestPlacementStep:
             sigma_gb2=5.0,
         )
         new = placement_step(state, {1: 1.0, 2: 1.0}, self.PARAMS)
-        for ns in new.nodes:
-            assert ns.sigma_p2 == 5.0 and ns.i_a == 0.0
+        for nid in new.node_ids:
+            ns = node(new, nid)
+            assert ns["sigma_p2"] == 5.0 and ns["i_a"] == 0.0
         assert new.sigma_gb2 == 5.0
+
+    def test_input_state_left_unchanged(self):
+        state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=2.0, i_a=0.5))])
+        before = {f: getattr(state, f).copy() for f in FIELDS}
+        placement_step(state, {1: 5.0}, self.PARAMS)
+        for f in FIELDS:
+            assert np.array_equal(getattr(state, f), before[f])
 
     def test_misaligned_costs_rejected(self):
         state = make_state([(1, dict(sigma_p2=1.0, sigma_b2=1.0, best_cost=0.0, i_a=0.0))])
@@ -158,10 +189,9 @@ def sun_shade_run(deployment):
     scn = data_io.sun_shade_scenario(deployment)
     matrix = data_io.generate_synthetic(scn, deployment)
     clusters = form_clusters(deployment, 6.0)
-    params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300, threshold=5.0)
+    params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
     record = []
-    state = run_placement(deployment, matrix, clusters, params, seed=42, record=record)
-    costs = cluster_costs(matrix, clusters)
+    state, costs = run_placement(matrix, clusters, params, record=record)
     return deployment, matrix, clusters, state, costs, record
 
 
@@ -170,7 +200,7 @@ class TestRunPlacement:
         scn = data_io.sun_shade_scenario(deployment, epochs=50)
         matrix = data_io.generate_synthetic(scn, deployment)
         clusters = form_clusters(deployment, 6.0)
-        state = run_placement(deployment, matrix, clusters, PlacementParams(rounds=1))
+        state, _ = run_placement(matrix, clusters, PlacementParams(rounds=1))
         assert len(state.cost_history) == 1
 
     def test_identical_readings_symmetric_state(self, deployment):
@@ -186,22 +216,22 @@ class TestRunPlacement:
             missing=np.zeros_like(values, dtype=bool),
         )
         clusters = form_clusters(deployment, 6.0)
-        state = run_placement(deployment, matrix, clusters, PlacementParams(rounds=1))
+        state, _ = run_placement(matrix, clusters, PlacementParams(rounds=1))
         shared = float(np.var(series, ddof=1))
         assert state.sigma_gb2 == pytest.approx(shared, rel=1e-12)
-        assert all(ns.sigma_b2 == state.nodes[0].sigma_b2 for ns in state.nodes)
+        assert all(b2 == state.sigma_b2[0] for b2 in state.sigma_b2)
 
     def test_best_cost_monotone_per_round(self, sun_shade_run):
         *_, record = sun_shade_run
         for prev, cur in zip(record, record[1:]):
-            for a, b in zip(prev.nodes, cur.nodes):
-                assert b.best_cost >= a.best_cost
+            for a, b in zip(prev.best_cost, cur.best_cost):
+                assert b >= a
 
     def test_global_best_dominates(self, sun_shade_run):
         *_, record = sun_shade_run
         for st in record:
-            leader = max(ns.best_cost for ns in st.nodes)
-            assert all(ns.best_cost <= leader for ns in st.nodes)
+            leader = max(st.best_cost)
+            assert all(c <= leader for c in st.best_cost)
 
     def test_saturation_of_mean_cost(self, sun_shade_run):
         _, _, _, state, _, _ = sun_shade_run
@@ -213,10 +243,17 @@ class TestRunPlacement:
         matrix = data_io.generate_synthetic(scn, deployment)
         clusters = form_clusters(deployment, 6.0)
         params = PlacementParams(rounds=40)
-        a = run_placement(deployment, matrix, clusters, params, seed=1)
-        b = run_placement(deployment, matrix, clusters, params, seed=2)
+        a, costs_a = run_placement(matrix, clusters, params)
+        b, costs_b = run_placement(matrix, clusters, params)
         assert a.cost_history == b.cost_history
-        assert a == b
+        assert a.node_ids == b.node_ids and (a.sigma_gb2, a.round) == (b.sigma_gb2, b.round)
+        for f in FIELDS:
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert costs_a == costs_b
+
+    def test_returned_costs_are_the_full_series_costs(self, sun_shade_run):
+        _, matrix, clusters, _, costs, _ = sun_shade_run
+        assert costs == cluster_costs(matrix, clusters)
 
     def test_missing_readings_rejected(self, deployment):
         scn = data_io.sun_shade_scenario(deployment, epochs=50)
@@ -229,30 +266,30 @@ class TestRunPlacement:
         )
         clusters = form_clusters(deployment, 6.0)
         with pytest.raises(ValueError):
-            run_placement(deployment, short, clusters, PlacementParams(rounds=2))
+            run_placement(short, clusters, PlacementParams(rounds=2))
 
 
 class TestSelectNodes:
     def test_zero_threshold_selects_all(self, sun_shade_run):
-        _, _, _, state, costs, _ = sun_shade_run
-        assert select_nodes(state, costs, 0.0) == set(costs)
+        _, _, _, _, costs, _ = sun_shade_run
+        assert select_nodes(costs, 0.0) == set(costs)
 
     def test_threshold_above_max_selects_none(self, sun_shade_run):
-        _, _, _, state, costs, _ = sun_shade_run
-        assert select_nodes(state, costs, 1e9) == set()
+        _, _, _, _, costs, _ = sun_shade_run
+        assert select_nodes(costs, 1e9) == set()
 
     def test_monotone_shrinkage(self, sun_shade_run):
-        _, _, _, state, costs, _ = sun_shade_run
+        _, _, _, _, costs, _ = sun_shade_run
         prev = set(costs)
         for t in np.linspace(0.0, max(costs.values()) + 1.0, 25):
-            cur = select_nodes(state, costs, float(t))
+            cur = select_nodes(costs, float(t))
             assert cur <= prev
             prev = cur
 
     def test_selects_sun_group(self, sun_shade_run):
-        dep, _, _, state, costs, _ = sun_shade_run
+        dep, _, _, _, costs, _ = sun_shade_run
         sun, _ = data_io.sun_shade_groups(dep)
-        assert select_nodes(state, costs, 5.0) == sun
+        assert select_nodes(costs, 5.0) == sun
 
 
 class TestParams:
@@ -263,3 +300,80 @@ class TestParams:
     def test_rounds_at_least_one(self):
         with pytest.raises(ValueError):
             PlacementParams(rounds=0)
+
+
+@st.composite
+def gapped_partitions(draw, min_present=0):
+    """Small integer-valued reading matrices with random gaps, split into
+    random clusters; every node keeps at least ``min_present`` leading epochs."""
+    n = draw(st.integers(1, 7))
+    t = draw(st.integers(max(2, min_present), 12))
+    values = draw(arrays(float, (n, t), elements=st.integers(-20, 20).map(float)))
+    missing = draw(arrays(bool, (n, t), elements=st.booleans()))
+    missing[:, :min_present] = False
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    groups = sorted(
+        ([i + 1 for i in range(n) if labels[i] == g] for g in set(labels)),
+        key=lambda g: (-len(g), g[0]),
+    )
+    clusters = ClusterSet(
+        clusters=tuple(
+            Cluster(head=g[0], members=frozenset(g[1:]), order_index=k)
+            for k, g in enumerate(groups, start=1)
+        ),
+        radius=1.0,
+    )
+    matrix = data_io.ReadingMatrix(
+        node_ids=tuple(range(1, n + 1)),
+        epochs=tuple(range(t)),
+        values=np.where(missing, np.nan, values),
+        missing=missing,
+    )
+    return matrix, clusters
+
+
+def brute_force_cost(matrix, neighbors, i, k):
+    """Cost of node row i over the first k epochs, pairwise-complete, two-pass."""
+    seen = ~matrix.missing[:, :k]
+    x = matrix.values[:, :k]
+    if seen[[i, *neighbors]].all():
+        return cost_function(x[i], x[neighbors])
+    xs = x[i][seen[i]]
+    cost = float(np.var(xs, ddof=1)) if xs.size >= 2 else 0.0
+    covs = []
+    for j in neighbors:
+        both = seen[i] & seen[j]
+        if both.sum() >= 2:
+            covs.append(float(np.cov(x[i][both], x[j][both])[0, 1]))
+    return cost + (float(np.mean(covs)) if covs else 0.0)
+
+
+class TestArrayKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gapped_partitions())
+    def test_every_window_matches_brute_force(self, case):
+        matrix, clusters = case
+        moments = PrefixMoments(matrix, clusters)
+        windows = range(2, len(matrix.epochs) + 1)
+        got = moments.costs(windows)
+        assert got.shape == (len(windows), len(matrix.node_ids))
+        for c in clusters:
+            group = sorted(c.node_ids())
+            for nid in group:
+                neighbors = [j - 1 for j in group if j != nid]
+                for w, k in enumerate(windows):
+                    want = brute_force_cost(matrix, neighbors, nid - 1, k)
+                    assert math.isclose(got[w, nid - 1], want, rel_tol=1e-9, abs_tol=1e-9), (nid, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(gapped_partitions(min_present=2), st.integers(1, 12))
+    def test_best_cost_monotone_and_leader_dominates(self, case, rounds):
+        matrix, clusters = case
+        record = []
+        run_placement(matrix, clusters, PlacementParams(rounds=rounds), record=record)
+        assert len(record) == rounds
+        for prev, cur in zip(record, record[1:]):
+            assert (cur.best_cost >= prev.best_cost).all()
+        for st_ in record:
+            leader = np.flatnonzero(st_.best_cost == st_.best_cost.max())[0]
+            assert st_.sigma_gb2 == st_.sigma_b2[leader]
