@@ -5,12 +5,11 @@ the unbiased live mean, and scores prediction quality from the correlation
 geometry.
 """
 
-import numpy as np
-
 from wsn3d import (
     CorrelationModel,
     correlation,
     load_bundled_deployment,
+    pairwise_distances,
     predict_dead,
     prediction_accuracy,
 )
@@ -30,9 +29,7 @@ for n_dead in (0, 2, 4):
 
 print()
 print("predictor quality for each node, pretending it died (all 54 locations)")
-pos = dep.positions()
-diff = pos[:, None, :] - pos[None, :, :]
-rho_pair = correlation(model, np.sqrt((diff**2).sum(axis=2)))
+rho_pair = correlation(model, pairwise_distances(dep.positions()))
 o = len(dep)
 
 scores = []

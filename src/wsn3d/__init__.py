@@ -50,6 +50,7 @@ from .geometry import (
     dodeca_vertices,
     dodeca_volume,
     event_volume,
+    pairwise_distances,
 )
 from .placement import (
     PlacementParams,

@@ -8,16 +8,15 @@ Exit codes: 0 success, 1 usage or configuration error, 2 input-data error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data_io, estimation, placement
-from .clustering import ClusterSet, Deployment, euclidean_distance, form_clusters
+from .clustering import ClusterSet, Deployment, form_clusters
 from .errors import ConfigurationError, DataFormatError
-from .geometry import CorrelationModel, EventSource, correlation, correlation_radius
+from .geometry import CorrelationModel, EventSource, correlation, correlation_radius, pairwise_distances
 
 
 class _UsageError(Exception):
@@ -27,6 +26,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are exit 1 here
         raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _add_model_flags(p: _Parser):
@@ -104,7 +110,8 @@ def build_parser() -> _Parser:
     p.add_argument("--phi1", type=float, default=0.5, help="personal-best adaptation factor (default 0.5)")
     p.add_argument("--phi2", type=float, default=0.5, help="global-best adaptation factor (default 0.5)")
     p.add_argument("--rounds", type=int, default=300, help="search rounds (default 300)")
-    p.add_argument("--threshold", type=float, default=5.0, help="selection cost threshold (default 5)")
+    p.add_argument("--threshold", type=_finite_float, default=5.0,
+                   help="selection cost threshold (default 5)")
     _add_model_flags(p)
     _add_out_flag(p)
 
@@ -112,7 +119,8 @@ def build_parser() -> _Parser:
     p.add_argument("--nodes", required=True)
     p.add_argument("--synthetic", default="sun-shade", choices=["sun-shade", "uniform"])
     p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--variance", type=float, default=1.0, help="field variance (default 1)")
+    p.add_argument("--variance", type=float, default=None,
+                   help="field variance of --synthetic uniform (default 1); sun-shade fixes it at 1")
     _add_model_flags(p)
     _add_out_flag(p)
 
@@ -126,7 +134,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi1", type=float, default=0.5)
     p.add_argument("--phi2", type=float, default=0.5)
     p.add_argument("--rounds", type=int, default=300)
-    p.add_argument("--threshold", type=float, default=5.0)
+    p.add_argument("--threshold", type=_finite_float, default=5.0)
     p.add_argument("--dead", default="", help="optionally also predict these dead node ids")
     p.add_argument("--predict-unbiased", action="store_true")
     p.add_argument("--eq13-literal", action="store_true")
@@ -185,11 +193,16 @@ def _readings_matrix(args, dep: Deployment):
         return data_io.parse_readings(readings, deployment=dep)
     if args.synthetic:
         model = CorrelationModel(theta=args.theta, alpha=args.alpha)
+        variance = getattr(args, "variance", None)
         if args.synthetic == "sun-shade":
+            if variance is not None:
+                raise ConfigurationError(
+                    "--variance applies to --synthetic uniform only; sun-shade fixes it at 1"
+                )
             scn = data_io.sun_shade_scenario(dep, model=model, epochs=args.epochs, seed=args.seed)
         else:
             scn = data_io.SyntheticScenario(
-                model=model, variance=getattr(args, "variance", 1.0),
+                model=model, variance=1.0 if variance is None else variance,
                 epochs=args.epochs, seed=args.seed,
             )
         return data_io.generate_synthetic(scn, dep)
@@ -261,17 +274,12 @@ def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
     o_total = len(live_ids) + len(dead_ids)
     value = estimation.predict_dead(observed, o_total, unbiased=args.predict_unbiased)
     all_ids = sorted(set(live_ids) | set(dead_ids))
-    pos = {n.id: n.position for n in dep.nodes}
-    pts = np.asarray([pos[i] for i in all_ids])
-    diff = pts[:, None, :] - pts[None, :, :]
-    rho_pair = correlation(model, np.sqrt((diff**2).sum(axis=2)))
+    rho_pair = correlation(model, pairwise_distances([dep.node(i).position for i in all_ids]))
     divisor = "live" if args.eq13_literal else "total"
     print(f"{'dead':>5}  {'predicted':>10}  {'quality':>8}")
     for d in dead_ids:
-        dists = np.asarray([euclidean_distance(pos[d], pos[i]) for i in all_ids])
-        rho_dead = correlation(model, dists)
         quality = estimation.prediction_accuracy(
-            o_total, rho_dead, rho_pair, divisor=divisor, live_count=len(live_ids)
+            o_total, rho_pair[all_ids.index(d)], rho_pair, divisor=divisor, live_count=len(live_ids)
         )
         print(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}")
 

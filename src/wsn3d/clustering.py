@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import CorrelationModel, EventSource, correlation_radius
+from .geometry import CorrelationModel, EventSource, correlation_radius, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class Deployment:
 
     nodes: tuple[SensorNode, ...]
     event: EventSource | None = None
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nodes:
@@ -42,6 +43,7 @@ class Deployment:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate node ids: {dupes}")
+        object.__setattr__(self, "_index", {i: k for k, i in enumerate(ids)})
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -49,11 +51,15 @@ class Deployment:
     def ids(self) -> list[int]:
         return [n.id for n in self.nodes]
 
+    def index(self, node_id: int) -> int:
+        """Position of the node with this id in ``nodes``."""
+        try:
+            return self._index[node_id]
+        except KeyError:
+            raise KeyError(f"no node with id {node_id}") from None
+
     def node(self, node_id: int) -> SensorNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node with id {node_id}")
+        return self.nodes[self.index(node_id)]
 
     def positions(self) -> np.ndarray:
         return np.asarray([n.position for n in self.nodes], dtype=float)
@@ -125,6 +131,9 @@ class ElectionRecord:
     singleton_sweep: bool = False
 
 
+_BLOCK_ROWS = 128
+
+
 def _check_radius(radius: float) -> None:
     if not (0.0 < radius < math.inf):
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -132,8 +141,7 @@ def _check_radius(radius: float) -> None:
 
 def euclidean_distance(a, b) -> float:
     """L2 distance between two 3D points."""
-    pa, pb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return float(np.linalg.norm(pa - pb))
+    return float(pairwise_distances(a, b)[0, 0])
 
 
 def filter_in_event_range(dep: Deployment, model: CorrelationModel) -> set[int]:
@@ -145,9 +153,25 @@ def filter_in_event_range(dep: Deployment, model: CorrelationModel) -> set[int]:
     if dep.event is None:
         raise ConfigurationError("deployment has no event source to filter against")
     r = correlation_radius(model, dep.event.tau_e)
-    ev = np.asarray(dep.event.position, dtype=float)
-    dists = np.linalg.norm(dep.positions() - ev, axis=1)
+    dists = pairwise_distances(dep.positions(), dep.event.position)[:, 0]
     return {n.id for n, d in zip(dep.nodes, dists) if d <= r}
+
+
+def _row_blocks(n: int):
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
+
+def _adjacency(pos: np.ndarray, radius: float) -> np.ndarray:
+    """The (N, N) boolean in-radius relation of the points, False on the diagonal.
+
+    Distances are taken _BLOCK_ROWS rows at a time, so no N x N float matrix
+    is ever held: the relation costs N**2 bytes (25 MB at N = 5000).
+    """
+    adj = np.empty((len(pos), len(pos)), dtype=bool)
+    for rows in _row_blocks(len(pos)):
+        np.less_equal(pairwise_distances(pos[rows], pos), radius, out=adj[rows])
+    np.fill_diagonal(adj, False)
+    return adj
 
 
 def neighbor_sets(nodes, radius: float) -> dict[int, set[int]]:
@@ -157,16 +181,9 @@ def neighbor_sets(nodes, radius: float) -> dict[int, set[int]]:
     """
     _check_radius(radius)
     node_list = list(nodes.nodes) if isinstance(nodes, Deployment) else list(nodes)
-    ids = [n.id for n in node_list]
-    pos = np.asarray([n.position for n in node_list], dtype=float)
-    if len(node_list) == 0:
-        return {}
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    out: dict[int, set[int]] = {}
-    for k, i in enumerate(ids):
-        out[i] = {ids[l] for l in range(len(ids)) if l != k and dist[k, l] <= radius}
-    return out
+    ids = np.asarray([n.id for n in node_list], dtype=np.int64)
+    adj = _adjacency(np.asarray([n.position for n in node_list], dtype=float).reshape(-1, 3), radius)
+    return {int(i): set(ids[row].tolist()) for i, row in zip(ids, adj)}
 
 
 def form_clusters(
@@ -198,36 +215,45 @@ def form_clusters(
     else:
         participating = set(dep.ids())
 
-    by_id = {n.id: np.asarray(n.position, dtype=float) for n in dep.nodes}
-    ev = np.asarray(dep.event.position, dtype=float) if dep.event is not None else None
-
-    def dist(i: int, j: int) -> float:
-        return float(np.linalg.norm(by_id[i] - by_id[j]))
-
-    remaining = set(participating)
+    # Index k is the k-th smallest participating id, so ascending index order
+    # is id order and the first of a tied set is the smallest id.
+    ids = np.asarray(sorted(participating), dtype=np.int64)
+    pos = np.asarray([dep.node(i).position for i in ids.tolist()], dtype=float).reshape(-1, 3)
+    adj = _adjacency(pos, radius)
+    counts = adj.sum(axis=1)  # in-radius neighbors that are still unassigned
+    alive = np.ones(len(ids), dtype=bool)
     clusters: list[Cluster] = []
-    while remaining:
-        nbrs = {i: {j for j in remaining if j != i and dist(i, j) <= radius} for i in remaining}
-        best_count = max(len(s) for s in nbrs.values())
+    while alive.any():
+        best_count = counts[alive].max()
         if best_count == 0:
-            for i in sorted(remaining):
+            for i in ids[alive].tolist():
                 clusters.append(Cluster(head=i, members=frozenset(), order_index=len(clusters) + 1))
                 if trace is not None:
                     trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
             break
-        candidates = sorted(i for i in remaining if len(nbrs[i]) == best_count)
-        dmax = {i: max(dist(i, j) for j in nbrs[i]) for i in candidates}
-        low = min(dmax.values())
-        tied = [i for i in candidates if dmax[i] <= low + 1e-12]
-        if len(tied) > 1 and ev is not None:
-            dev = {i: float(np.linalg.norm(by_id[i] - ev)) for i in tied}
-            low_ev = min(dev.values())
-            tied = [i for i in tied if dev[i] <= low_ev + 1e-12]
-        head = min(tied)
+        candidates = np.flatnonzero(alive & (counts == best_count))
+        dmax = np.empty(len(candidates))
+        for block in _row_blocks(len(candidates)):
+            rows = candidates[block]
+            dmax[block] = np.max(
+                pairwise_distances(pos[rows], pos), axis=1, where=adj[rows] & alive, initial=0.0
+            )
+        tied = candidates[dmax <= dmax.min() + 1e-12]
+        if len(tied) > 1 and dep.event is not None:
+            dev = pairwise_distances(pos[tied], dep.event.position)[:, 0]
+            tied = tied[dev <= dev.min() + 1e-12]
+        head = tied[0]
+        members = adj[head] & alive
         if trace is not None:
-            trace.append(ElectionRecord(head=head, candidates=candidates, dmax_ties=tied))
-        clusters.append(Cluster(head=head, members=frozenset(nbrs[head]), order_index=len(clusters) + 1))
-        remaining -= {head} | nbrs[head]
+            trace.append(ElectionRecord(
+                head=int(ids[head]), candidates=ids[candidates].tolist(), dmax_ties=ids[tied].tolist()
+            ))
+        clusters.append(Cluster(
+            head=int(ids[head]), members=frozenset(ids[members].tolist()), order_index=len(clusters) + 1
+        ))
+        absorbed = np.append(np.flatnonzero(members), head)
+        alive[absorbed] = False
+        counts -= adj[absorbed].sum(axis=0)  # the relation is symmetric: rows stand for columns
     return ClusterSet(clusters=tuple(clusters), radius=radius)
 
 
@@ -240,19 +266,23 @@ def capture_clusters(dep: Deployment, heads, radius: float) -> ClusterSet:
     an externally reported partition is consistent with a capture radius.
     """
     _check_radius(radius)
-    by_id = {n.id: np.asarray(n.position, dtype=float) for n in dep.nodes}
-    remaining = set(dep.ids())
+    ids = np.asarray(dep.ids(), dtype=np.int64)
+    adj = _adjacency(dep.positions(), radius)
+    alive = np.ones(len(ids), dtype=bool)
     clusters: list[Cluster] = []
     for head in heads:
-        if head not in by_id:
-            raise ValueError(f"head {head} is not a deployment node")
-        if head not in remaining:
+        try:
+            k = dep.index(head)
+        except KeyError:
+            raise ValueError(f"head {head} is not a deployment node") from None
+        if not alive[k]:
             raise ValueError(f"head {head} was already assigned to an earlier cluster")
-        members = {
-            j for j in remaining if j != head and float(np.linalg.norm(by_id[j] - by_id[head])) <= radius
-        }
-        clusters.append(Cluster(head=head, members=frozenset(members), order_index=len(clusters) + 1))
-        remaining -= {head} | members
-    if remaining:
-        raise ValueError(f"head sequence leaves nodes unassigned: {sorted(remaining)}")
+        members = adj[k] & alive
+        clusters.append(Cluster(
+            head=head, members=frozenset(ids[members].tolist()), order_index=len(clusters) + 1
+        ))
+        alive[k] = False
+        alive[members] = False
+    if alive.any():
+        raise ValueError(f"head sequence leaves nodes unassigned: {sorted(ids[alive].tolist())}")
     return ClusterSet(clusters=tuple(clusters), radius=radius)

@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import Cluster, ClusterSet, Deployment, SensorNode
 from .errors import DataFormatError
 from .estimation import AccuracyReport
-from .geometry import CorrelationModel, correlation
+from .geometry import CorrelationModel, correlation, pairwise_distances
 
 _JITTER_FRACTION = 1e-10
 
@@ -34,6 +34,7 @@ class ReadingMatrix:
     epochs: tuple[int, ...]
     values: np.ndarray  # shape (nodes, epochs), NaN where missing
     missing: np.ndarray  # bool, same shape
+    _rows: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (len(self.node_ids), len(self.epochs))
@@ -41,12 +42,13 @@ class ReadingMatrix:
             raise ValueError(f"values and missing must have shape {shape}")
         if not np.all(np.isfinite(self.values[~self.missing])):
             raise ValueError("present cells must hold finite values")
+        self._rows = {nid: k for k, nid in enumerate(self.node_ids)}
 
     def row(self, node_id: int) -> np.ndarray:
-        return self.values[self.node_ids.index(node_id)]
+        return self.values[self._rows[node_id]]
 
     def present_values(self, node_id: int) -> np.ndarray:
-        k = self.node_ids.index(node_id)
+        k = self._rows[node_id]
         return self.values[k][~self.missing[k]]
 
 
@@ -176,10 +178,7 @@ def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix
     numerically singular, a diagonal jitter of 1e-10 * variance is added once
     before giving up.
     """
-    pos = dep.positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
-    cov = scn.variance * correlation(scn.model, dists)
+    cov = scn.variance * correlation(scn.model, pairwise_distances(dep.positions()))
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import Cluster, Deployment, euclidean_distance
+from .clustering import Cluster, Deployment
 from .errors import ConfigurationError
-from .geometry import CorrelationModel, EventSource, correlation
+from .geometry import CorrelationModel, EventSource, correlation, pairwise_distances
 
 _SYMMETRY_TOL = 1e-12
 
@@ -147,7 +147,7 @@ def simulate_observations(
         positions = [dep.node(i).position for i in order]
     except KeyError as exc:
         raise ConfigurationError(f"cluster node missing from deployment: {exc.args[0]}") from None
-    dists = np.asarray([euclidean_distance(p, dep.event.position) for p in positions])
+    dists = pairwise_distances(positions, dep.event.position)[:, 0]
     variances = noise.for_nodes(order)
 
     phases = _steering_phases(model, dists)
@@ -273,11 +273,9 @@ def cluster_accuracy(
     """
     order = _cluster_order(cluster)
     pos = np.asarray([dep.node(i).position for i in order], dtype=float)
-    ev = np.asarray(event.position, dtype=float)
     m = len(order)
-    rho_event = correlation(model, np.linalg.norm(pos - ev, axis=1))
-    diff = pos[:, None, :] - pos[None, :, :]
-    rho_pair = correlation(model, np.sqrt((diff**2).sum(axis=2)))
+    rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
+    rho_pair = correlation(model, pairwise_distances(pos))
     nv = noise.for_nodes(order)
     gain, redundancy, noise_term = accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
     acc = information_accuracy(m, rho_event, rho_pair, sig.sigma_s2, nv)

@@ -71,6 +71,25 @@ def correlation(model: CorrelationModel, d):
     return float(out) if np.isscalar(d) or arr.ndim == 0 else out
 
 
+def pairwise_distances(a, b=None) -> np.ndarray:
+    """Euclidean distances from every point of ``a`` to every point of ``b``.
+
+    ``a`` and ``b`` are 3D points or arrays of them, (M, 3) and (K, 3); ``b``
+    defaults to ``a``. Returns the (M, K) matrix. Every caller goes through
+    this one kernel: it sums dx**2 + dy**2, then dz**2, in place, so a pair
+    gets the same bits whichever rows are asked for, and d(p, q) == d(q, p).
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = a if b is None else np.asarray(b, dtype=float).reshape(-1, 3)
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    for k in (1, 2):
+        step = np.subtract.outer(a[:, k], b[:, k])
+        step *= step
+        out += step
+    return np.sqrt(out, out=out)
+
+
 def correlation_radius(model: CorrelationModel, tau: float) -> float:
     """Distance at which the correlation drops to tau: (theta * ln(1/tau))**(1/alpha).
 

@@ -21,6 +21,20 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def subprocess_env():
+    """The environment of a child interpreter that imports this checkout's wsn3d."""
+    env = dict(os.environ)
+    src = str(Path(wsn3d.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing the CLI must not load it
+    code = "import sys, wsn3d.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=subprocess_env(), timeout=120).returncode == 0
+
+
 @pytest.fixture()
 def nodes_arg(fixture_path):
     return str(fixture_path)
@@ -238,6 +252,15 @@ class TestSynth:
         matrix = data_io.parse_readings(tmp_path / "readings.csv")
         assert matrix.values.shape == (54, 40)
 
+    @pytest.mark.parametrize("variance", ["4", "nan"])
+    def test_variance_with_sun_shade_is_usage_error(self, nodes_arg, tmp_path, capsys, variance):
+        out = tmp_path / "out"
+        argv = ["synth", "--nodes", nodes_arg, "--variance", variance, "--epochs", "5", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "--variance" in err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_full_chain(self, nodes_arg, tmp_path, capsys):
@@ -303,6 +326,8 @@ class TestExitCodes:
             ["synth", "--synthetic", "uniform", "--variance", "nan"],
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--phi1", "nan"],
+            # checked before any stage runs: the estimate stage writes clusters.json
+            ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
         ],
     )
     def test_non_finite_number_is_usage_error(self, argv, nodes_arg, tmp_path, capsys):
@@ -313,12 +338,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_closed_stdout_exits_without_traceback(self, nodes_arg, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(wsn3d.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "wsn3d", "cluster", "--nodes", nodes_arg, "--out", str(tmp_path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
         )
         proc.stdout.close()  # the reader goes away before the first write
         err = proc.stderr.read()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsn3d import reference
 from wsn3d.clustering import (
     Cluster,
     ClusterSet,
     Deployment,
+    ElectionRecord,
     SensorNode,
     capture_clusters,
     euclidean_distance,
@@ -167,6 +170,107 @@ class TestFormClusters:
         dep = line_deployment([0.0, 1.0], event=ev)
         cs = form_clusters(dep, 6.0, MODEL)
         assert len(cs) == 0
+
+
+def per_pair_form_clusters(dep, radius, model=None, trace=None):
+    """Reference election: recounts every remaining node's neighbors with one
+    np.linalg.norm per pair on every round. form_clusters must match it."""
+    if dep.event is not None:
+        participating = filter_in_event_range(dep, model)
+    else:
+        participating = set(dep.ids())
+
+    by_id = {n.id: np.asarray(n.position, dtype=float) for n in dep.nodes}
+    ev = np.asarray(dep.event.position, dtype=float) if dep.event is not None else None
+
+    def dist(i: int, j: int) -> float:
+        return float(np.linalg.norm(by_id[i] - by_id[j]))
+
+    remaining = set(participating)
+    clusters: list[Cluster] = []
+    while remaining:
+        nbrs = {i: {j for j in remaining if j != i and dist(i, j) <= radius} for i in remaining}
+        best_count = max(len(s) for s in nbrs.values())
+        if best_count == 0:
+            for i in sorted(remaining):
+                clusters.append(Cluster(head=i, members=frozenset(), order_index=len(clusters) + 1))
+                if trace is not None:
+                    trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
+            break
+        candidates = sorted(i for i in remaining if len(nbrs[i]) == best_count)
+        dmax = {i: max(dist(i, j) for j in nbrs[i]) for i in candidates}
+        low = min(dmax.values())
+        tied = [i for i in candidates if dmax[i] <= low + 1e-12]
+        if len(tied) > 1 and ev is not None:
+            dev = {i: float(np.linalg.norm(by_id[i] - ev)) for i in tied}
+            low_ev = min(dev.values())
+            tied = [i for i in tied if dev[i] <= low_ev + 1e-12]
+        head = min(tied)
+        if trace is not None:
+            trace.append(ElectionRecord(head=head, candidates=candidates, dmax_ties=tied))
+        clusters.append(Cluster(head=head, members=frozenset(nbrs[head]), order_index=len(clusters) + 1))
+        remaining -= {head} | nbrs[head]
+    return ClusterSet(clusters=tuple(clusters), radius=radius)
+
+
+GRID = 4  # coordinates are integers in [0, GRID]
+
+
+@st.composite
+def integer_deployments(draw):
+    """Deployments on an integer grid, with shuffled distinct ids, an optional
+    event, and a radius whose square is an integer.
+
+    Squared distances are then exact integers, so the per-pair norm and the
+    array kernel agree bit for bit and pairs sit exactly on the radius. The
+    small grid makes ties in neighbor count and farthest-neighbor distance
+    common; with ``mirrored`` every node gets a twin reflected through the
+    grid centre and the event sits there, which ties count, farthest-neighbor
+    distance and event distance at once, leaving the id to decide.
+    """
+    n = draw(st.integers(1, 12))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, GRID)] * 3), min_size=n, max_size=n))
+    mirrored = draw(st.booleans())
+    if mirrored:
+        coords += [tuple(GRID - c for c in p) for p in coords]
+    ids = draw(st.lists(st.integers(1, 99), min_size=len(coords), max_size=len(coords), unique=True))
+    if mirrored:
+        at = (GRID / 2,) * 3
+    else:
+        at = draw(st.tuples(*[st.integers(0, GRID).map(float)] * 3))
+    event = draw(st.none() | st.sampled_from([0.8, 0.85, 0.9]).map(lambda tau: EventSource(at, tau)))
+    nodes = tuple(SensorNode(id=i, position=tuple(map(float, p))) for i, p in zip(ids, coords))
+    return Deployment(nodes=nodes, event=event), float(np.sqrt(draw(st.integers(1, 3 * GRID * GRID))))
+
+
+class TestElectionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_deployments())
+    def test_matches_per_pair_reference(self, case):
+        dep, radius = case
+        got_trace, want_trace = [], []
+        got = form_clusters(dep, radius, MODEL, trace=got_trace)
+        want = per_pair_form_clusters(dep, radius, MODEL, trace=want_trace)
+        assert got == want
+        assert got_trace == want_trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_deployments())
+    def test_partition_and_neighbor_invariants(self, case):
+        dep, radius = case
+        cs = form_clusters(dep, radius, MODEL)
+        participating = filter_in_event_range(dep, MODEL) if dep.event else set(dep.ids())
+        assert sorted(i for c in cs for i in c.node_ids()) == sorted(participating)
+        sizes = [len(c.members) for c in cs]
+        assert sizes == sorted(sizes, reverse=True)
+        nbrs = neighbor_sets(dep, radius)
+        assert all(i in nbrs[j] for i, s in nbrs.items() for j in s)
+        remaining = set(participating)
+        for c in cs:
+            assert set(c.members) == nbrs[c.head] & remaining
+            remaining -= c.node_ids()
+        if dep.event is None:
+            assert capture_clusters(dep, cs.heads(), radius) == cs
 
 
 class TestCaptureClusters:
