@@ -40,15 +40,46 @@ def _add_model_flags(p: _Parser):
     p.add_argument("--alpha", type=float, default=1.0, help="correlation smoothness in (0,2] (default 1)")
 
 
-def _add_cluster_flags(p: _Parser):
+def _add_nodes_flag(p: _Parser):
     p.add_argument("--nodes", required=True, help="node coordinate CSV (node_id,x,y,z)")
+
+
+def _add_radius_flag(p: _Parser):
     p.add_argument("--radius", type=float, default=6.0, help="clustering radius in meters (default 6)")
+
+
+def _add_cluster_flags(p: _Parser):
+    _add_nodes_flag(p)
+    _add_radius_flag(p)
     p.add_argument("--derive-radius", action="store_true",
                    help="derive the radius from --tau-n and the correlation model instead of --radius")
     p.add_argument("--tau-n", type=float, default=0.85, help="node correlation threshold (default 0.85)")
     p.add_argument("--tau-e", type=float, default=0.85, help="event correlation threshold (default 0.85)")
     p.add_argument("--event", type=str, default=None,
                    help="event position X,Y,Z; enables event-range filtering for clustering")
+
+
+def _add_readings_flags(p: _Parser):
+    p.add_argument("--readings", default=None, help="reading CSV (epoch,node_id,value)")
+    p.add_argument("--synthetic", default=None, choices=["sun-shade", "uniform"],
+                   help="generate readings instead of --readings")
+    p.add_argument("--epochs", type=int, default=800, help="epochs for --synthetic (default 800)")
+
+
+def _add_search_flags(p: _Parser):
+    p.add_argument("--phi1", type=float, default=0.5, help="personal-best adaptation factor (default 0.5)")
+    p.add_argument("--phi2", type=float, default=0.5, help="global-best adaptation factor (default 0.5)")
+    p.add_argument("--rounds", type=int, default=300, help="search rounds (default 300)")
+    p.add_argument("--threshold", type=_finite_float, default=5.0,
+                   help="selection cost threshold (default 5)")
+
+
+def _add_dead_flags(p: _Parser):
+    p.add_argument("--dead", default="", help="comma-separated dead node ids whose readings to predict")
+    p.add_argument("--predict-unbiased", action="store_true",
+                   help="divide the live sum by the live count instead of the total count")
+    p.add_argument("--eq13-literal", action="store_true",
+                   help="use the live-count squared divisor in the normalized predictor")
 
 
 def _add_signal_flags(p: _Parser):
@@ -76,7 +107,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wsn3d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", parents=[], help="form clusters and write clusters.json")
+    p = sub.add_parser("cluster", help="form clusters and write clusters.json")
     _add_cluster_flags(p)
     _add_model_flags(p)
     _add_out_flag(p)
@@ -88,37 +119,25 @@ def build_parser() -> _Parser:
     _add_out_flag(p)
 
     p = sub.add_parser("predict", help="predict readings for dead nodes")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--readings", default=None, help="reading CSV (epoch,node_id,value)")
-    p.add_argument("--synthetic", default=None, choices=["sun-shade", "uniform"],
-                   help="generate readings instead of --readings")
-    p.add_argument("--dead", default="", help="comma-separated dead node ids")
-    p.add_argument("--epochs", type=int, default=800, help="epochs for --synthetic (default 800)")
-    p.add_argument("--predict-unbiased", action="store_true",
-                   help="divide the live sum by the live count instead of the total count")
-    p.add_argument("--eq13-literal", action="store_true",
-                   help="use the live-count squared divisor in the normalized predictor")
+    _add_nodes_flag(p)
+    _add_readings_flags(p)
+    _add_dead_flags(p)
     _add_model_flags(p)
     _add_out_flag(p)
 
     p = sub.add_parser("place", help="run the placement search and write cost curves")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--readings", default=None)
-    p.add_argument("--synthetic", default=None, choices=["sun-shade", "uniform"])
-    p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--radius", type=float, default=6.0)
-    p.add_argument("--phi1", type=float, default=0.5, help="personal-best adaptation factor (default 0.5)")
-    p.add_argument("--phi2", type=float, default=0.5, help="global-best adaptation factor (default 0.5)")
-    p.add_argument("--rounds", type=int, default=300, help="search rounds (default 300)")
-    p.add_argument("--threshold", type=_finite_float, default=5.0,
-                   help="selection cost threshold (default 5)")
+    _add_nodes_flag(p)
+    _add_readings_flags(p)
+    _add_radius_flag(p)
+    _add_search_flags(p)
     _add_model_flags(p)
     _add_out_flag(p)
 
     p = sub.add_parser("synth", help="generate a synthetic reading CSV")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--synthetic", default="sun-shade", choices=["sun-shade", "uniform"])
-    p.add_argument("--epochs", type=int, default=800)
+    _add_nodes_flag(p)
+    p.add_argument("--synthetic", default="sun-shade", choices=["sun-shade", "uniform"],
+                   help="scenario to draw (default sun-shade)")
+    p.add_argument("--epochs", type=int, default=800, help="epochs to draw (default 800)")
     p.add_argument("--variance", type=float, default=None,
                    help="field variance of --synthetic uniform (default 1); sun-shade fixes it at 1")
     _add_model_flags(p)
@@ -128,16 +147,9 @@ def build_parser() -> _Parser:
     _add_cluster_flags(p)
     _add_model_flags(p)
     _add_signal_flags(p)
-    p.add_argument("--readings", default=None)
-    p.add_argument("--synthetic", default=None, choices=["sun-shade", "uniform"])
-    p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--phi1", type=float, default=0.5)
-    p.add_argument("--phi2", type=float, default=0.5)
-    p.add_argument("--rounds", type=int, default=300)
-    p.add_argument("--threshold", type=_finite_float, default=5.0)
-    p.add_argument("--dead", default="", help="optionally also predict these dead node ids")
-    p.add_argument("--predict-unbiased", action="store_true")
-    p.add_argument("--eq13-literal", action="store_true")
+    _add_readings_flags(p)
+    _add_search_flags(p)
+    _add_dead_flags(p)
     _add_out_flag(p)
 
     return parser

@@ -24,6 +24,8 @@ class SensorNode:
     def __post_init__(self):
         if not (isinstance(self.id, int) and self.id >= 1):
             raise ValueError(f"node id must be a positive integer, got {self.id!r}")
+        if self.id >= 2**63:  # clustering holds ids in int64 arrays
+            raise ValueError(f"node id {self.id} does not fit in int64")
         if len(self.position) != 3 or not all(math.isfinite(c) for c in self.position):
             raise ValueError(f"node {self.id}: position must be a finite 3D point")
 

@@ -7,14 +7,14 @@ offending line number instead of repairing it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, ContextManager, Iterator, Mapping
 
 import numpy as np
 
@@ -79,27 +79,34 @@ class SyntheticScenario:
             raise ValueError(f"scales must be positive: {bad}")
 
 
-def _open_text(source: str | Path | IO[str]) -> IO[str]:
+def _open_text(source: str | Path | IO[str]) -> ContextManager[IO[str]]:
+    """Open a path (closed on exit) or pass a stream through (left open)."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
-    return source
+    return contextlib.nullcontext(source)
+
+
+def _rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, row) for each non-blank row after the header, which
+    must equal ``header``; every row must have as many columns as the header."""
+    reader = csv.reader(fh)
+    got = next(reader, None)
+    if got != list(header):
+        raise DataFormatError(f"expected header {','.join(header)}, got {got}", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(f"expected {len(header)} columns, got {len(row)}", line=lineno)
+        yield lineno, row
 
 
 def parse_nodes(source: str | Path | IO[str]) -> Deployment:
     """Read a deployment from CSV with header node_id,x,y,z."""
-    fh = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node_id", "x", "y", "z"]:
-            raise DataFormatError(f"expected header node_id,x,y,z, got {header}", line=1)
-        nodes: list[SensorNode] = []
-        seen: set[int] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"expected 4 columns, got {len(row)}", line=lineno)
+    nodes: list[SensorNode] = []
+    seen: set[int] = set()
+    with _open_text(source) as fh:
+        for lineno, row in _rows(fh, ("node_id", "x", "y", "z")):
             try:
                 nid = int(row[0])
                 x, y, z = (float(v) for v in row[1:])
@@ -112,12 +119,9 @@ def parse_nodes(source: str | Path | IO[str]) -> Deployment:
                 nodes.append(SensorNode(id=nid, position=(x, y, z)))
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=lineno) from None
-        if not nodes:
-            raise DataFormatError("no nodes")
-        return Deployment(nodes=tuple(nodes))
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
+    if not nodes:
+        raise DataFormatError("no nodes")
+    return Deployment(nodes=tuple(nodes))
 
 
 def parse_readings(
@@ -127,48 +131,41 @@ def parse_readings(
 
     Epochs need not be dense; cells absent from the file are marked missing.
     When a deployment is supplied, readings for unknown nodes are rejected.
+    Epochs and node ids must fit in int64.
     """
-    fh = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "node_id", "value"]:
-            raise DataFormatError(f"expected header epoch,node_id,value, got {header}", line=1)
-        known = set(deployment.ids()) if deployment is not None else None
-        cells: dict[tuple[int, int], float] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"expected 3 columns, got {len(row)}", line=lineno)
+    known = set(deployment.ids()) if deployment is not None else None
+    epochs: list[int] = []
+    nids: list[int] = []
+    values: list[float] = []
+    seen: set[tuple[int, int]] = set()
+    with _open_text(source) as fh:
+        for lineno, row in _rows(fh, ("epoch", "node_id", "value")):
             try:
                 epoch = int(row[0])
                 nid = int(row[1])
                 value = float(row[2])
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=lineno) from None
-            if not np.isfinite(value):
+            if not (-(2**63) <= epoch < 2**63 and -(2**63) <= nid < 2**63):
+                raise DataFormatError(f"epoch {epoch} or node id {nid} does not fit in int64", line=lineno)
+            if not math.isfinite(value):
                 raise DataFormatError(f"non-finite value {row[2]}", line=lineno)
             if known is not None and nid not in known:
                 raise DataFormatError(f"unknown node {nid}", line=lineno)
-            if (nid, epoch) in cells:
+            if (nid, epoch) in seen:
                 raise DataFormatError(f"duplicate cell (node {nid}, epoch {epoch})", line=lineno)
-            cells[(nid, epoch)] = value
-        if not cells:
-            raise DataFormatError("no readings")
-        node_ids = tuple(sorted({nid for nid, _ in cells}))
-        epochs = tuple(sorted({e for _, e in cells}))
-        values = np.full((len(node_ids), len(epochs)), np.nan)
-        missing = np.ones((len(node_ids), len(epochs)), dtype=bool)
-        nrow = {nid: k for k, nid in enumerate(node_ids)}
-        ecol = {e: k for k, e in enumerate(epochs)}
-        for (nid, e), v in cells.items():
-            values[nrow[nid], ecol[e]] = v
-            missing[nrow[nid], ecol[e]] = False
-        return ReadingMatrix(node_ids=node_ids, epochs=epochs, values=values, missing=missing)
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
+            seen.add((nid, epoch))
+            epochs.append(epoch)
+            nids.append(nid)
+            values.append(value)
+    if not values:
+        raise DataFormatError("no readings")
+    node_ids, rows = np.unique(np.asarray(nids, dtype=np.int64), return_inverse=True)
+    epoch_ids, cols = np.unique(np.asarray(epochs, dtype=np.int64), return_inverse=True)
+    grid = np.full((len(node_ids), len(epoch_ids)), np.nan)
+    grid[rows, cols] = values
+    return ReadingMatrix(node_ids=tuple(node_ids.tolist()), epochs=tuple(epoch_ids.tolist()),
+                         values=grid, missing=np.isnan(grid))
 
 
 def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix:
@@ -232,14 +229,13 @@ def sun_shade_scenario(
 
 def write_readings(matrix: ReadingMatrix) -> str:
     """Serialize a reading matrix to the epoch,node_id,value CSV schema."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "node_id", "value"])
-    for col, epoch in enumerate(matrix.epochs):
-        for rowk, nid in enumerate(matrix.node_ids):
-            if not matrix.missing[rowk, col]:
-                writer.writerow([epoch, nid, repr(float(matrix.values[rowk, col]))])
-    return buf.getvalue()
+    values = np.asarray(matrix.values, dtype=float).T.tolist()
+    present = (~matrix.missing.T).tolist()
+    # one join per epoch: a single join over all cells would hold every cell string at once
+    return "epoch,node_id,value\n" + "".join(
+        "".join([f"{epoch},{nid},{v!r}\n" for nid, v, keep in zip(matrix.node_ids, row, mask) if keep])
+        for epoch, row, mask in zip(matrix.epochs, values, present)
+    )
 
 
 def write_cluster_report(
@@ -287,17 +283,13 @@ def read_cluster_report(text: str) -> ClusterSet:
 def write_cost_curves(state, costs: Mapping[int, float], selected: set[int]) -> tuple[str, str]:
     """Serialize a placement run: (curve CSV of round,mean_cost) and
     (node CSV of node_id,cost,selected)."""
-    curve = io.StringIO()
-    w = csv.writer(curve, lineterminator="\n")
-    w.writerow(["round", "mean_cost"])
-    for k, c in enumerate(state.cost_history, start=1):
-        w.writerow([k, repr(float(c))])
-    nodes = io.StringIO()
-    w = csv.writer(nodes, lineterminator="\n")
-    w.writerow(["node_id", "cost", "selected"])
-    for nid in sorted(costs):
-        w.writerow([nid, repr(float(costs[nid])), 1 if nid in selected else 0])
-    return curve.getvalue(), nodes.getvalue()
+    curve = "round,mean_cost\n" + "".join(
+        f"{k},{float(c)!r}\n" for k, c in enumerate(state.cost_history, start=1)
+    )
+    nodes = "node_id,cost,selected\n" + "".join(
+        f"{nid},{float(costs[nid])!r},{int(nid in selected)}\n" for nid in sorted(costs)
+    )
+    return curve, nodes
 
 
 def bundled_nodes_path() -> Path:

@@ -219,18 +219,6 @@ def information_accuracy(
     return gain - (off_sum + noise_num) / (m * m)
 
 
-def accuracy_terms(
-    m: int,
-    rho_event: Sequence[float],
-    rho_pair,
-    sigma_s2: float,
-    noise_variances: Sequence[float],
-) -> tuple[float, float, float]:
-    """The three components (gain, redundancy, noise) of information accuracy."""
-    gain, off_sum, noise_num = _accuracy_sums(m, rho_event, rho_pair, sigma_s2, noise_variances)
-    return gain, off_sum / (m * m), noise_num / (m * m)
-
-
 def _accuracy_sums(m, rho_event, rho_pair, sigma_s2, noise_variances):
     if m < 1:
         raise ValueError(f"node count must be at least 1, got {m}")
@@ -277,16 +265,15 @@ def cluster_accuracy(
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
     rho_pair = correlation(model, pairwise_distances(pos))
     nv = noise.for_nodes(order)
-    gain, redundancy, noise_term = accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
-    acc = information_accuracy(m, rho_event, rho_pair, sig.sigma_s2, nv)
+    gain, off_sum, noise_num = _accuracy_sums(m, rho_event, rho_pair, sig.sigma_s2, nv)
     return AccuracyReport(
         head=cluster.head,
         order_index=cluster.order_index,
         m=m,
-        accuracy=acc,
+        accuracy=gain - (off_sum + noise_num) / (m * m),  # as information_accuracy
         gain_term=gain,
-        redundancy_term=redundancy,
-        noise_term=noise_term,
+        redundancy_term=off_sum / (m * m),
+        noise_term=noise_num / (m * m),
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import wsn3d
 from wsn3d import data_io
-from wsn3d.cli import main
+from wsn3d.cli import build_parser, main
 from wsn3d.placement import cluster_costs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -33,6 +34,12 @@ def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency; importing the CLI must not load it
     code = "import sys, wsn3d.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=subprocess_env(), timeout=120).returncode == 0
+
+
+def subcommands():
+    """The argparse parser of each subcommand, by name."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(sub.choices)
 
 
 @pytest.fixture()
@@ -310,6 +317,25 @@ class TestExitCodes:
         code, _, _ = run(["cluster", "--nodes", str(bad), "--out", str(tmp_path)], capsys)
         assert code == 2
 
+    def test_malformed_readings_file_is_input_error(self, nodes_arg, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("epoch,node_id,value\n0,1,warm\n", encoding="utf-8")
+        code, _, err = run(
+            ["predict", "--nodes", nodes_arg, "--readings", str(bad), "--dead", "3", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "line 2" in err
+
+    @pytest.mark.parametrize("command", ["cluster", "estimate"])
+    def test_node_id_beyond_int64_is_input_error(self, command, tmp_path, capsys):
+        # a valid Python int that the int64 id arrays of clustering cannot hold
+        bad = tmp_path / "nodes.csv"
+        bad.write_text(f"node_id,x,y,z\n1,0,0,0\n{2**63},1,1,1\n", encoding="utf-8")
+        code, _, err = run([command, "--nodes", str(bad), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "line 3" in err and "Traceback" not in err
+
     def test_bad_parameter_is_usage_error(self, nodes_arg, tmp_path, capsys):
         code, _, _ = run(
             ["cluster", "--nodes", nodes_arg, "--alpha", "9", "--out", str(tmp_path)], capsys
@@ -355,6 +381,25 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0
+
+    def test_every_option_has_help(self):
+        for name, sub in subcommands().items():
+            for action in sub._actions:
+                assert action.help, f"{name} {action.option_strings} has no help text"
+
+    def test_pipeline_options_parse_as_in_their_stages(self):
+        # pipeline runs the cluster, estimate, place and predict stages
+        subs = subcommands()
+        options = {name: {a.dest: a for a in sub._actions} for name, sub in subs.items()}
+        shared = 0
+        for dest, action in options["pipeline"].items():
+            for stage in ("cluster", "estimate", "place", "predict"):
+                other = options[stage].get(dest)
+                if other is not None:
+                    shared += 1
+                    for attr in ("option_strings", "default", "type", "choices", "required", "const"):
+                        assert getattr(action, attr) == getattr(other, attr), f"{dest} {attr} vs {stage}"
+        assert shared > 30
 
     def test_subcommand_help_documents_defaults(self, capsys):
         code, out, _ = run(["place", "--help"], capsys)

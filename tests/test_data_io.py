@@ -1,11 +1,14 @@
+import csv
 import io
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsn3d import data_io
-from wsn3d.clustering import Cluster, ClusterSet, form_clusters
+from wsn3d.clustering import Cluster, ClusterSet, Deployment, SensorNode, form_clusters
 from wsn3d.errors import DataFormatError
 from wsn3d.estimation import NoiseProfile, SignalModel, cluster_accuracy
 from wsn3d.geometry import CorrelationModel, EventSource
@@ -76,6 +79,13 @@ class TestParseReadings:
     def test_non_numeric_value_rejected(self):
         src = io.StringIO("epoch,node_id,value\n0,1,warm\n")
         with pytest.raises(DataFormatError, match="line 2"):
+            data_io.parse_readings(src)
+
+    @pytest.mark.parametrize("row", [f"{2**63},1,1.0", f"{-(2**63) - 1},1,1.0", f"0,{2**63},1.0"])
+    def test_beyond_int64_rejected(self, row):
+        # np.unique would turn such ids into float64 and lose digits
+        src = io.StringIO(f"epoch,node_id,value\n{-(2**63)},{2**63 - 1},1.0\n{row}\n")
+        with pytest.raises(DataFormatError, match="line 3: .*does not fit in int64"):
             data_io.parse_readings(src)
 
     def test_full_scale_parse_under_a_second(self, deployment):
@@ -214,3 +224,170 @@ class TestReadingsRoundTrip:
         assert back.node_ids == tuple(sorted(matrix.node_ids))
         for nid in matrix.node_ids:
             assert np.array_equal(back.row(nid), matrix.row(nid))
+
+    def test_integer_values_written_as_floats(self):
+        matrix = data_io.ReadingMatrix(
+            node_ids=(2, 1), epochs=(0, 1), values=np.array([[3, 4], [5, 6]]),
+            missing=np.array([[False, True], [False, False]]),
+        )
+        text = data_io.write_readings(matrix)
+        assert text == "epoch,node_id,value\n0,2,3.0\n0,1,5.0\n1,1,6.0\n"
+        assert text == reference_write_readings(matrix)
+
+
+def reference_parse_readings(fh, deployment=None):
+    """The per-cell parser that parse_readings replaced, kept as its oracle."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header != ["epoch", "node_id", "value"]:
+        raise DataFormatError(f"expected header epoch,node_id,value, got {header}", line=1)
+    known = set(deployment.ids()) if deployment is not None else None
+    cells: dict[tuple[int, int], float] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataFormatError(f"expected 3 columns, got {len(row)}", line=lineno)
+        try:
+            epoch = int(row[0])
+            nid = int(row[1])
+            value = float(row[2])
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
+        if not np.isfinite(value):
+            raise DataFormatError(f"non-finite value {row[2]}", line=lineno)
+        if known is not None and nid not in known:
+            raise DataFormatError(f"unknown node {nid}", line=lineno)
+        if (nid, epoch) in cells:
+            raise DataFormatError(f"duplicate cell (node {nid}, epoch {epoch})", line=lineno)
+        cells[(nid, epoch)] = value
+    if not cells:
+        raise DataFormatError("no readings")
+    node_ids = tuple(sorted({nid for nid, _ in cells}))
+    epochs = tuple(sorted({e for _, e in cells}))
+    values = np.full((len(node_ids), len(epochs)), np.nan)
+    missing = np.ones((len(node_ids), len(epochs)), dtype=bool)
+    nrow = {nid: k for k, nid in enumerate(node_ids)}
+    ecol = {e: k for k, e in enumerate(epochs)}
+    for (nid, e), v in cells.items():
+        values[nrow[nid], ecol[e]] = v
+        missing[nrow[nid], ecol[e]] = False
+    return data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=values, missing=missing)
+
+
+def reference_write_readings(matrix):
+    """The per-cell writer that write_readings replaced, kept as its oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["epoch", "node_id", "value"])
+    for col, epoch in enumerate(matrix.epochs):
+        for rowk, nid in enumerate(matrix.node_ids):
+            if not matrix.missing[rowk, col]:
+                writer.writerow([epoch, nid, repr(float(matrix.values[rowk, col]))])
+    return buf.getvalue()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+POSITIVE_IDS = st.integers(1, 2**63 - 1)
+# any finite double, plus the edges: signed zero, subnormals, the largest magnitudes
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def reading_matrices(draw, ids=INT64):
+    """Sorted distinct ids and epochs (sparse, negative, up to the int64 edges),
+    random gaps with at least one present cell, finite values."""
+    node_ids = sorted(draw(st.sets(ids, min_size=1, max_size=5)))
+    epochs = sorted(draw(st.sets(st.integers(-20, 20) | INT64, min_size=1, max_size=6)))
+    shape = (len(node_ids), len(epochs))
+    n = shape[0] * shape[1]
+    present = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    missing = ~np.asarray(present).reshape(shape)
+    values = np.asarray(draw(st.lists(FINITE, min_size=n, max_size=n)), dtype=float).reshape(shape)
+    values[missing] = np.nan
+    return data_io.ReadingMatrix(
+        node_ids=tuple(node_ids), epochs=tuple(epochs), values=values, missing=missing
+    )
+
+
+def trimmed(matrix):
+    """The matrix without its all-missing rows and columns, which a trace cannot carry."""
+    rows, cols = ~matrix.missing.all(axis=1), ~matrix.missing.all(axis=0)
+    return data_io.ReadingMatrix(
+        node_ids=tuple(np.asarray(matrix.node_ids)[rows].tolist()),
+        epochs=tuple(np.asarray(matrix.epochs)[cols].tolist()),
+        values=matrix.values[rows][:, cols],
+        missing=matrix.missing[rows][:, cols],
+    )
+
+
+def assert_bit_identical(a, b):
+    assert a.node_ids == b.node_ids and a.epochs == b.epochs
+    assert all(type(i) is int for i in (*a.node_ids, *a.epochs))
+    assert np.array_equal(a.missing, b.missing)
+    assert a.values.dtype == b.values.dtype == np.float64
+    assert a.values.tobytes() == b.values.tobytes()  # NaN payloads and -0.0 included
+
+
+def outcome(parse, text, deployment=None):
+    """The parsed matrix, or the (type, message, line) of the error raised."""
+    try:
+        return parse(io.StringIO(text), deployment)
+    except DataFormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+class TestReadingsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(reading_matrices())
+    def test_write_then_parse_is_bit_identical(self, matrix):
+        text = data_io.write_readings(matrix)
+        assert text == reference_write_readings(matrix)
+        assert_bit_identical(data_io.parse_readings(io.StringIO(text)), trimmed(matrix))
+
+    @settings(max_examples=200, deadline=None)
+    @given(reading_matrices(), st.data())
+    def test_shuffled_rows_parse_like_the_reference(self, matrix, data):
+        header, *rows = data_io.write_readings(matrix).splitlines()
+        rows = data.draw(st.permutations(rows + [""] * data.draw(st.integers(0, 2))))
+        text = "\n".join([header, *rows]) + "\n"
+        got = data_io.parse_readings(io.StringIO(text))
+        assert_bit_identical(got, reference_parse_readings(io.StringIO(text)))
+        assert_bit_identical(got, trimmed(matrix))
+
+    FAULTS = ("number", "nan", "unknown", "duplicate", "columns")
+
+    def faulty_row(self, fault, clean_row, known, data):
+        epoch, nid, value = clean_row.split(",")
+        if fault == "number":
+            fields = [epoch, nid, value]
+            column = data.draw(st.integers(0, 2))
+            bad = ["warm", "", "0x1", "1e"] + (["1.5"] if column < 2 else [])  # 1.5 is no int
+            fields[column] = data.draw(st.sampled_from(bad))
+            return ",".join(fields)
+        if fault == "nan":
+            return f"{epoch},{nid},{data.draw(st.sampled_from(['nan', 'NaN', 'inf', '-inf']))}"
+        if fault == "unknown":
+            return f"{epoch},{data.draw(POSITIVE_IDS.filter(lambda i: i not in known))},{value}"
+        if fault == "duplicate":
+            return f"{epoch},{nid},1.0"
+        return data.draw(st.sampled_from([f"{epoch},{nid}", f"{clean_row},1", epoch]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(reading_matrices(ids=POSITIVE_IDS), st.data())
+    def test_malformed_rows_fail_like_the_reference(self, matrix, data):
+        """One or two faulty rows, each inserted anywhere: both parsers stop at
+        the first with the same error."""
+        header, *clean = data_io.write_readings(matrix).splitlines()
+        rows = data.draw(st.permutations(clean))
+        dep = Deployment(nodes=tuple(SensorNode(id=i, position=(0.0, 0.0, 0.0)) for i in matrix.node_ids))
+        for fault in data.draw(st.lists(st.sampled_from(self.FAULTS), min_size=1, max_size=2)):
+            row = self.faulty_row(fault, data.draw(st.sampled_from(clean)), set(matrix.node_ids), data)
+            rows.insert(data.draw(st.integers(0, len(rows))), row)
+        text = "\n".join([header, *rows]) + "\n"
+        want = outcome(reference_parse_readings, text, dep)
+        got = outcome(data_io.parse_readings, text, dep)
+        assert isinstance(want, tuple), "every injected fault is an error"
+        assert got == want
