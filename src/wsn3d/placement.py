@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import ClusterSet
+from .clustering import ClusterSet, _row_blocks
 from .data_io import ReadingMatrix
 
 
@@ -87,9 +87,10 @@ class PrefixMoments:
 
     Missing cells are excluded pairwise: a node's variance uses its present
     epochs, a covariance uses epochs present in both series. Prefix sums along
-    the epochs make the costs over the first k epochs a lookup at column k-1,
-    so every window of a placement run is scored from one build. Terms with
-    fewer than 2 usable epochs contribute nothing yet.
+    the epochs make the costs over the first k epochs a lookup at column k-1.
+    Node sums are built once; pair sums are built while scoring, a block of
+    pairs at a time, and only their window columns are kept. Terms with fewer
+    than 2 usable epochs contribute nothing yet.
     """
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
@@ -100,40 +101,31 @@ class PrefixMoments:
         self.epoch_count = len(matrix.epochs)
         row = {nid: r for r, nid in enumerate(matrix.node_ids)}
         rows = [row[nid] for nid in ids]
-        present = (~matrix.missing[rows]).astype(float)
-        values = np.where(matrix.missing[rows], 0.0, matrix.values[rows])
-        self._nodes = np.cumsum([present, values, values**2], axis=2)  # n, sx, sx2: (3, N, T)
+        self._present = (~matrix.missing[rows]).astype(float)
+        self._values = np.where(matrix.missing[rows], 0.0, matrix.values[rows])
+        self._nodes = np.cumsum([self._present, self._values, self._values**2], axis=2)  # n, sx, sx2: (3, N, T)
+        # positions in node_ids of the members of each cluster of 2 or more
+        self._members = [np.searchsorted(ids, sorted(c.node_ids())) for c in clusters if c.members]
 
-        # One block per cluster of 2 or more: its members (positions in node_ids),
-        # the (m, m) index of each member pair into the upper-triangle pair rows,
-        # and their prefix sums n, sx, sy, sxy as (4, P, T), filled in place.
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._block_of: dict[int, tuple[int, int]] = {}  # id -> (block, member index)
-        for cluster in clusters:
-            members = np.searchsorted(ids, sorted(cluster.node_ids()))
-            if members.size < 2:
-                continue
-            a, b = np.triu_indices(members.size, k=1)
-            pair = np.zeros((members.size, members.size), dtype=np.intp)
-            pair[a, b] = pair[b, a] = np.arange(a.size)
-            sums = np.empty((4, a.size, self.epoch_count))
-            np.multiply(present[members[a]], present[members[b]], out=sums[0])
-            np.multiply(values[members[a]], sums[0], out=sums[1])
-            np.multiply(values[members[b]], sums[0], out=sums[2])
-            np.multiply(values[members[a]] * values[members[b]], sums[0], out=sums[3])
-            np.cumsum(sums, axis=2, out=sums)
-            self._block_of.update({ids[p]: (len(self._blocks), k) for k, p in enumerate(members)})
-            self._blocks.append((members, pair, sums))
+    def _pair_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Prefix sums n, sx, sy, sxy of the node pairs (a[k], b[k]) as (4, P, T)."""
+        sums = np.empty((4, a.size, self.epoch_count))
+        np.multiply(self._present[a], self._present[b], out=sums[0])
+        np.multiply(self._values[a], sums[0], out=sums[1])
+        np.multiply(self._values[b], sums[0], out=sums[2])
+        np.multiply(self._values[a] * self._values[b], sums[0], out=sums[3])
+        np.cumsum(sums, axis=2, out=sums)
+        return sums
 
     def covariance(self, i: int, j: int, upto: int) -> float | None:
         """Covariance of nodes i and j over the first ``upto`` epochs, or None
         below 2 shared epochs. Both nodes must be in the same cluster."""
-        (bi, ki), (bj, kj) = self._block_of[i], self._block_of[j]
-        if bi != bj or ki == kj:
-            raise KeyError(f"nodes {i} and {j} are not a pair of one cluster")
-        _, pair, sums = self._blocks[bi]
-        n, sx, sy, sxy = sums[:, pair[ki, kj], upto - 1]
-        return None if n < 2 else _covariance(n, sx, sy, sxy)
+        for members in self._members:
+            pair = members[np.isin(np.take(self.node_ids, members), (i, j))]
+            if i != j and pair.size == 2:
+                n, sx, sy, sxy = self._pair_sums(pair[:1], pair[1:])[:, 0, upto - 1]
+                return None if n < 2 else _covariance(n, sx, sy, sxy)
+        raise KeyError(f"nodes {i} and {j} are not a pair of one cluster")
 
     def costs(self, windows: Sequence[int]) -> np.ndarray:
         """(len(windows), N) cost matrix: row w scores every node, in node_ids
@@ -146,8 +138,14 @@ class PrefixMoments:
         if at.size and at.min() < 1:
             raise ValueError(f"need at least 2 epochs, got {at.min() + 1}")
         out = _variance(*self._nodes[:, :, at]).T
-        for members, pair, sums in self._blocks:
-            n, sx, sy, sxy = sums[:, :, at].transpose(0, 2, 1)  # each (W, P)
+        for members in self._members:
+            a, b = np.triu_indices(members.size, k=1)
+            pair = np.zeros((members.size, members.size), dtype=np.intp)
+            pair[a, b] = pair[b, a] = np.arange(a.size)
+            sums = np.empty((4, a.size, at.size))
+            for block in _row_blocks(a.size):
+                sums[:, block] = self._pair_sums(members[a[block]], members[b[block]])[:, :, at]
+            n, sx, sy, sxy = sums.transpose(0, 2, 1)  # each (W, P)
             neighbors = pair[~np.eye(members.size, dtype=bool)].reshape(members.size, -1)
             cov, usable = _covariance(n, sx, sy, sxy)[:, neighbors], (n >= 2)[:, neighbors]
             count = usable.sum(axis=2)

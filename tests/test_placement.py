@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,79 @@ class TestRunPlacement:
         clusters = form_clusters(deployment, 6.0)
         with pytest.raises(ValueError):
             run_placement(short, clusters, PlacementParams(rounds=2))
+
+
+def two_clusters(values, missing):
+    """Rows 1..4 as one cluster and rows 5..n as another."""
+    n = len(values)
+    matrix = data_io.ReadingMatrix(
+        node_ids=tuple(range(1, n + 1)),
+        epochs=tuple(range(values.shape[1])),
+        values=np.where(missing, np.nan, values),
+        missing=missing,
+    )
+    clusters = ClusterSet(
+        clusters=(
+            Cluster(head=1, members=frozenset({2, 3, 4}), order_index=1),
+            Cluster(head=5, members=frozenset(range(6, n + 1)), order_index=2),
+        ),
+        radius=1.0,
+    )
+    return matrix, clusters
+
+
+class TestCovariance:
+    def test_matches_np_cov_on_shared_epochs(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(20.0, 3.0, size=(7, 30))
+        missing = rng.random((7, 30)) < 0.3
+        missing[1, :6] = True  # node 2 shares no epoch with anyone before epoch 6
+        matrix, clusters = two_clusters(values, missing)
+        moments = PrefixMoments(matrix, clusters)
+        nones = 0
+        for group in ([1, 2, 3, 4], [5, 6, 7]):
+            for i in group:
+                for j in group:
+                    if i == j:
+                        continue
+                    for upto in range(1, 31):
+                        both = ~missing[i - 1, :upto] & ~missing[j - 1, :upto]
+                        got = moments.covariance(i, j, upto)
+                        if both.sum() < 2:
+                            assert got is None, (i, j, upto)
+                            nones += 1
+                        else:
+                            want = np.cov(values[i - 1, :upto][both], values[j - 1, :upto][both])[0, 1]
+                            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (i, j, upto)
+        assert nones > 0
+
+    @pytest.mark.parametrize("i, j", [(2, 2), (1, 99), (99, 1), (1, 5), (6, 3)])
+    def test_not_a_pair_of_one_cluster(self, i, j):
+        matrix, clusters = two_clusters(np.ones((7, 5)), np.zeros((7, 5), dtype=bool))
+        with pytest.raises(KeyError):
+            PrefixMoments(matrix, clusters).covariance(i, j, 5)
+
+
+def test_run_placement_holds_no_full_pair_block():
+    """Pair prefix sums are built a block of pairs at a time and only their
+    window columns are kept: scoring 51 windows of one 40-node cluster over
+    1000 epochs peaks well below that cluster's (4, P, T) pair block."""
+    m, t = 40, 1000
+    matrix = data_io.ReadingMatrix(
+        node_ids=tuple(range(1, m + 1)),
+        epochs=tuple(range(t)),
+        values=np.random.default_rng(0).normal(size=(m, t)),
+        missing=np.zeros((m, t), dtype=bool),
+    )
+    clusters = ClusterSet(clusters=(Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1),), radius=1.0)
+    block = 4 * (m * (m - 1) // 2) * t * 8
+    tracemalloc.start()
+    try:
+        run_placement(matrix, clusters, PlacementParams(rounds=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block / 2, f"peak {peak} B against a {block} B pair block"
 
 
 class TestSelectNodes:
