@@ -101,8 +101,10 @@ class PrefixMoments:
         self.epoch_count = len(matrix.epochs)
         row = {nid: r for r, nid in enumerate(matrix.node_ids)}
         rows = [row[nid] for nid in ids]
-        self._present = (~matrix.missing[rows]).astype(float)
-        self._values = np.where(matrix.missing[rows], 0.0, matrix.values[rows])
+        present, values = ~matrix.missing[rows], np.where(matrix.missing[rows], 0.0, matrix.values[rows])
+        # shift each node by the mean of its present readings (0 with none): costs stay, sums keep their digits
+        values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
+        self._present, self._values = present.astype(float), np.where(present, values, 0.0)
         self._nodes = np.cumsum([self._present, self._values, self._values**2], axis=2)  # n, sx, sx2: (3, N, T)
         # positions in node_ids of the members of each cluster of 2 or more
         self._members = [np.searchsorted(ids, sorted(c.node_ids())) for c in clusters if c.members]

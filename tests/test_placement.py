@@ -422,22 +422,35 @@ def brute_force_cost(matrix, neighbors, i, k):
     return cost + (float(np.mean(covs)) if covs else 0.0)
 
 
+def assert_every_window_matches_brute_force(got, matrix, clusters):
+    windows = range(2, len(matrix.epochs) + 1)
+    assert got.shape == (len(windows), len(matrix.node_ids))
+    for c in clusters:
+        group = sorted(c.node_ids())
+        for nid in group:
+            neighbors = [j - 1 for j in group if j != nid]
+            for w, k in enumerate(windows):
+                want = brute_force_cost(matrix, neighbors, nid - 1, k)
+                assert math.isclose(got[w, nid - 1], want, rel_tol=1e-9, abs_tol=1e-9), (nid, k)
+
+
 class TestArrayKernelProperties:
     @settings(max_examples=60, deadline=None)
     @given(gapped_partitions())
     def test_every_window_matches_brute_force(self, case):
         matrix, clusters = case
-        moments = PrefixMoments(matrix, clusters)
-        windows = range(2, len(matrix.epochs) + 1)
-        got = moments.costs(windows)
-        assert got.shape == (len(windows), len(matrix.node_ids))
-        for c in clusters:
-            group = sorted(c.node_ids())
-            for nid in group:
-                neighbors = [j - 1 for j in group if j != nid]
-                for w, k in enumerate(windows):
-                    want = brute_force_cost(matrix, neighbors, nid - 1, k)
-                    assert math.isclose(got[w, nid - 1], want, rel_tol=1e-9, abs_tol=1e-9), (nid, k)
+        got = PrefixMoments(matrix, clusters).costs(range(2, len(matrix.epochs) + 1))
+        assert_every_window_matches_brute_force(got, matrix, clusters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gapped_partitions(), st.sampled_from([1e5, 1e7]))
+    def test_offset_readings_score_as_without_the_offset(self, case, offset):
+        """A constant added to every reading moves no cost; the oracle scores
+        the readings without it."""
+        matrix, clusters = case
+        lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset, matrix.missing)
+        got = PrefixMoments(lifted, clusters).costs(range(2, len(matrix.epochs) + 1))
+        assert_every_window_matches_brute_force(got, matrix, clusters)
 
     @settings(max_examples=30, deadline=None)
     @given(gapped_partitions(min_present=2), st.integers(1, 12))
