@@ -86,9 +86,16 @@ def _open_text(source: str | Path | IO[str]) -> ContextManager[IO[str]]:
     return contextlib.nullcontext(source)
 
 
+def _plain(text: str) -> bool:
+    """True when text holds no '_', whitespace, control or non-ASCII character,
+    which int() and float() would accept or strip."""
+    return text.isascii() and text.isprintable() and "_" not in text and " " not in text
+
+
 def _rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, row) for each non-blank row after the header, which
-    must equal ``header``; every row must have as many columns as the header."""
+    must equal ``header``; every row must have as many columns as the header,
+    and every field must be ``_plain``."""
     reader = csv.reader(fh)
     got = next(reader, None)
     if got != list(header):
@@ -98,6 +105,10 @@ def _rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]
             continue
         if len(row) != len(header):
             raise DataFormatError(f"expected {len(header)} columns, got {len(row)}", line=lineno)
+        if not _plain("".join(row)):
+            name, text = next((name, text) for name, text in zip(header, row) if not _plain(text))
+            raise DataFormatError(
+                f"field {name} {text!r} holds '_', whitespace, a control or a non-ASCII character", line=lineno)
         yield lineno, row
 
 

@@ -327,6 +327,16 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_number_outside_the_grammar_is_input_error(self, nodes_arg, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("epoch,node_id,value\n0,1,1.0\n1_0,1,2.0\n", encoding="utf-8")
+        code, _, err = run(
+            ["predict", "--nodes", nodes_arg, "--readings", str(bad), "--dead", "3", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "line 3: field epoch" in err
+
     @pytest.mark.parametrize("command", ["cluster", "estimate"])
     def test_node_id_beyond_int64_is_input_error(self, command, tmp_path, capsys):
         # a valid Python int that the int64 id arrays of clustering cannot hold

@@ -38,6 +38,16 @@ class TestParseNodes:
         with pytest.raises(DataFormatError, match="line 2"):
             data_io.parse_nodes(src)
 
+    @pytest.mark.parametrize("row, field", [
+        ("1_2,0,0,0", "node_id"), ("1,1_0,0,0", "x"), (" 1,0,0,0", "node_id"),
+        ("1,0,0\t,0", "y"), ("1,0,0,1e3 ", "z"), ("1,0,\u0663,0", "y"), ("1,0,0,\u00a01", "z"),
+    ])
+    def test_number_grammar(self, row, field):
+        # int() and float() would read each of these fields
+        src = io.StringIO(f"node_id,x,y,z\n9,0,0,0\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"line 3: field {field} "):
+            data_io.parse_nodes(src)
+
     def test_missing_column_rejected(self):
         src = io.StringIO("node_id,x,y,z\n1,0,0\n")
         with pytest.raises(DataFormatError):
@@ -79,6 +89,16 @@ class TestParseReadings:
     def test_non_numeric_value_rejected(self):
         src = io.StringIO("epoch,node_id,value\n0,1,warm\n")
         with pytest.raises(DataFormatError, match="line 2"):
+            data_io.parse_readings(src)
+
+    @pytest.mark.parametrize("row, field", [
+        ("1_0,7,2.5", "epoch"), ("1, 7 ,2.5", "node_id"), ("1,7,2_5", "value"), ("1,7,\t2.5", "value"),
+        ("1,7,\u0663", "value"), ("\uff11,7,2.5", "epoch"), ('1,7,"2.5\n"', "value"),
+    ])
+    def test_number_grammar(self, row, field):
+        # int() and float() would read each of these fields
+        src = io.StringIO(f"epoch,node_id,value\n0,7,1.0\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"line 3: field {field} "):
             data_io.parse_readings(src)
 
     @pytest.mark.parametrize("row", [f"{2**63},1,1.0", f"{-(2**63) - 1},1,1.0", f"0,{2**63},1.0"])
