@@ -1,16 +1,19 @@
 """File ingestion, synthetic reading generation, and report serialization.
 
 All CSV traffic uses one dialect: comma separated, '.' decimal, LF line
-endings, mandatory header, UTF-8. Parsers reject malformed input with the
-offending line number instead of repairing it.
+endings, mandatory header, UTF-8. Parsers also read CRLF line endings, quoted
+fields and blank rows, and reject malformed input with the offending line
+number instead of repairing it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,6 +27,13 @@ from .estimation import AccuracyReport
 from .geometry import CorrelationModel, correlation, pairwise_distances
 
 _JITTER_FRACTION = 1e-10
+
+_READINGS_HEADER = ("epoch", "node_id", "value")
+_CANONICAL_HEADER = ",".join(_READINGS_HEADER) + "\n"
+# every byte write_readings emits after the header line; on fields of these bytes
+# np.loadtxt accepts and rounds exactly what int() and float() do
+_CANONICAL_BYTES = b"0123456789+-.eE,\n"
+_READING_ROW = np.dtype([("epoch", np.int64), ("node_id", np.int64), ("value", np.float64)])
 
 
 @dataclass
@@ -143,34 +153,80 @@ def parse_readings(
     Epochs need not be dense; cells absent from the file are marked missing.
     When a deployment is supplied, readings for unknown nodes are rejected.
     Epochs and node ids must fit in int64.
+
+    The source is read once. A trace in the form write_readings emits is
+    parsed in one array pass; any other text, and any trace that pass
+    rejects, goes to the row reader, which accepts the same values and names
+    the first bad line.
     """
+    with _open_text(source) as fh:
+        text = fh.read()
+    matrix = _parse_canonical(text, deployment)
+    if matrix is None:
+        matrix = _parse_rows(io.StringIO(text, newline=""), deployment)
+    return matrix
+
+
+def _parse_canonical(text: str, deployment: Deployment | None) -> ReadingMatrix | None:
+    """The matrix of a trace whose body holds only the bytes of _CANONICAL_BYTES,
+    or None when the text or its values need the row reader."""
+    if not text.startswith(_CANONICAL_HEADER) or not text.isascii():
+        return None
+    body = text[len(_CANONICAL_HEADER):].encode("ascii")
+    if body.translate(None, _CANONICAL_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a body without rows draws a UserWarning, and some numpy releases read
+            # '1.0' into an int64 column with only a DeprecationWarning
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(body), dtype=_READING_ROW, delimiter=",", comments=None,
+                              ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    if not np.isfinite(rows["value"]).all():
+        return None
+    matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
+    if matrix.missing.size - np.count_nonzero(matrix.missing) != rows.size:  # a duplicate cell
+        return None
+    if deployment is not None and not np.isin(matrix.node_ids, deployment.ids()).all():
+        return None
+    return matrix
+
+
+def _parse_rows(fh: IO[str], deployment: Deployment | None) -> ReadingMatrix:
+    """Read a trace row by row, raising DataFormatError at the first bad line."""
     known = set(deployment.ids()) if deployment is not None else None
     epochs: list[int] = []
     nids: list[int] = []
     values: list[float] = []
     seen: set[tuple[int, int]] = set()
-    with _open_text(source) as fh:
-        for lineno, row in _rows(fh, ("epoch", "node_id", "value")):
-            try:
-                epoch = int(row[0])
-                nid = int(row[1])
-                value = float(row[2])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
-            if not (-(2**63) <= epoch < 2**63 and -(2**63) <= nid < 2**63):
-                raise DataFormatError(f"epoch {epoch} or node id {nid} does not fit in int64", line=lineno)
-            if not math.isfinite(value):
-                raise DataFormatError(f"non-finite value {row[2]}", line=lineno)
-            if known is not None and nid not in known:
-                raise DataFormatError(f"unknown node {nid}", line=lineno)
-            if (nid, epoch) in seen:
-                raise DataFormatError(f"duplicate cell (node {nid}, epoch {epoch})", line=lineno)
-            seen.add((nid, epoch))
-            epochs.append(epoch)
-            nids.append(nid)
-            values.append(value)
+    for lineno, row in _rows(fh, _READINGS_HEADER):
+        try:
+            epoch = int(row[0])
+            nid = int(row[1])
+            value = float(row[2])
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
+        if not (-(2**63) <= epoch < 2**63 and -(2**63) <= nid < 2**63):
+            raise DataFormatError(f"epoch {epoch} or node id {nid} does not fit in int64", line=lineno)
+        if not math.isfinite(value):
+            raise DataFormatError(f"non-finite value {row[2]}", line=lineno)
+        if known is not None and nid not in known:
+            raise DataFormatError(f"unknown node {nid}", line=lineno)
+        if (nid, epoch) in seen:
+            raise DataFormatError(f"duplicate cell (node {nid}, epoch {epoch})", line=lineno)
+        seen.add((nid, epoch))
+        epochs.append(epoch)
+        nids.append(nid)
+        values.append(value)
     if not values:
         raise DataFormatError("no readings")
+    return _reading_matrix(epochs, nids, values)
+
+
+def _reading_matrix(epochs, nids, values) -> ReadingMatrix:
+    """The (node, epoch) grid of the readings, one per row; rows must not share a cell."""
     node_ids, rows = np.unique(np.asarray(nids, dtype=np.int64), return_inverse=True)
     epoch_ids, cols = np.unique(np.asarray(epochs, dtype=np.int64), return_inverse=True)
     grid = np.full((len(node_ids), len(epoch_ids)), np.nan)

@@ -351,6 +351,11 @@ def assert_bit_identical(a, b):
     assert a.values.tobytes() == b.values.tobytes()  # NaN payloads and -0.0 included
 
 
+def quote_fields(row, flags):
+    """The row with each field whose flag is set in double quotes; a blank row stays blank."""
+    return ",".join(f'"{f}"' if q else f for f, q in zip(row.split(","), flags)) if row else row
+
+
 def outcome(parse, text, deployment=None):
     """The parsed matrix, or the (type, message, line) of the error raised."""
     try:
@@ -372,7 +377,10 @@ class TestReadingsProperties:
     def test_shuffled_rows_parse_like_the_reference(self, matrix, data):
         header, *rows = data_io.write_readings(matrix).splitlines()
         rows = data.draw(st.permutations(rows + [""] * data.draw(st.integers(0, 2))))
-        text = "\n".join([header, *rows]) + "\n"
+        quoted = data.draw(st.lists(st.booleans(), min_size=3 * len(rows), max_size=3 * len(rows)))
+        rows = [quote_fields(row, quoted[3 * k:3 * k + 3]) for k, row in enumerate(rows)]
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))  # CRLF or quotes send the text to the row reader
+        text = eol.join([header, *rows]) + eol
         got = data_io.parse_readings(io.StringIO(text))
         assert_bit_identical(got, reference_parse_readings(io.StringIO(text)))
         assert_bit_identical(got, trimmed(matrix))
@@ -411,3 +419,86 @@ class TestReadingsProperties:
         got = outcome(data_io.parse_readings, text, dep)
         assert isinstance(want, tuple), "every injected fault is an error"
         assert got == want
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_bit_identical(got, want)
+
+
+class OneShot:
+    """A stream whose first read returns all of its text and whose second read fails."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def read(self, size=-1):
+        if self.text is None:
+            raise OSError("the stream was read before")
+        text, self.text = self.text, None
+        return text
+
+
+ROUTED_DEPLOYMENT = Deployment(nodes=tuple(SensorNode(id=i, position=(0.0, 0.0, 0.0)) for i in (1, 2, 7)))
+ROUTED = {
+    "crlf": "epoch,node_id,value\r\n0,1,1.0\r\n1,2,2.5\r\n",
+    "quoted": 'epoch,node_id,value\n"0","1","1.0"\n1,2,"2.5"\n',
+    "blank rows": "epoch,node_id,value\n\n0,1,1.0\n\n\n1,2,2.5\n\n",
+    "no final newline": "epoch,node_id,value\n0,1,1.0\n1,2,2.5",
+    "plus sign": "epoch,node_id,value\n+7,+7,+7\n",
+    "leading point": "epoch,node_id,value\n0,1,.5\n",
+    "trailing point": "epoch,node_id,value\n0,1,5.\n",
+    "upper exponent": "epoch,node_id,value\n0,1,1E5\n",
+    "overflow to inf": "epoch,node_id,value\n0,1,1.0\n1,1,1e999\n",
+    "fractional epoch": "epoch,node_id,value\n0,1,1.0\n1.5,1,2.0\n",
+    "duplicate cell": "epoch,node_id,value\n0,1,1.0\n1,2,2.0\n0,1,3.0\n",
+    "unknown node": "epoch,node_id,value\n0,1,1.0\n0,9,2.0\n",
+    "trailing comma": "epoch,node_id,value\n0,1,1.0,\n",
+    "header only": "epoch,node_id,value\n",
+    "other header": "Epoch,node_id,value\n0,1,1.0\n",
+}
+
+
+class TestReadingsRouting:
+    """Traces in write_readings' form take the array path; every other text, and
+    every trace that path rejects, is read row by row, with the reference's outcome."""
+
+    def test_canonical_trace_skips_the_row_reader(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n, t = 150, 1500
+        matrix = data_io.ReadingMatrix(
+            node_ids=tuple(range(1, n + 1)), epochs=tuple(range(t)),
+            values=rng.normal(20.0, 3.0, (n, t)), missing=np.zeros((n, t), dtype=bool),
+        )
+        header, *rows = data_io.write_readings(matrix).splitlines()
+        kept = rng.permutation(len(rows))[: round(0.95 * len(rows))]
+        text = "\n".join([header, *(rows[k] for k in kept)]) + "\n"
+        want = reference_parse_readings(io.StringIO(text))
+
+        def no_row_reader(*args):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(data_io, "_rows", no_row_reader)
+        assert_bit_identical(data_io.parse_readings(io.StringIO(text)), want)
+        assert want.missing.sum() == n * t - len(kept) > 0
+
+    @pytest.mark.parametrize("text", ROUTED.values(), ids=ROUTED.keys())
+    def test_outcome_matches_the_reference(self, text):
+        want = outcome(reference_parse_readings, text, ROUTED_DEPLOYMENT)
+        assert_same_outcome(outcome(data_io.parse_readings, text, ROUTED_DEPLOYMENT), want)
+
+    def test_file_with_cr_line_ends(self, tmp_path):
+        # a file opens with newline="", so a lone CR ends a row on either path
+        path = tmp_path / "readings.csv"
+        path.write_bytes(b"epoch,node_id,value\r0,1,1.5\r1,1,2.5\r")
+        with open(path, encoding="utf-8", newline="") as fh:
+            want = reference_parse_readings(fh)
+        assert_bit_identical(data_io.parse_readings(path), want)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_one_shot_stream_is_read_once(self, eol):
+        text = eol.join(["epoch,node_id,value", "0,1,1.5", "1,1,2.5", "1,2,-3.0"]) + eol
+        assert_bit_identical(data_io.parse_readings(OneShot(text)), reference_parse_readings(io.StringIO(text)))
