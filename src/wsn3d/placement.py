@@ -120,12 +120,15 @@ class PrefixMoments:
         return sums
 
     def covariance(self, i: int, j: int, upto: int) -> float | None:
-        """Covariance of nodes i and j over the first ``upto`` epochs, or None
-        below 2 shared epochs. Both nodes must be in the same cluster."""
+        """Covariance of nodes i and j over the first ``upto`` epochs (capped at
+        the series), or None below 2 shared epochs. Both nodes must be in the
+        same cluster."""
+        if upto < 1:
+            raise ValueError(f"need at least 1 epoch, got {upto}")
         for members in self._members:
             pair = members[np.isin(np.take(self.node_ids, members), (i, j))]
             if i != j and pair.size == 2:
-                n, sx, sy, sxy = self._pair_sums(pair[:1], pair[1:])[:, 0, upto - 1]
+                n, sx, sy, sxy = self._pair_sums(pair[:1], pair[1:])[:, 0, min(upto, self.epoch_count) - 1]
                 return None if n < 2 else _covariance(n, sx, sy, sxy)
         raise KeyError(f"nodes {i} and {j} are not a pair of one cluster")
 

@@ -314,6 +314,18 @@ class TestCovariance:
                             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (i, j, upto)
         assert nones > 0
 
+    @pytest.mark.parametrize("upto", [0, -1, -30])
+    def test_upto_below_one_rejected(self, upto):
+        matrix, clusters = two_clusters(np.arange(35.0).reshape(7, 5) ** 2, np.zeros((7, 5), dtype=bool))
+        with pytest.raises(ValueError, match="at least 1 epoch"):
+            PrefixMoments(matrix, clusters).covariance(1, 2, upto)
+
+    @pytest.mark.parametrize("upto", [6, 10**6])
+    def test_upto_capped_at_the_series(self, upto):
+        matrix, clusters = two_clusters(np.arange(35.0).reshape(7, 5) ** 2, np.zeros((7, 5), dtype=bool))
+        moments = PrefixMoments(matrix, clusters)
+        assert moments.covariance(1, 2, upto) == moments.covariance(1, 2, 5)
+
     @pytest.mark.parametrize("i, j", [(2, 2), (1, 99), (99, 1), (1, 5), (6, 3)])
     def test_not_a_pair_of_one_cluster(self, i, j):
         matrix, clusters = two_clusters(np.ones((7, 5)), np.zeros((7, 5), dtype=bool))
