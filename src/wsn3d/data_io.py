@@ -33,6 +33,9 @@ _CANONICAL_HEADER = ",".join(_READINGS_HEADER) + "\n"
 # every byte write_readings emits after the header line; on fields of these bytes
 # np.loadtxt accepts and rounds exactly what int() and float() do
 _CANONICAL_BYTES = b"0123456789+-.eE,\n"
+# longer lines go to the row reader, where int() caps the digits of a number
+# (4300 by default, never below 640) and csv caps the length of a field
+_CANONICAL_LINE = 512
 _READING_ROW = np.dtype([("epoch", np.int64), ("node_id", np.int64), ("value", np.float64)])
 
 
@@ -169,11 +172,15 @@ def parse_readings(
 
 def _parse_canonical(text: str, deployment: Deployment | None) -> ReadingMatrix | None:
     """The matrix of a trace whose body holds only the bytes of _CANONICAL_BYTES,
-    or None when the text or its values need the row reader."""
+    in lines of at most _CANONICAL_LINE bytes, or None when the text or its
+    values need the row reader."""
     if not text.startswith(_CANONICAL_HEADER) or not text.isascii():
         return None
     body = text[len(_CANONICAL_HEADER):].encode("ascii")
     if body.translate(None, _CANONICAL_BYTES):
+        return None
+    ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    if np.diff(ends, prepend=-1, append=len(body)).max() > _CANONICAL_LINE:  # a line and its LF
         return None
     try:
         with warnings.catch_warnings():

@@ -459,6 +459,7 @@ ROUTED = {
     "trailing comma": "epoch,node_id,value\n0,1,1.0,\n",
     "header only": "epoch,node_id,value\n",
     "other header": "Epoch,node_id,value\n0,1,1.0\n",
+    "5001-digit epoch": "epoch,node_id,value\n0,1,1.0\n" + "0" * 5000 + "1,1,2.0\n",
 }
 
 
@@ -491,7 +492,8 @@ class TestReadingsRouting:
         assert_same_outcome(outcome(data_io.parse_readings, text, ROUTED_DEPLOYMENT), want)
 
     def test_file_with_cr_line_ends(self, tmp_path):
-        # a file opens with newline="", so a lone CR ends a row on either path
+        # a file opens with newline="", where a lone CR ends a row; the row reader
+        # must keep that on the text read from it
         path = tmp_path / "readings.csv"
         path.write_bytes(b"epoch,node_id,value\r0,1,1.5\r1,1,2.5\r")
         with open(path, encoding="utf-8", newline="") as fh:
