@@ -159,8 +159,8 @@ def filter_in_event_range(dep: Deployment, model: CorrelationModel) -> set[int]:
     return {n.id for n, d in zip(dep.nodes, dists) if d <= r}
 
 
-def _row_blocks(n: int):
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+def _row_blocks(n: int, size: int = _BLOCK_ROWS):
+    return (slice(start, start + size) for start in range(0, n, size))
 
 
 def _adjacency(pos: np.ndarray, radius: float) -> np.ndarray:

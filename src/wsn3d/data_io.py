@@ -105,11 +105,21 @@ def _plain(text: str) -> bool:
     return text.isascii() and text.isprintable() and "_" not in text and " " not in text
 
 
+def _csv_rows(fh: IO[str]) -> Iterator[list[str]]:
+    """The rows of csv.reader, with its errors (such as a field over the csv
+    module's field size limit) raised as DataFormatError at the reader's line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(str(exc), line=reader.line_num) from None
+
+
 def _rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, row) for each non-blank row after the header, which
     must equal ``header``; every row must have as many columns as the header,
     and every field must be ``_plain``."""
-    reader = csv.reader(fh)
+    reader = _csv_rows(fh)
     got = next(reader, None)
     if got != list(header):
         raise DataFormatError(f"expected header {','.join(header)}, got {got}", line=1)

@@ -82,15 +82,23 @@ def _variance(n, sx, sx2):
     return np.where((n < 2) | (v < 0.0), 0.0, v)
 
 
+# epochs of one block of the pair-sum Grams
+_GRAM_EPOCHS = 32
+# Gram cells of one chunk of windows: a chunk's (w, 2m, 2m) stack stays in cache
+_GRAM_CELLS = 2**16
+
+
 class PrefixMoments:
     """Prefix-resolved variances and pairwise covariances for cluster costs.
 
     Missing cells are excluded pairwise: a node's variance uses its present
     epochs, a covariance uses epochs present in both series. Prefix sums along
-    the epochs make the costs over the first k epochs a lookup at column k-1.
-    Node sums are built once; pair sums are built while scoring, a block of
-    pairs at a time, and only their window columns are kept. Terms with fewer
-    than 2 usable epochs contribute nothing yet.
+    the epochs make a node's variance over the first k epochs a lookup at
+    column k-1. Pair sums come from Gram products of a cluster's presence and
+    value rows: the Grams of fixed _GRAM_EPOCHS-epoch blocks are added in
+    order, and each window adds the Gram of its own last partial block, so a
+    window's sums depend only on that window. Terms with fewer than 2 usable
+    epochs contribute nothing yet.
     """
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
@@ -109,15 +117,29 @@ class PrefixMoments:
         # positions in node_ids of the members of each cluster of 2 or more
         self._members = [np.searchsorted(ids, sorted(c.node_ids())) for c in clusters if c.members]
 
-    def _pair_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Prefix sums n, sx, sy, sxy of the node pairs (a[k], b[k]) as (4, P, T)."""
-        sums = np.empty((4, a.size, self.epoch_count))
-        np.multiply(self._present[a], self._present[b], out=sums[0])
-        np.multiply(self._values[a], sums[0], out=sums[1])
-        np.multiply(self._values[b], sums[0], out=sums[2])
-        np.multiply(self._values[a] * self._values[b], sums[0], out=sums[3])
-        np.cumsum(sums, axis=2, out=sums)
-        return sums
+    def _covariances(self, members: np.ndarray, ends: np.ndarray):
+        """Yield (windows, n, cov) for a chunk of windows at a time: the shared
+        epoch counts and covariances of every pair of the m nodes ``members``
+        over the first ``ends[w]`` epochs, each (w, m, m).
+
+        Epoch rows of the members' presence and then their values form z of
+        shape (T, 2m); the four m x m blocks of z's Gram over the first e
+        epochs hold n, sy, sx and sxy.
+        """
+        m, b, t = members.size, _GRAM_EPOCHS, self.epoch_count
+        z = np.zeros(((t // b + 1) * b, 2 * m))  # a zero tail completes the last block
+        z[:t, :m], z[:t, m:] = self._present[members].T, self._values[members].T
+        blocks = z.reshape(-1, b, 2 * m)  # (K + 1, b, 2m)
+        prefix = np.zeros((len(blocks), 2 * m, 2 * m))  # prefix[k]: the Gram of the first k blocks
+        np.cumsum(blocks[:-1].transpose(0, 2, 1) @ blocks[:-1], axis=0, out=prefix[1:])
+        for chunk in _row_blocks(ends.size, max(1, _GRAM_CELLS // (2 * m) ** 2)):
+            full, rest = np.divmod(ends[chunk], b)
+            tail = blocks[full]
+            tail *= (np.arange(b) < rest[:, None])[:, :, None]
+            sums = tail.transpose(0, 2, 1) @ tail
+            sums += prefix[full]
+            n = sums[:, :m, :m]
+            yield chunk, n, _covariance(n, sums[:, m:, :m], sums[:, :m, m:], sums[:, m:, m:])
 
     def covariance(self, i: int, j: int, upto: int) -> float | None:
         """Covariance of nodes i and j over the first ``upto`` epochs (capped at
@@ -128,39 +150,28 @@ class PrefixMoments:
         for members in self._members:
             pair = members[np.isin(np.take(self.node_ids, members), (i, j))]
             if i != j and pair.size == 2:
-                n, sx, sy, sxy = self._pair_sums(pair[:1], pair[1:])[:, 0, min(upto, self.epoch_count) - 1]
-                return None if n < 2 else _covariance(n, sx, sy, sxy)
+                ((_, n, cov),) = self._covariances(pair, np.array([min(upto, self.epoch_count)]))
+                return None if n[0, 0, 1] < 2 else float(cov[0, 0, 1])
         raise KeyError(f"nodes {i} and {j} are not a pair of one cluster")
 
     def costs(self, windows: Sequence[int]) -> np.ndarray:
         """(len(windows), N) cost matrix: row w scores every node, in node_ids
         order, over its first ``windows[w]`` epochs (capped at the series).
 
-        A node's neighbor term is the mean over its cluster neighbors, in
-        ascending id, of the covariances with at least 2 shared epochs.
+        A node's neighbor term is the mean over its cluster neighbors of the
+        covariances with at least 2 shared epochs.
         """
         at = np.minimum(np.asarray(windows, dtype=np.intp), self.epoch_count) - 1
         if at.size and at.min() < 1:
             raise ValueError(f"need at least 2 epochs, got {at.min() + 1}")
         out = _variance(*self._nodes[:, :, at]).T
         for members in self._members:
-            a, b = np.triu_indices(members.size, k=1)
-            pair = np.zeros((members.size, members.size), dtype=np.intp)
-            pair[a, b] = pair[b, a] = np.arange(a.size)
-            sums = np.empty((4, a.size, at.size))
-            for block in _row_blocks(a.size):
-                sums[:, block] = self._pair_sums(members[a[block]], members[b[block]])[:, :, at]
-            n, sx, sy, sxy = sums.transpose(0, 2, 1)  # each (W, P)
-            neighbors = pair[~np.eye(members.size, dtype=bool)].reshape(members.size, -1)
-            cov, usable = _covariance(n, sx, sy, sxy)[:, neighbors], (n >= 2)[:, neighbors]
-            count = usable.sum(axis=2)
-            cost = out[:, members]
-            # np.mean over each node's usable covariances as one contiguous row,
-            # so the sum runs in the same order as over that node's list alone
-            for length in np.unique(count[count > 0]):
-                sel = count == length
-                cost[sel] += cov[sel][usable[sel]].reshape(-1, length).mean(axis=1)
-            out[:, members] = cost
+            off_diagonal = ~np.eye(members.size, dtype=bool)
+            for chunk, n, cov in self._covariances(members, at + 1):
+                usable = (n >= 2) & off_diagonal
+                count = usable.sum(axis=2)
+                # the mean of the usable covariances, 0 with none
+                out[chunk, members] += np.where(usable, cov, 0.0).sum(axis=2) / np.maximum(count, 1)
         return out
 
 

@@ -296,6 +296,20 @@ class TestPipeline:
         assert written == cluster_costs(data_io.generate_synthetic(scn, deployment), cs)
 
 
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, nodes_arg, tmp_path):
+        """Placement's pair sums are BLAS Gram products; one BLAS thread and the
+        default thread count write the same bytes."""
+        for name, threads in (("one", "1"), ("default", None)):
+            env = {k: v for k, v in subprocess_env().items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            argv = [sys.executable, "-m", "wsn3d", "pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade",
+                    "--epochs", "100", "--rounds", "20", "--out", str(tmp_path / name)]
+            assert subprocess.run(argv, env=env, capture_output=True, timeout=120).returncode == 0
+        for artifact in ("curve.csv", "nodes.csv"):
+            assert (tmp_path / "one" / artifact).read_bytes() == (tmp_path / "default" / artifact).read_bytes()
+
     def test_event_out_of_reach_places_nothing(self, nodes_arg, tmp_path, capsys):
         argv = ["pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade", "--rounds", "3",
                 "--epochs", "30", "--event", "100,100,100", "--out", str(tmp_path)]
@@ -326,6 +340,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("kind", ["nodes", "readings"])
+    def test_field_over_the_csv_limit_is_input_error(self, kind, nodes_arg, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        big = f'"{"1" * (csv.field_size_limit() + 1)}"'
+        if kind == "nodes":
+            bad.write_text(f"node_id,x,y,z\n1,0,0,0\n2,0,0,{big}\n", encoding="utf-8")
+            argv = ["cluster", "--nodes", str(bad)]
+        else:
+            bad.write_text(f"epoch,node_id,value\n0,1,1.0\n1,1,{big}\n", encoding="utf-8")
+            argv = ["predict", "--nodes", nodes_arg, "--readings", str(bad), "--dead", "3"]
+        code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "input error: line 3: field larger than field limit" in err
 
     def test_number_outside_the_grammar_is_input_error(self, nodes_arg, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

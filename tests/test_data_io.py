@@ -62,6 +62,11 @@ class TestParseNodes:
         dep = data_io.parse_nodes(src)
         assert dep.ids() == [5, 2]
 
+    def test_field_over_the_csv_limit_reports_line(self):
+        src = io.StringIO(f'node_id,x,y,z\n1,0,0,0\n2,0,0,"{"1" * (csv.field_size_limit() + 1)}"\n')
+        with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
+            data_io.parse_nodes(src)
+
 
 class TestParseReadings:
     def test_three_rows_one_node(self):
@@ -106,6 +111,12 @@ class TestParseReadings:
         # np.unique would turn such ids into float64 and lose digits
         src = io.StringIO(f"epoch,node_id,value\n{-(2**63)},{2**63 - 1},1.0\n{row}\n")
         with pytest.raises(DataFormatError, match="line 3: .*does not fit in int64"):
+            data_io.parse_readings(src)
+
+    def test_field_over_the_csv_limit_reports_line(self):
+        # a line over 512 bytes goes to the row reader, where csv.reader fails
+        src = io.StringIO(f'epoch,node_id,value\n0,1,1.0\n1,1,"{"1" * (csv.field_size_limit() + 1)}"\n')
+        with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
             data_io.parse_readings(src)
 
     def test_full_scale_parse_under_a_second(self, deployment):

@@ -333,10 +333,10 @@ class TestCovariance:
             PrefixMoments(matrix, clusters).covariance(i, j, 5)
 
 
-def test_run_placement_holds_no_full_pair_block():
-    """Pair prefix sums are built a block of pairs at a time and only their
-    window columns are kept: scoring 51 windows of one 40-node cluster over
-    1000 epochs peaks well below that cluster's (4, P, T) pair block."""
+def placement_peak(rounds):
+    """(peak traced bytes, pair block bytes) of a run_placement over one
+    40-node cluster and 1000 epochs; the block is that cluster's (4, P, T)
+    array of per-pair prefix sums."""
     m, t = 40, 1000
     matrix = data_io.ReadingMatrix(
         node_ids=tuple(range(1, m + 1)),
@@ -348,11 +348,26 @@ def test_run_placement_holds_no_full_pair_block():
     block = 4 * (m * (m - 1) // 2) * t * 8
     tracemalloc.start()
     try:
-        run_placement(matrix, clusters, PlacementParams(rounds=50))
+        run_placement(matrix, clusters, PlacementParams(rounds=rounds))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, block
+
+
+def test_run_placement_holds_no_full_pair_block():
+    """Pair sums come from Gram products of 32-epoch blocks, and windows are
+    scored a chunk at a time: scoring 51 windows of one 40-node cluster over
+    1000 epochs peaks well below that cluster's (4, P, T) pair block."""
+    peak, block = placement_peak(50)
     assert peak < block / 2, f"peak {peak} B against a {block} B pair block"
+
+
+def test_run_placement_memory_does_not_follow_the_window_count():
+    """At the default 300 rounds the 301 windows are still scored a chunk at a
+    time, so the peak stays below the pair block too."""
+    peak, block = placement_peak(300)
+    assert peak < 0.85 * block, f"peak {peak} B against a {block} B pair block"
 
 
 class TestSelectNodes:
@@ -389,11 +404,12 @@ class TestParams:
 
 
 @st.composite
-def gapped_partitions(draw, min_present=0):
-    """Small integer-valued reading matrices with random gaps, split into
-    random clusters; every node keeps at least ``min_present`` leading epochs."""
+def gapped_partitions(draw, min_present=0, max_epochs=12):
+    """Small integer-valued reading matrices of at most ``max_epochs`` epochs
+    with random gaps, split into random clusters; every node keeps at least
+    ``min_present`` leading epochs."""
     n = draw(st.integers(1, 7))
-    t = draw(st.integers(max(2, min_present), 12))
+    t = draw(st.integers(max(2, min_present), max_epochs))
     values = draw(arrays(float, (n, t), elements=st.integers(-20, 20).map(float)))
     missing = draw(arrays(bool, (n, t), elements=st.booleans()))
     missing[:, :min_present] = False
@@ -476,3 +492,29 @@ class TestArrayKernelProperties:
         for st_ in record:
             leader = np.flatnonzero(st_.best_cost == st_.best_cost.max())[0]
             assert st_.sigma_gb2 == st_.sigma_b2[leader]
+
+    @settings(max_examples=40, deadline=None)
+    @given(gapped_partitions(max_epochs=100))
+    def test_windows_across_gram_blocks(self, case):
+        """Windows up to 100 epochs end inside, on and after the 32-epoch
+        blocks of the pair sums; each scores alone as in a batch."""
+        matrix, clusters = case
+        moments = PrefixMoments(matrix, clusters)
+        windows = list(range(2, len(matrix.epochs) + 1))
+        got = moments.costs(windows)
+        assert_every_window_matches_brute_force(got, matrix, clusters)
+        for k, w in enumerate(windows):
+            assert np.array_equal(got[k], moments.costs([w])[0]), w
+        seen = ~matrix.missing
+        for c in clusters:
+            for i in sorted(c.node_ids()):
+                for j in sorted(c.node_ids() - {i}):
+                    for upto in (31, 32, 33, 64, 65):
+                        both = (seen[i - 1] & seen[j - 1])[:upto]
+                        got_cov = moments.covariance(i, j, upto)
+                        if both.sum() < 2:
+                            assert got_cov is None, (i, j, upto)
+                        else:
+                            x, y = matrix.values[i - 1, :upto][both], matrix.values[j - 1, :upto][both]
+                            want = np.cov(x, y)[0, 1]
+                            assert math.isclose(got_cov, want, rel_tol=1e-9, abs_tol=1e-9), (i, j, upto)
