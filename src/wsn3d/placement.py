@@ -94,11 +94,13 @@ class PrefixMoments:
     Missing cells are excluded pairwise: a node's variance uses its present
     epochs, a covariance uses epochs present in both series. Prefix sums along
     the epochs make a node's variance over the first k epochs a lookup at
-    column k-1. Pair sums come from Gram products of a cluster's presence and
+    column k-1. A cluster where no member misses an epoch needs no pair sums:
+    prefix sums of each member's neighbor sum give its summed covariances.
+    Other clusters take pair sums from Gram products of their presence and
     value rows: the Grams of fixed _GRAM_EPOCHS-epoch blocks are added in
-    order, and each window adds the Gram of its own last partial block, so a
-    window's sums depend only on that window. Terms with fewer than 2 usable
-    epochs contribute nothing yet.
+    order, and each window adds the Gram of its own last partial block. Either
+    way a window's sums depend only on that window. Terms with fewer than 2
+    usable epochs contribute nothing yet.
     """
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
@@ -159,20 +161,33 @@ class PrefixMoments:
         order, over its first ``windows[w]`` epochs (capped at the series).
 
         A node's neighbor term is the mean over its cluster neighbors of the
-        covariances with at least 2 shared epochs.
+        covariances with at least 2 shared epochs. In a cluster where no member
+        misses an epoch every pair shares all e epochs, so the sum of node i's
+        covariances is its covariance with o_i, the sum of the other members'
+        series; it comes from prefix sums of o and x * o. Other clusters take
+        the pair sums of ``_covariances``. Each distinct capped window is
+        scored once.
         """
         at = np.minimum(np.asarray(windows, dtype=np.intp), self.epoch_count) - 1
         if at.size and at.min() < 1:
             raise ValueError(f"need at least 2 epochs, got {at.min() + 1}")
+        at, rows = np.unique(at, return_inverse=True)
         out = _variance(*self._nodes[:, :, at]).T
         for members in self._members:
-            off_diagonal = ~np.eye(members.size, dtype=bool)
-            for chunk, n, cov in self._covariances(members, at + 1):
-                usable = (n >= 2) & off_diagonal
-                count = usable.sum(axis=2)
-                # the mean of the usable covariances, 0 with none
-                out[chunk, members] += np.where(usable, cov, 0.0).sum(axis=2) / np.maximum(count, 1)
-        return out
+            if self._present[members].all():
+                x = self._values[members]
+                o = x.sum(axis=0) - x  # (m, T): each member's neighbor sum
+                so, sxo = np.cumsum([o, x * o], axis=2)[:, :, at]
+                sx = self._nodes[1, members[:, None], at]
+                out[:, members] += (_covariance(at + 1, sx, so, sxo) / (members.size - 1)).T
+            else:
+                off_diagonal = ~np.eye(members.size, dtype=bool)
+                for chunk, n, cov in self._covariances(members, at + 1):
+                    usable = (n >= 2) & off_diagonal
+                    count = usable.sum(axis=2)
+                    # the mean of the usable covariances, 0 with none
+                    out[chunk, members] += np.where(usable, cov, 0.0).sum(axis=2) / np.maximum(count, 1)
+        return out[rows]
 
 
 def cluster_costs(matrix: ReadingMatrix, clusters: ClusterSet) -> dict[int, float]:
