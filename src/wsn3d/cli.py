@@ -169,10 +169,8 @@ def _clustering_radius(args, model: CorrelationModel) -> float:
     return args.radius
 
 
-def _cluster(args, model: CorrelationModel):
-    dep = _load_deployment(args, with_event=True)
-    radius = _clustering_radius(args, model)
-    return dep, radius, form_clusters(dep, radius, model if dep.event else None)
+def _cluster(args, model: CorrelationModel, dep: Deployment) -> ClusterSet:
+    return form_clusters(dep, _clustering_radius(args, model), model if dep.event else None)
 
 
 def _print_cluster_table(cs, reports=None):
@@ -223,7 +221,7 @@ def _readings_matrix(args, dep: Deployment):
 
 def cmd_cluster(args) -> int:
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    dep, radius, cs = _cluster(args, model)
+    cs = _cluster(args, model, _load_deployment(args, with_event=True))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"theta": args.theta, "alpha": args.alpha, "derived_radius": bool(args.derive_radius)}
@@ -233,10 +231,10 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _estimate(args) -> tuple[Deployment, ClusterSet]:
+def _estimate(args, dep: Deployment) -> ClusterSet:
     """Cluster, score every cluster, write clusters.json and print the table."""
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    dep, radius, cs = _cluster(args, model)
+    cs = _cluster(args, model, dep)
     event, event_origin = _event_for_estimation(args, dep)
     sig = estimation.SignalModel(sigma_s2=args.sigma_s2)
     noise = estimation.NoiseProfile.uniform(dep.ids(), args.sigma_n2)
@@ -255,19 +253,20 @@ def _estimate(args) -> tuple[Deployment, ClusterSet]:
         print(f"note: no --event given; using the deployment centroid {event.position}")
     _print_cluster_table(cs, reports)
     print(f"wrote {out / 'clusters.json'}")
-    return dep, cs
+    return cs
 
 
 def cmd_estimate(args) -> int:
-    _estimate(args)
+    _estimate(args, _load_deployment(args, with_event=True))
     return 0
 
 
 def _dead_ids(args, dep: Deployment) -> list[int]:
-    """The --dead ids, checked against the deployment; notes when there are none."""
+    """The --dead ids, checked against the deployment: each at most once, none unknown, not all."""
     dead_ids = [int(v) for v in args.dead.split(",") if v.strip()]
-    if not dead_ids:
-        print("no dead nodes given; nothing to predict")
+    repeated = sorted({i for i in dead_ids if dead_ids.count(i) > 1})
+    if repeated:
+        raise ConfigurationError(f"dead ids given more than once: {repeated}")
     unknown = set(dead_ids) - set(dep.ids())
     if unknown:
         raise ConfigurationError(f"dead ids not in deployment: {sorted(unknown)}")
@@ -301,6 +300,8 @@ def cmd_predict(args) -> int:
     dead_ids = _dead_ids(args, dep)
     if dead_ids:
         _predict(args, dep, _readings_matrix(args, dep), dead_ids)
+    else:
+        print("no dead nodes given; nothing to predict")
     return 0
 
 
@@ -345,12 +346,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    dep, cs = _estimate(args)
-    matrix, _ = _place(args, dep, cs)
-    if args.dead:
-        dead_ids = _dead_ids(args, dep)
-        if dead_ids:
-            _predict(args, dep, matrix, dead_ids)
+    dep = _load_deployment(args, with_event=True)
+    dead_ids = _dead_ids(args, dep)  # a bad --dead fails before the first artifact is written
+    matrix, _ = _place(args, dep, _estimate(args, dep))
+    if dead_ids:
+        _predict(args, dep, matrix, dead_ids)
+    elif args.dead:
+        print("no dead nodes given; nothing to predict")
     return 0
 
 

@@ -197,40 +197,65 @@ def cluster_costs(matrix: ReadingMatrix, clusters: ClusterSet) -> dict[int, floa
 
 
 def placement_step(
-    state: PlacementState, costs: Mapping[int, float], params: PlacementParams
+    state: PlacementState,
+    costs: np.ndarray,
+    params: PlacementParams,
+    record: list[PlacementState] | None = None,
 ) -> PlacementState:
-    """Advance the search one round with this round's per-node costs.
+    """Advance the search one round per row of ``costs``, an (R, N) array whose
+    row r holds round r's cost of every node in ``state.node_ids`` order; a
+    1-D row is one round.
 
-    Personal bests absorb any cost improvement, the global best variance is
-    re-selected from the node with the best cost so far (ties to the smaller
-    id), and then every node updates its accumulator and present variance:
+    Each round, personal bests absorb any cost improvement (an equal or NaN
+    cost is none), the global best variance is re-selected from the node with
+    the best cost so far (ties to the smaller id), and then every node updates
+    its accumulator and present variance:
 
         i_a     += phi1 * (sigma_b2 - sigma_p2) + phi2 * (sigma_gb2 - sigma_p2)
         sigma_p2 += i_a
 
-    The round's mean cost is appended to the history. The arrays of ``state``
-    are left as they are.
+    Each round's mean cost is appended to the history. The running best costs,
+    leaders and means of all R rounds are array operations; only the variance
+    recurrence loops over the rounds, so R rounds in one call give the same
+    bits as R one-row calls. Pass a list as ``record`` to append the state
+    after every round; no two recorded states share an array. The arrays of
+    ``state`` are left as they are.
     """
-    missing = set(state.node_ids) - set(costs)
-    if missing:
-        raise ValueError(f"costs missing for nodes {sorted(missing)}")
-    c = np.asarray([costs[nid] for nid in state.node_ids], dtype=float)
+    c = np.asarray(costs, dtype=float)
+    c = c[None] if c.ndim == 1 else c
+    if c.ndim != 2 or c.shape[1] != len(state.node_ids):
+        raise ValueError(f"costs must be (rounds, {len(state.node_ids)}) in node_ids order, got shape {c.shape}")
+    # running best before each round; NaN costs never improve, a NaN best stays (np.where semantics)
+    prior = np.maximum.accumulate(np.vstack([state.best_cost, np.where(np.isnan(c), -math.inf, c)]), axis=0)
+    improved = c > prior[:-1]
+    # each best is the cost of its last improvement, so the sign of a zero survives
+    last = np.maximum.accumulate(np.where(improved, np.arange(len(c))[:, None], -1), axis=0)
+    best_cost = np.where(last >= 0, np.take_along_axis(c, np.maximum(last, 0), axis=0), state.best_cost)
+    leaders = np.argmax(best_cost, axis=1).tolist()
+    means = np.ascontiguousarray(c).mean(axis=1).tolist()  # C order: each row sums as np.mean of it alone
 
-    improved = c > state.best_cost
-    best_cost = np.where(improved, c, state.best_cost)
-    sigma_b2 = np.where(improved, state.sigma_p2, state.sigma_b2)
-    sigma_gb2 = float(sigma_b2[np.argmax(best_cost)])
-    i_a = state.i_a + params.phi1 * (sigma_b2 - state.sigma_p2) + params.phi2 * (sigma_gb2 - state.sigma_p2)
-
+    p, b, i_a, gb = state.sigma_p2, state.sigma_b2, state.i_a, state.sigma_gb2
+    for r, leader in enumerate(leaders):
+        b = np.where(improved[r], p, b)
+        gb = float(b[leader])
+        i_a = i_a + params.phi1 * (b - p) + params.phi2 * (gb - p)
+        p = p + i_a
+        if record is not None:
+            record.append(
+                replace(
+                    state, sigma_p2=p, sigma_b2=b, best_cost=best_cost[r].copy(), i_a=i_a, sigma_gb2=gb,
+                    round=state.round + r + 1, cost_history=state.cost_history + tuple(means[: r + 1]),
+                )
+            )
     return replace(
         state,
-        sigma_p2=state.sigma_p2 + i_a,
-        sigma_b2=sigma_b2,
-        best_cost=best_cost,
+        sigma_p2=p,
+        sigma_b2=b,
+        best_cost=best_cost[-1].copy() if len(c) else state.best_cost,
         i_a=i_a,
-        sigma_gb2=sigma_gb2,
-        round=state.round + 1,
-        cost_history=state.cost_history + (float(np.mean(c)),),
+        sigma_gb2=gb,
+        round=state.round + len(c),
+        cost_history=state.cost_history + tuple(means),
     )
 
 
@@ -248,8 +273,9 @@ def run_placement(
     linearly across the first 90 percent of the rounds and then covers the
     complete series, so the cost stream settles once additional rounds stop
     bringing new data. One moments build serves the start state, every round's
-    window and the returned costs. Pass a list as ``record`` to capture the
-    state after every round.
+    window and the returned costs, and one ``placement_step`` call advances
+    every round. Pass a list as ``record`` to capture the state after every
+    round.
     """
     moments = PrefixMoments(matrix, clusters)
     ids = tuple(moments.node_ids)
@@ -260,16 +286,12 @@ def run_placement(
     total = moments.epoch_count
     fill_rounds = max(1, math.ceil(0.9 * params.rounds))
     windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, params.rounds + 1)]
-    *rounds, full = moments.costs(windows + [total])
+    costs = moments.costs(windows + [total])
 
     state = PlacementState(
         ids, sigma_p2=start, sigma_b2=start, best_cost=np.full(len(ids), -math.inf), i_a=np.zeros(len(ids))
     )
-    for row in rounds:
-        state = placement_step(state, dict(zip(ids, row.tolist())), params)
-        if record is not None:
-            record.append(state)
-    return state, dict(zip(ids, full.tolist()))
+    return placement_step(state, costs[:-1], params, record), dict(zip(ids, costs[-1].tolist()))
 
 
 def select_nodes(costs: Mapping[int, float], threshold: float) -> set[int]:

@@ -9,17 +9,15 @@ from wsn3d import data_io
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Relative tolerance for the float columns of the golden CSVs. The digits
-# below about 1e-12 relative are rounding noise, not results:
-# - the synthetic field draw (LAPACK Cholesky, BLAS matmul, numpy's SIMD exp)
-#   changes its last bits with the OpenBLAS kernel and numpy's CPU dispatch;
-# - placement._variance uses the one-pass sx2 - sx*sx/n, which loses digits
-#   to the reading offsets (18 and 25 against variances 0.25 and 9).
-# For `place --synthetic sun-shade --seed 42` on the bundled deployment, the
-# full-series costs sit up to 2.3e-12 relative from an exact rational
-# evaluation of the same readings, and outputs under five OpenBLAS kernels and
-# with numpy's X86_V3/X86_V4 dispatch disabled differ from the goldens by at
-# most 5.6e-13. Changing the window fill fraction in run_placement from 0.9
-# to 0.91 moves them by 3.7e-2.
+# below about 1e-12 relative are rounding noise, not results: the synthetic
+# field draw (LAPACK Cholesky, BLAS matmul, numpy's SIMD exp) changes its last
+# bits with the OpenBLAS kernel and numpy's CPU dispatch. PrefixMoments shifts
+# each node by its mean before its prefix sums, so for `place --synthetic
+# sun-shade --seed 42` on the bundled deployment the full-series costs sit
+# within 1.4e-15 relative of a two-pass math.fsum evaluation of the same
+# readings. Outputs under five OpenBLAS kernels and with numpy's X86_V3/X86_V4
+# dispatch disabled differed from the goldens by at most 5.6e-13. Changing the
+# window fill fraction in run_placement from 0.9 to 0.91 moves them by 3.7e-2.
 GOLDEN_RTOL = 1e-9
 
 

@@ -1,14 +1,16 @@
 """The benchmark's traced run wraps wsn3d functions by name; check that every
-name it wraps exists and that restoring puts each original back.
+name it wraps exists, that a CLI run reaches the placement wrappers, and that
+restoring puts each original back.
 
-A refactor that renames a wrapped function fails here instead of only in a
-traced benchmark run.
+A refactor that renames a wrapped function, or calls one past the name the
+trace wraps, fails here instead of reading 0 in a traced benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
 
 import wsn3d.cli
+from wsn3d import data_io
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +35,19 @@ def test_install_wraps_and_restore_undoes():
         rec.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_pipeline_reaches_every_placement_span(tmp_path):
+    layers, spans = load("layers"), load("spans")
+    rec = spans.SpanRecorder()
+    layers.install(rec, wsn3d.cli)
+    try:
+        argv = ["pipeline", "--nodes", str(data_io.bundled_nodes_path()), "--synthetic", "sun-shade",
+                "--epochs", "40", "--rounds", "5", "--out", str(tmp_path)]
+        assert wsn3d.cli.main(argv) == 0
+    finally:
+        rec.restore()
+    totals = rec.layer_totals(rec.pass_id)
+    for name in ("placement.moments_build", "placement.window_costs",
+                 "placement.placement_step", "placement.run_placement"):
+        assert totals.get(name, {}).get("calls", 0) >= 1, f"{name} recorded no call"

@@ -196,6 +196,18 @@ class TestPredict:
         assert code == 1
         assert "dead" in err
 
+    def test_repeated_dead_id_is_error(self, nodes_arg, tmp_path, capsys):
+        code, out, err = run(
+            [
+                "predict", "--nodes", nodes_arg, "--synthetic", "uniform", "--epochs", "20",
+                "--dead", "3,5,3", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "more than once: [3]" in err
+        assert out == ""
+
 
 class TestPlace:
     def test_sun_shade_selects_sun_group(self, nodes_arg, deployment, tmp_path, capsys):
@@ -317,6 +329,16 @@ class TestPipeline:
         assert code == 1
         assert "nothing to place" in err
         assert not (tmp_path / "nodes.csv").exists()
+
+    @pytest.mark.parametrize("dead, message", [("3,3", "more than once: [3]"), ("3,999", "not in deployment: [999]")])
+    def test_bad_dead_ids_fail_before_any_artifact(self, nodes_arg, tmp_path, capsys, dead, message):
+        argv = ["pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade", "--rounds", "3",
+                "--epochs", "30", "--dead", dead, "--out", str(tmp_path)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

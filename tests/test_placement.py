@@ -36,6 +36,31 @@ def node(state, node_id):
     return {f: getattr(state, f)[k] for f in FIELDS}
 
 
+def bits(state):
+    """Every field of ``state`` with floats as bytes, so -0.0 and 0.0 differ and NaN equals NaN."""
+    scalars = np.array([state.sigma_gb2, *state.cost_history]).tobytes()
+    return (state.node_ids, state.round, scalars, *(getattr(state, f).tobytes() for f in FIELDS))
+
+
+def reference_step(state, c, params):
+    """One round of the search as a per-round loop computes it: the reference
+    for placement_step's all-rounds array work."""
+    c = np.asarray(c, dtype=float)
+    improved = c > state.best_cost
+    best_cost = np.where(improved, c, state.best_cost)
+    sigma_b2 = np.where(improved, state.sigma_p2, state.sigma_b2)
+    sigma_gb2 = float(sigma_b2[np.argmax(best_cost)])
+    i_a = state.i_a + params.phi1 * (sigma_b2 - state.sigma_p2) + params.phi2 * (sigma_gb2 - state.sigma_p2)
+    return PlacementState(
+        state.node_ids, state.sigma_p2 + i_a, sigma_b2, best_cost, i_a, sigma_gb2,
+        state.round + 1, state.cost_history + (float(np.mean(c)),),
+    )
+
+
+# costs with repeats and ties: both zeros, NaN (never an improvement) and -inf (the start's best)
+TIED_COSTS = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.nan])
+
+
 class TestCostFunction:
     def test_constant_readings_zero(self):
         assert cost_function([3.0, 3.0, 3.0]) == 0.0
@@ -79,7 +104,7 @@ class TestPlacementStep:
         state = make_state(
             [(1, dict(sigma_p2=2.0, sigma_b2=2.0, best_cost=9.0, i_a=0.25))], sigma_gb2=2.0
         )
-        new = placement_step(state, {1: 1.0}, self.PARAMS)
+        new = placement_step(state, [1.0], self.PARAMS)
         ns = node(new, 1)
         assert ns["i_a"] == 0.25
         assert ns["sigma_p2"] == 2.25
@@ -93,7 +118,7 @@ class TestPlacementStep:
             ],
             sigma_gb2=6.0,
         )
-        new = placement_step(state, {1: 1.0, 2: 1.0}, params)
+        new = placement_step(state, [1.0, 1.0], params)
         ns = node(new, 1)
         want_ia = 0.1 + 0.3 * (3.0 - 2.0) + 0.7 * (6.0 - 2.0)
         assert ns["i_a"] == pytest.approx(want_ia, abs=1e-15)
@@ -108,7 +133,7 @@ class TestPlacementStep:
             ],
             sigma_gb2=4.0,
         )
-        new = placement_step(state, {1: 1.0, 2: 9.0}, params)
+        new = placement_step(state, [1.0, 9.0], params)
         assert new.sigma_gb2 == 4.0
         ns = node(new, 1)
         assert ns["i_a"] == 1.0
@@ -116,14 +141,14 @@ class TestPlacementStep:
 
     def test_personal_best_updates_on_improvement(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=2.0, i_a=0.0))])
-        new = placement_step(state, {1: 5.0}, self.PARAMS)
+        new = placement_step(state, [5.0], self.PARAMS)
         ns = node(new, 1)
         assert ns["best_cost"] == 5.0
         assert ns["sigma_b2"] == 7.0
 
     def test_no_update_without_improvement(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=6.0, i_a=0.0))])
-        new = placement_step(state, {1: 5.0}, self.PARAMS)
+        new = placement_step(state, [5.0], self.PARAMS)
         assert node(new, 1)["best_cost"] == 6.0
         assert node(new, 1)["sigma_b2"] == 1.0
 
@@ -134,7 +159,7 @@ class TestPlacementStep:
                 (2, dict(sigma_p2=8.0, sigma_b2=8.0, best_cost=-math.inf, i_a=0.0)),
             ]
         )
-        new = placement_step(state, {1: 2.0, 2: 10.0}, self.PARAMS)
+        new = placement_step(state, [2.0, 10.0], self.PARAMS)
         assert new.sigma_gb2 == 8.0
 
     def test_tied_best_cost_goes_to_the_smaller_id(self):
@@ -144,7 +169,7 @@ class TestPlacementStep:
                 (2, dict(sigma_p2=8.0, sigma_b2=8.0, best_cost=-math.inf, i_a=0.0)),
             ]
         )
-        new = placement_step(state, {1: 10.0, 2: 10.0}, self.PARAMS)
+        new = placement_step(state, [10.0, 10.0], self.PARAMS)
         assert new.sigma_gb2 == 3.0
 
     def test_fixed_point_is_stationary(self):
@@ -155,7 +180,7 @@ class TestPlacementStep:
             ],
             sigma_gb2=5.0,
         )
-        new = placement_step(state, {1: 1.0, 2: 1.0}, self.PARAMS)
+        new = placement_step(state, [1.0, 1.0], self.PARAMS)
         for nid in new.node_ids:
             ns = node(new, nid)
             assert ns["sigma_p2"] == 5.0 and ns["i_a"] == 0.0
@@ -164,14 +189,16 @@ class TestPlacementStep:
     def test_input_state_left_unchanged(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=2.0, i_a=0.5))])
         before = {f: getattr(state, f).copy() for f in FIELDS}
-        placement_step(state, {1: 5.0}, self.PARAMS)
+        placement_step(state, [5.0], self.PARAMS)
         for f in FIELDS:
             assert np.array_equal(getattr(state, f), before[f])
 
     def test_misaligned_costs_rejected(self):
         state = make_state([(1, dict(sigma_p2=1.0, sigma_b2=1.0, best_cost=0.0, i_a=0.0))])
         with pytest.raises(ValueError):
-            placement_step(state, {2: 1.0}, self.PARAMS)
+            placement_step(state, [1.0, 1.0], self.PARAMS)
+        with pytest.raises(ValueError):
+            placement_step(state, [[[1.0]]], self.PARAMS)
 
     def test_history_appends_mean(self):
         state = make_state(
@@ -180,9 +207,47 @@ class TestPlacementStep:
                 (2, dict(sigma_p2=1.0, sigma_b2=1.0, best_cost=0.0, i_a=0.0)),
             ]
         )
-        new = placement_step(state, {1: 2.0, 2: 4.0}, self.PARAMS)
+        new = placement_step(state, [2.0, 4.0], self.PARAMS)
         assert new.cost_history == (3.0,)
         assert new.round == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rounds_in_one_call_match_one_call_per_round(self, data):
+        """One R-round call gives, bit for bit, the states of R one-row calls
+        and of the per-round reference, with repeated and tied costs, NaN and
+        both zeros among them; recorded states share no array and keep their
+        values while later rounds run."""
+        n, rounds = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+        costs = data.draw(arrays(float, (rounds, n), elements=TIED_COSTS))
+        state = PlacementState(
+            tuple(range(1, n + 1)),
+            **{f: data.draw(arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0]))) for f in FIELDS[:2]},
+            best_cost=data.draw(arrays(float, n, elements=TIED_COSTS)),
+            i_a=data.draw(arrays(float, n, elements=st.sampled_from([-0.25, 0.0, 0.25]))),
+            sigma_gb2=0.5,
+            round=data.draw(st.integers(0, 3)),
+            cost_history=(1.5,),
+        )
+        params = data.draw(st.sampled_from([PlacementParams(0.5, 0.5), PlacementParams(0.1, 0.01), PlacementParams(3, 7)]))
+        want, one, ref = [], state, state
+        for row in costs:
+            one, ref = placement_step(one, row, params), reference_step(ref, row, params)
+            want.append(bits(one))
+            assert bits(ref) == want[-1]
+
+        record = []
+        assert bits(placement_step(state, costs, params, record)) == want[-1]
+        assert [bits(s) for s in record] == want
+        arrays_of = [[getattr(s, f) for f in FIELDS] for s in record]
+        for k, earlier in enumerate(arrays_of):
+            assert not any(np.shares_memory(a, b) for later in arrays_of[k + 1:] for a in earlier for b in later)
+
+        split = data.draw(st.integers(0, rounds))
+        record = []
+        mid = placement_step(state, costs[:split], params, record)
+        placement_step(mid, costs[split:], params, record)
+        assert [bits(s) for s in record] == want
 
 
 @pytest.fixture(scope="module")
