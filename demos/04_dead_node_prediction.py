@@ -30,14 +30,9 @@ for n_dead in (0, 2, 4):
 print()
 print("predictor quality for each node, pretending it died (all 54 locations)")
 rho_pair = correlation(model, pairwise_distances(dep.positions()))
-o = len(dep)
-
-scores = []
-for k, node in enumerate(dep.nodes):
-    rho_dead = rho_pair[k]
-    scores.append((prediction_accuracy(o, rho_dead, rho_pair), node.id))
-
-scores.sort(reverse=True)
+# every node's row of rho_pair is its rho_dead: score all 54 in one call
+qualities = prediction_accuracy(len(dep), rho_pair, rho_pair)
+scores = sorted(zip(qualities.tolist(), dep.ids()), reverse=True)
 print("  best predicted (central, well correlated):")
 for q, nid in scores[:3]:
     print(f"    node {nid:>2}: quality {q:.4f}")

@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data_io, estimation, placement
 from .clustering import ClusterSet, Deployment, form_clusters
 from .errors import ConfigurationError, DataFormatError
@@ -155,11 +157,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_deployment(args, with_event: bool) -> Deployment:
+def _load_deployment(args) -> Deployment:
+    """The --nodes deployment, carrying the --event source when one is given."""
     dep = data_io.parse_nodes(args.nodes)
-    if with_event and getattr(args, "event", None):
-        ev = EventSource(position=_parse_event(args.event), tau_e=args.tau_e)
-        dep = Deployment(nodes=dep.nodes, event=ev)
+    if args.event:
+        event = EventSource(position=_parse_event(args.event), tau_e=args.tau_e)
+        dep = Deployment(nodes=dep.nodes, event=event)
     return dep
 
 
@@ -190,8 +193,8 @@ def _print_cluster_table(cs, reports=None):
 
 
 def _event_for_estimation(args, dep: Deployment) -> tuple[EventSource, str]:
-    if getattr(args, "event", None):
-        return EventSource(position=_parse_event(args.event), tau_e=args.tau_e), "user"
+    if dep.event is not None:
+        return dep.event, "user"
     return EventSource(position=dep.centroid(), tau_e=args.tau_e), "centroid-default"
 
 
@@ -221,7 +224,7 @@ def _readings_matrix(args, dep: Deployment):
 
 def cmd_cluster(args) -> int:
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    cs = _cluster(args, model, _load_deployment(args, with_event=True))
+    cs = _cluster(args, model, _load_deployment(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"theta": args.theta, "alpha": args.alpha, "derived_radius": bool(args.derive_radius)}
@@ -257,7 +260,7 @@ def _estimate(args, dep: Deployment) -> ClusterSet:
 
 
 def cmd_estimate(args) -> int:
-    _estimate(args, _load_deployment(args, with_event=True))
+    _estimate(args, _load_deployment(args))
     return 0
 
 
@@ -286,12 +289,10 @@ def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
     value = estimation.predict_dead(observed, o_total, unbiased=args.predict_unbiased)
     all_ids = sorted(set(live_ids) | set(dead_ids))
     rho_pair = correlation(model, pairwise_distances([dep.node(i).position for i in all_ids]))
-    divisor = "live" if args.eq13_literal else "total"
+    rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
+    qualities = estimation.prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=args.eq13_literal)
     print(f"{'dead':>5}  {'predicted':>10}  {'quality':>8}")
-    for d in dead_ids:
-        quality = estimation.prediction_accuracy(
-            o_total, rho_pair[all_ids.index(d)], rho_pair, divisor=divisor, live_count=len(live_ids)
-        )
+    for d, quality in zip(dead_ids, qualities):
         print(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}")
 
 
@@ -346,7 +347,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    dep = _load_deployment(args, with_event=True)
+    dep = _load_deployment(args)
     dead_ids = _dead_ids(args, dep)  # a bad --dead fails before the first artifact is written
     matrix, _ = _place(args, dep, _estimate(args, dep))
     if dead_ids:
@@ -377,10 +378,10 @@ def _run(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except DataFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        raise  # stdout is gone; main() exits 1 without a message
+    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
+        # OSError: an input file missing, a directory or unreadable
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ConfigurationError, ValueError) as exc:

@@ -68,19 +68,15 @@ class NoiseProfile:
 class ObservationSet:
     """Complex baseband samples of one cluster, ordered head first, then members by id."""
 
-    cluster: Cluster
     node_ids: tuple[int, ...]
-    epochs: np.ndarray
     samples: np.ndarray  # complex, shape (m, T)
     distances: np.ndarray  # to the event source, shape (m,)
     noise_variances: np.ndarray  # shape (m,)
 
     def __post_init__(self):
-        m, t = self.samples.shape
+        m = self.samples.shape[0]
         if len(self.node_ids) != m or len(self.distances) != m or len(self.noise_variances) != m:
             raise ValueError("per-node arrays must agree with the sample row count")
-        if len(self.epochs) != t:
-            raise ValueError("epochs must agree with the sample column count")
         if np.any(self.distances < 0.0):
             raise ValueError("distances must be non-negative")
 
@@ -158,9 +154,7 @@ def simulate_observations(
         rng.standard_normal((len(order), s.size)) + 1j * rng.standard_normal((len(order), s.size))
     )
     return ObservationSet(
-        cluster=cluster,
         node_ids=order,
-        epochs=np.arange(s.size),
         samples=clean + noise_draw,
         distances=dists,
         noise_variances=variances,
@@ -213,36 +207,48 @@ def information_accuracy(
     rho_event holds each node's correlation with the source, rho_pair the
     symmetric unit-diagonal matrix of pairwise node correlations.
     """
-    gain, off_sum, noise_num = _accuracy_sums(m, rho_event, rho_pair, sigma_s2, noise_variances)
-    # combine the two 1/m**2 terms before dividing so the perfect-correlation
-    # zero-noise case yields exactly 1.0
-    return gain - (off_sum + noise_num) / (m * m)
+    return _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances)[0]
 
 
-def _accuracy_sums(m, rho_event, rho_pair, sigma_s2, noise_variances):
+def _correlation_sums(n, rows, rho_pair, name, stacked=False):
+    """Row sums of ``rows`` and the off-diagonal sum of ``rho_pair``, once both are checked.
+
+    rho_pair must be a symmetric (n, n) matrix. rows is one row of n
+    correlations, shape (n,), or with stacked=True also k rows, shape (k, n);
+    the row sums come back as a 0-d or a (k,) array. Each row is summed as
+    np.sum sums it alone, whatever the memory order of ``rows``.
+    """
+    r = np.asarray(rows, dtype=float, order="C")
+    rp = np.asarray(rho_pair, dtype=float)
+    if r.shape[-1:] != (n,) or r.ndim > (2 if stacked else 1):
+        shape = f"({n},) or (k, {n})" if stacked else f"({n},)"
+        raise ValueError(f"{name} must have shape {shape}, got {r.shape}")
+    if rp.shape != (n, n):
+        raise ValueError(f"rho_pair must have shape ({n}, {n}), got {rp.shape}")
+    if np.max(np.abs(rp - rp.T), initial=0.0) > _SYMMETRY_TOL:
+        raise ValueError("rho_pair must be symmetric")
+    return np.sum(r, axis=-1), float(np.sum(rp)) - float(np.sum(np.diag(rp)))
+
+
+def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
+    """(accuracy, gain, off-diagonal sum, noise numerator) of an m-node cluster."""
     if m < 1:
         raise ValueError(f"node count must be at least 1, got {m}")
     if sigma_s2 <= 0.0:
         raise ValueError(f"sigma_s2 must be positive, got {sigma_s2}")
-    re = np.asarray(rho_event, dtype=float)
-    rp = np.asarray(rho_pair, dtype=float)
     nv = np.asarray(noise_variances, dtype=float)
-    if re.shape != (m,):
-        raise ValueError(f"rho_event must have shape ({m},), got {re.shape}")
-    if rp.shape != (m, m):
-        raise ValueError(f"rho_pair must have shape ({m}, {m}), got {rp.shape}")
     if nv.shape != (m,):
         raise ValueError(f"noise_variances must have shape ({m},), got {nv.shape}")
-    if np.max(np.abs(rp - rp.T), initial=0.0) > _SYMMETRY_TOL:
-        raise ValueError("rho_pair must be symmetric")
-    if np.max(np.abs(np.diag(rp) - 1.0), initial=0.0) > _SYMMETRY_TOL:
+    event_sum, off_sum = _correlation_sums(m, rho_event, rho_pair, "rho_event")
+    if np.max(np.abs(np.diag(np.asarray(rho_pair, dtype=float)) - 1.0), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must have a unit diagonal")
     if np.any(nv < 0.0):
         raise ValueError("noise variances must be non-negative")
-    gain = 2.0 * float(np.sum(re)) / m
-    off_sum = float(np.sum(rp)) - float(np.sum(np.diag(rp)))
+    gain = 2.0 * float(event_sum) / m
     noise_num = (m * sigma_s2 + float(np.sum(nv))) / sigma_s2
-    return gain, off_sum, noise_num
+    # combine the two 1/m**2 terms before dividing so the perfect-correlation
+    # zero-noise case yields exactly 1.0
+    return gain - (off_sum + noise_num) / (m * m), gain, off_sum, noise_num
 
 
 def cluster_accuracy(
@@ -265,12 +271,12 @@ def cluster_accuracy(
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
     rho_pair = correlation(model, pairwise_distances(pos))
     nv = noise.for_nodes(order)
-    gain, off_sum, noise_num = _accuracy_sums(m, rho_event, rho_pair, sig.sigma_s2, nv)
+    accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
     return AccuracyReport(
         head=cluster.head,
         order_index=cluster.order_index,
         m=m,
-        accuracy=gain - (off_sum + noise_num) / (m * m),  # as information_accuracy
+        accuracy=accuracy,
         gain_term=gain,
         redundancy_term=off_sum / (m * m),
         noise_term=noise_num / (m * m),
@@ -293,36 +299,22 @@ def predict_dead(observed: Sequence[float], o_total: int, unbiased: bool = False
     return float(np.sum(obs) / divisor)
 
 
-def prediction_accuracy(
-    o_total: int,
-    rho_dead: Sequence[float],
-    rho_pair,
-    divisor: str = "total",
-    live_count: int | None = None,
-) -> float:
-    """Normalized quality of the dead-node predictor.
+def prediction_accuracy(o_total: int, rho_dead, rho_pair, live_divisor: bool = False) -> float | np.ndarray:
+    """Normalized quality of the dead-node predictor, for one dead node or k at once.
 
-    (2/O) * sum_i rho_dead[i] - (1/D**2) * sum of off-diagonal rho_pair[i, j],
-    where O = o_total and D is O for divisor="total" (the default, dimensionally
-    consistent choice) or the live count for divisor="live".
+    quality = (2/O) * sum_i rho_dead[i] - (1/D**2) * sum of off-diagonal rho_pair[i, j]
+
+    where O = o_total. rho_dead is a dead node's row of correlations with all
+    O nodes, shape (O,), giving a float, or the rows of k dead nodes, shape
+    (k, O), giving a (k,) array; each row scores as it would alone. D is O by
+    default (the dimensionally consistent choice); with live_divisor=True it
+    is the live count O - k, which must be at least 1.
     """
     if o_total < 1:
         raise ValueError(f"total count must be at least 1, got {o_total}")
-    rd = np.asarray(rho_dead, dtype=float)
-    rp = np.asarray(rho_pair, dtype=float)
-    if rd.shape != (o_total,):
-        raise ValueError(f"rho_dead must have shape ({o_total},), got {rd.shape}")
-    if rp.shape != (o_total, o_total):
-        raise ValueError(f"rho_pair must have shape ({o_total}, {o_total}), got {rp.shape}")
-    if np.max(np.abs(rp - rp.T), initial=0.0) > _SYMMETRY_TOL:
-        raise ValueError("rho_pair must be symmetric")
-    if divisor == "total":
-        denom = o_total
-    elif divisor == "live":
-        if live_count is None or live_count < 1:
-            raise ValueError("divisor='live' needs a positive live_count")
-        denom = live_count
-    else:
-        raise ValueError(f"divisor must be 'total' or 'live', got {divisor!r}")
-    off_sum = float(np.sum(rp)) - float(np.sum(np.diag(rp)))
-    return 2.0 / o_total * float(np.sum(rd)) - off_sum / (denom * denom)
+    dead_sums, off_sum = _correlation_sums(o_total, rho_dead, rho_pair, "rho_dead", stacked=True)
+    d = o_total - dead_sums.size if live_divisor else o_total
+    if d < 1:
+        raise ValueError(f"live count must be at least 1, got {o_total} nodes of which {dead_sums.size} dead")
+    quality = 2.0 / o_total * dead_sums - off_sum / (d * d)
+    return quality if dead_sums.ndim else float(quality)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,28 @@ class TestPredict:
         assert code == 0
         assert "5.0000" in out
 
+    def test_literal_qualities_divide_by_the_live_count(self, tmp_path, capsys):
+        # nodes 1-4 on a line 1 m apart, 3 and 4 dead: O = 4, D = O - 2 = 2
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("node_id,x,y,z\n1,0,0,0\n2,1,0,0\n3,2,0,0\n4,3,0,0\n", encoding="utf-8")
+        readings = tmp_path / "readings.csv"
+        readings.write_text("epoch,node_id,value\n0,1,10.0\n0,2,10.0\n", encoding="utf-8")
+        code, out, _ = run(
+            [
+                "predict", "--nodes", str(nodes), "--readings", str(readings),
+                "--dead", "3,4", "--eq13-literal", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        rho = [[math.exp(-abs(i - j) / 30.0) for j in range(4)] for i in range(4)]  # theta 30, alpha 1
+        off_sum = sum(rho[i][j] for i in range(4) for j in range(4) if j != i)
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["3", "4"]
+        for (_, predicted, quality), x in zip(rows, (2, 3)):
+            assert predicted == "5.0000"
+            assert quality == f"{2.0 / 4 * sum(rho[x]) - off_sum / 2**2:.4f}"
+
     def test_all_dead_is_error(self, single_node_csv, tmp_path, capsys):
         code, _, err = run(
             [
@@ -346,6 +369,21 @@ class TestExitCodes:
         code, _, err = run(["cluster", "--nodes", str(tmp_path / "nope.csv")], capsys)
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("flag", ["--nodes", "--readings"])
+    def test_directory_as_input_is_input_error(self, flag, nodes_arg, tmp_path, capsys):
+        argv = ["predict", "--nodes", nodes_arg, "--readings", nodes_arg, "--dead", "3"]
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+    def test_undecodable_nodes_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "nodes.csv"
+        bad.write_bytes("node_id,x,y,z\n1,0,0,0\n2,1,1,1 # café\n".encode("latin-1"))
+        code, _, err = run(["cluster", "--nodes", str(bad), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("input error: ") and "codec can't decode" in err
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

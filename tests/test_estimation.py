@@ -323,18 +323,47 @@ class TestPredictionAccuracy:
             want = 2.0 / o * rho_dead.sum() - double_sum / o**2
             assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("live_divisor", [False, True])
+    def test_stacked_rows_brute_force_oracle(self, live_divisor):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            o = int(rng.integers(2, 12))
+            k = int(rng.integers(1, o))
+            rho_dead = rng.uniform(0.0, 1.0, (k, o))
+            a = rng.uniform(0.0, 1.0, (o, o))
+            rho_pair = (a + a.T) / 2.0
+            np.fill_diagonal(rho_pair, 1.0)
+            got = prediction_accuracy(o, rho_dead, rho_pair, live_divisor=live_divisor)
+            double_sum = sum(
+                rho_pair[i, j] for i in range(o) for j in range(o) if j != i
+            )
+            d = o - k if live_divisor else o
+            want = [2.0 / o * row.sum() - double_sum / d**2 for row in rho_dead]
+            assert got.shape == (k,)
+            assert got == pytest.approx(want, abs=1e-12)
+            if not live_divisor:  # each row scores as it would alone, to the bit
+                alone = [prediction_accuracy(o, row, rho_pair) for row in rho_dead]
+                assert got.tolist() == alone
+
     def test_live_divisor_variant(self):
         rho_pair = np.array([[1.0, 0.8], [0.8, 1.0]])
-        got = prediction_accuracy(2, [0.9, 0.9], rho_pair, divisor="live", live_count=1)
+        got = prediction_accuracy(2, [0.9, 0.9], rho_pair, live_divisor=True)
         assert got == pytest.approx(2.0 / 2.0 * 1.8 - 1.6 / 1.0, abs=1e-12)
 
-    def test_live_divisor_needs_count(self):
-        with pytest.raises(ValueError):
-            prediction_accuracy(2, [0.9, 0.9], np.eye(2), divisor="live")
+    def test_live_divisor_with_every_node_dead_rejected(self):
+        with pytest.raises(ValueError, match="live count"):
+            prediction_accuracy(2, np.eye(2), np.eye(2), live_divisor=True)
+        with pytest.raises(ValueError, match="live count"):
+            prediction_accuracy(1, [1.0], [[1.0]], live_divisor=True)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             prediction_accuracy(3, [1.0, 1.0], np.eye(3))
+
+    @pytest.mark.parametrize("rho_dead", [np.ones((2, 4)), np.ones((2, 2)), np.ones((1, 2, 3))])
+    def test_row_width_other_than_rho_pair_rejected(self, rho_dead):
+        with pytest.raises(ValueError, match="rho_dead must have shape"):
+            prediction_accuracy(3, rho_dead, np.eye(3))
 
 
 class TestNoiseProfile:
