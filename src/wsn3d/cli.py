@@ -105,56 +105,40 @@ def _parse_event(text: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="wsn3d", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cluster", help="form clusters and write clusters.json")
-    _add_cluster_flags(p)
-    _add_model_flags(p)
-    _add_out_flag(p)
-
-    p = sub.add_parser("estimate", help="cluster, then report per-cluster information accuracy")
-    _add_cluster_flags(p)
-    _add_model_flags(p)
-    _add_signal_flags(p)
-    _add_out_flag(p)
-
-    p = sub.add_parser("predict", help="predict readings for dead nodes")
-    _add_nodes_flag(p)
-    _add_readings_flags(p)
-    _add_dead_flags(p)
-    _add_model_flags(p)
-    _add_out_flag(p)
-
-    p = sub.add_parser("place", help="run the placement search and write cost curves")
-    _add_nodes_flag(p)
-    _add_readings_flags(p)
-    _add_radius_flag(p)
-    _add_search_flags(p)
-    _add_model_flags(p)
-    _add_out_flag(p)
-
-    p = sub.add_parser("synth", help="generate a synthetic reading CSV")
-    _add_nodes_flag(p)
+def _add_synth_flags(p: _Parser):
     p.add_argument("--synthetic", default="sun-shade", choices=["sun-shade", "uniform"],
                    help="scenario to draw (default sun-shade)")
     p.add_argument("--epochs", type=int, default=800, help="epochs to draw (default 800)")
     p.add_argument("--variance", type=float, default=None,
                    help="field variance of --synthetic uniform (default 1); sun-shade fixes it at 1")
-    _add_model_flags(p)
-    _add_out_flag(p)
 
-    p = sub.add_parser("pipeline", help="cluster, estimate, then place in one run")
-    _add_cluster_flags(p)
-    _add_model_flags(p)
-    _add_signal_flags(p)
-    _add_readings_flags(p)
-    _add_search_flags(p)
-    _add_dead_flags(p)
-    _add_out_flag(p)
 
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's argument parser; every subcommand is listed in it.
+
+    Only the subcommand named ``command`` gets its flags, -h included, or
+    every subcommand when ``command`` is None: each add_argument call sizes a
+    help formatter to the terminal, so a run builds the flags of the one
+    subcommand it runs.
+    """
+    parser = _Parser(prog="wsn3d", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flag_adders) in _SUBCOMMANDS.items():
+        built = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        for add_flags in flag_adders if built else ():
+            add_flags(p)
     return parser
+
+
+def _write_outputs(out: Path, texts: dict[str, str]) -> None:
+    """Write each text to its file name under the --out directory, made if missing."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {out}: {exc}") from None
 
 
 def _load_deployment(args) -> Deployment:
@@ -226,9 +210,8 @@ def cmd_cluster(args) -> int:
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     cs = _cluster(args, model, _load_deployment(args))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {"theta": args.theta, "alpha": args.alpha, "derived_radius": bool(args.derive_radius)}
-    (out / "clusters.json").write_text(data_io.write_cluster_report(cs, metadata=meta), encoding="utf-8")
+    _write_outputs(out, {"clusters.json": data_io.write_cluster_report(cs, metadata=meta)})
     _print_cluster_table(cs)
     print(f"wrote {out / 'clusters.json'}")
     return 0
@@ -241,17 +224,14 @@ def _estimate(args, dep: Deployment) -> ClusterSet:
     event, event_origin = _event_for_estimation(args, dep)
     sig = estimation.SignalModel(sigma_s2=args.sigma_s2)
     noise = estimation.NoiseProfile.uniform(dep.ids(), args.sigma_n2)
-    reports = [estimation.cluster_accuracy(dep, c, model, sig, noise, event) for c in cs]
+    reports = estimation.cluster_accuracy(dep, cs, model, sig, noise, event)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {
         "theta": args.theta, "alpha": args.alpha,
         "sigma_s2": args.sigma_s2, "sigma_n2": args.sigma_n2,
         "event": list(event.position), "event_origin": event_origin,
     }
-    (out / "clusters.json").write_text(
-        data_io.write_cluster_report(cs, reports, metadata=meta), encoding="utf-8"
-    )
+    _write_outputs(out, {"clusters.json": data_io.write_cluster_report(cs, reports, metadata=meta)})
     if event_origin == "centroid-default":
         print(f"note: no --event given; using the deployment centroid {event.position}")
     _print_cluster_table(cs, reports)
@@ -317,11 +297,8 @@ def _place(args, dep: Deployment, cs: ClusterSet):
     params = placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
     state, costs = placement.run_placement(matrix, cs, params)
     selected = placement.select_nodes(costs, args.threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     curve, nodes = data_io.write_cost_curves(state, costs, selected)
-    (out / "curve.csv").write_text(curve, encoding="utf-8")
-    (out / "nodes.csv").write_text(nodes, encoding="utf-8")
+    _write_outputs(Path(args.out), {"curve.csv": curve, "nodes.csv": nodes})
     print(f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}")
     return matrix, selected
 
@@ -340,8 +317,7 @@ def cmd_synth(args) -> int:
     dep = data_io.parse_nodes(args.nodes)
     matrix = _readings_matrix(args, dep)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "readings.csv").write_text(data_io.write_readings(matrix), encoding="utf-8")
+    _write_outputs(out, {"readings.csv": data_io.write_readings(matrix)})
     print(f"wrote {out / 'readings.csv'} ({len(matrix.node_ids)} nodes x {len(matrix.epochs)} epochs)")
     return 0
 
@@ -357,18 +333,28 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "cluster": cmd_cluster,
-    "estimate": cmd_estimate,
-    "predict": cmd_predict,
-    "place": cmd_place,
-    "synth": cmd_synth,
-    "pipeline": cmd_pipeline,
+# subcommand -> (handler, help line, flag adders in --help order)
+_SUBCOMMANDS = {
+    "cluster": (cmd_cluster, "form clusters and write clusters.json",
+                (_add_cluster_flags, _add_model_flags, _add_out_flag)),
+    "estimate": (cmd_estimate, "cluster, then report per-cluster information accuracy",
+                 (_add_cluster_flags, _add_model_flags, _add_signal_flags, _add_out_flag)),
+    "predict": (cmd_predict, "predict readings for dead nodes",
+                (_add_nodes_flag, _add_readings_flags, _add_dead_flags, _add_model_flags, _add_out_flag)),
+    "place": (cmd_place, "run the placement search and write cost curves",
+              (_add_nodes_flag, _add_readings_flags, _add_radius_flag, _add_search_flags, _add_model_flags,
+               _add_out_flag)),
+    "synth": (cmd_synth, "generate a synthetic reading CSV",
+              (_add_nodes_flag, _add_synth_flags, _add_model_flags, _add_out_flag)),
+    "pipeline": (cmd_pipeline, "cluster, estimate, then place in one run",
+                 (_add_cluster_flags, _add_model_flags, _add_signal_flags, _add_readings_flags,
+                  _add_search_flags, _add_dead_flags, _add_out_flag)),
 }
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -377,11 +363,12 @@ def _run(argv) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except BrokenPipeError:
         raise  # stdout is gone; main() exits 1 without a message
-    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
-        # OSError: an input file missing, a directory or unreadable
+    except (DataFormatError, OSError) as exc:
+        # OSError: an input file missing, a directory or unreadable; output
+        # failures are raised as ConfigurationError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ConfigurationError, ValueError) as exc:

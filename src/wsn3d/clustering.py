@@ -26,7 +26,7 @@ class SensorNode:
             raise ValueError(f"node id must be a positive integer, got {self.id!r}")
         if self.id >= 2**63:  # clustering holds ids in int64 arrays
             raise ValueError(f"node id {self.id} does not fit in int64")
-        if len(self.position) != 3 or not all(math.isfinite(c) for c in self.position):
+        if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
             raise ValueError(f"node {self.id}: position must be a finite 3D point")
 
 
@@ -37,6 +37,7 @@ class Deployment:
     nodes: tuple[SensorNode, ...]
     event: EventSource | None = None
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nodes:
@@ -46,6 +47,9 @@ class Deployment:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate node ids: {dupes}")
         object.__setattr__(self, "_index", {i: k for k, i in enumerate(ids)})
+        positions = np.asarray([n.position for n in self.nodes], dtype=float)
+        positions.flags.writeable = False
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -64,7 +68,8 @@ class Deployment:
         return self.nodes[self.index(node_id)]
 
     def positions(self) -> np.ndarray:
-        return np.asarray([n.position for n in self.nodes], dtype=float)
+        """The (N, 3) node positions in ``nodes`` order; read-only, built once."""
+        return self._positions
 
     def centroid(self) -> tuple[float, float, float]:
         c = self.positions().mean(axis=0)
@@ -152,11 +157,15 @@ def filter_in_event_range(dep: Deployment, model: CorrelationModel) -> set[int]:
     Equivalent to keeping nodes within correlation_radius(model, tau_e) of the
     event position.
     """
+    return set(np.asarray(dep.ids())[_in_event_range(dep, model)].tolist())
+
+
+def _in_event_range(dep: Deployment, model: CorrelationModel) -> np.ndarray:
+    """Boolean mask over ``dep.nodes`` of the nodes filter_in_event_range keeps."""
     if dep.event is None:
         raise ConfigurationError("deployment has no event source to filter against")
     r = correlation_radius(model, dep.event.tau_e)
-    dists = pairwise_distances(dep.positions(), dep.event.position)[:, 0]
-    return {n.id for n, d in zip(dep.nodes, dists) if d <= r}
+    return pairwise_distances(dep.positions(), dep.event.position)[:, 0] <= r
 
 
 def _row_blocks(n: int, size: int = _BLOCK_ROWS):
@@ -210,17 +219,17 @@ def form_clusters(
     and any residual ties.
     """
     _check_radius(radius)
+    rows = np.arange(len(dep))
     if dep.event is not None:
         if model is None:
             raise ConfigurationError("event filtering needs a correlation model")
-        participating = filter_in_event_range(dep, model)
-    else:
-        participating = set(dep.ids())
+        rows = rows[_in_event_range(dep, model)]
 
     # Index k is the k-th smallest participating id, so ascending index order
     # is id order and the first of a tied set is the smallest id.
-    ids = np.asarray(sorted(participating), dtype=np.int64)
-    pos = np.asarray([dep.node(i).position for i in ids.tolist()], dtype=float).reshape(-1, 3)
+    dep_ids = np.asarray(dep.ids(), dtype=np.int64)
+    rows = rows[np.argsort(dep_ids[rows])]
+    ids, pos = dep_ids[rows], dep.positions()[rows]
     adj = _adjacency(pos, radius)
     counts = adj.sum(axis=1)  # in-radius neighbors that are still unassigned
     alive = np.ones(len(ids), dtype=bool)
@@ -234,13 +243,17 @@ def form_clusters(
                     trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
             break
         candidates = np.flatnonzero(alive & (counts == best_count))
-        dmax = np.empty(len(candidates))
-        for block in _row_blocks(len(candidates)):
-            rows = candidates[block]
-            dmax[block] = np.max(
-                pairwise_distances(pos[rows], pos), axis=1, where=adj[rows] & alive, initial=0.0
-            )
-        tied = candidates[dmax <= dmax.min() + 1e-12]
+        tied = candidates
+        if len(candidates) > 1:
+            # each candidate's farthest unassigned neighbor, taken over the columns
+            # of the block's unassigned neighbors only
+            dmax = np.empty(len(candidates))
+            for block in _row_blocks(len(candidates)):
+                near = adj[candidates[block]] & alive
+                cols = np.flatnonzero(near.any(axis=0))
+                dmax[block] = np.max(pairwise_distances(pos[candidates[block]], pos[cols]), axis=1,
+                                     where=near[:, cols], initial=0.0)
+            tied = candidates[dmax <= dmax.min() + 1e-12]
         if len(tied) > 1 and dep.event is not None:
             dev = pairwise_distances(pos[tied], dep.event.position)[:, 0]
             tied = tied[dev <= dev.min() + 1e-12]

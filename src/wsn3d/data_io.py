@@ -8,7 +8,6 @@ number instead of repairing it.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -17,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, ContextManager, Iterator, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -28,14 +27,15 @@ from .geometry import CorrelationModel, correlation, pairwise_distances
 
 _JITTER_FRACTION = 1e-10
 
-_READINGS_HEADER = ("epoch", "node_id", "value")
-_CANONICAL_HEADER = ",".join(_READINGS_HEADER) + "\n"
-# every byte write_readings emits after the header line; on fields of these bytes
-# np.loadtxt accepts and rounds exactly what int() and float() do
+# every byte write_readings and a generated deployment emit after the header
+# line; on fields of these bytes np.loadtxt accepts and rounds exactly what
+# int() and float() do
 _CANONICAL_BYTES = b"0123456789+-.eE,\n"
 # longer lines go to the row reader, where int() caps the digits of a number
 # (4300 by default, never below 640) and csv caps the length of a field
 _CANONICAL_LINE = 512
+# the array reader's row of each schema; its field names are the header
+_NODE_ROW = np.dtype([("node_id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
 _READING_ROW = np.dtype([("epoch", np.int64), ("node_id", np.int64), ("value", np.float64)])
 
 
@@ -92,11 +92,19 @@ class SyntheticScenario:
             raise ValueError(f"scales must be positive: {bad}")
 
 
-def _open_text(source: str | Path | IO[str]) -> ContextManager[IO[str]]:
-    """Open a path (closed on exit) or pass a stream through (left open)."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    return contextlib.nullcontext(source)
+def _read_text(source: str | Path | IO[str]) -> str:
+    """All text of a path, decoded as UTF-8, or of a stream (left open), read once.
+
+    A path that is not UTF-8 fails as DataFormatError naming the file and the
+    line of the first undecodable byte.
+    """
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    data = Path(source).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{source}: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _plain(text: str) -> bool:
@@ -136,23 +144,41 @@ def _rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]
 
 
 def parse_nodes(source: str | Path | IO[str]) -> Deployment:
-    """Read a deployment from CSV with header node_id,x,y,z."""
+    """Read a deployment from CSV with header node_id,x,y,z.
+
+    The source is read once. A file in canonical form (see parse_readings)
+    is parsed in one array pass; any other text, and any file that pass
+    rejects, goes to the row reader, which accepts the same values and names
+    the first bad line.
+    """
+    text = _read_text(source)
+    rows = _canonical_rows(text, _NODE_ROW)
+    if rows is not None:
+        ids = rows["node_id"]
+        xyz = np.stack([rows["x"], rows["y"], rows["z"]], axis=1)
+        ordered = np.sort(ids)  # not np.unique, which imports numpy.ma (about 1 MB) on first use
+        if ordered[0] >= 1 and (ordered[1:] != ordered[:-1]).all() and np.isfinite(xyz).all():
+            return Deployment(nodes=tuple(map(SensorNode, ids.tolist(), map(tuple, xyz.tolist()))))
+    return _parse_node_rows(io.StringIO(text, newline=""))
+
+
+def _parse_node_rows(fh: IO[str]) -> Deployment:
+    """Read a deployment row by row, raising DataFormatError at the first bad line."""
     nodes: list[SensorNode] = []
     seen: set[int] = set()
-    with _open_text(source) as fh:
-        for lineno, row in _rows(fh, ("node_id", "x", "y", "z")):
-            try:
-                nid = int(row[0])
-                x, y, z = (float(v) for v in row[1:])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
-            if nid in seen:
-                raise DataFormatError(f"duplicate node id {nid}", line=lineno)
-            seen.add(nid)
-            try:
-                nodes.append(SensorNode(id=nid, position=(x, y, z)))
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
+    for lineno, row in _rows(fh, _NODE_ROW.names):
+        try:
+            nid = int(row[0])
+            x, y, z = (float(v) for v in row[1:])
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
+        if nid in seen:
+            raise DataFormatError(f"duplicate node id {nid}", line=lineno)
+        seen.add(nid)
+        try:
+            nodes.append(SensorNode(id=nid, position=(x, y, z)))
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
     if not nodes:
         raise DataFormatError("no nodes")
     return Deployment(nodes=tuple(nodes))
@@ -167,26 +193,31 @@ def parse_readings(
     When a deployment is supplied, readings for unknown nodes are rejected.
     Epochs and node ids must fit in int64.
 
-    The source is read once. A trace in the form write_readings emits is
-    parsed in one array pass; any other text, and any trace that pass
-    rejects, goes to the row reader, which accepts the same values and names
-    the first bad line.
+    The source is read once. A trace in canonical form, the form
+    write_readings emits, is parsed in one array pass; any other text, and
+    any trace that pass rejects, goes to the row reader, which accepts the
+    same values and names the first bad line. Canonical text is the header
+    line, then only the bytes of _CANONICAL_BYTES in LF-ended lines of at
+    most _CANONICAL_LINE bytes.
     """
-    with _open_text(source) as fh:
-        text = fh.read()
-    matrix = _parse_canonical(text, deployment)
-    if matrix is None:
-        matrix = _parse_rows(io.StringIO(text, newline=""), deployment)
-    return matrix
+    text = _read_text(source)
+    rows = _canonical_rows(text, _READING_ROW)
+    if rows is not None and np.isfinite(rows["value"]).all():
+        matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
+        no_duplicate = matrix.missing.size - np.count_nonzero(matrix.missing) == rows.size
+        if no_duplicate and (deployment is None or np.isin(matrix.node_ids, deployment.ids()).all()):
+            return matrix
+    return _parse_reading_rows(io.StringIO(text, newline=""), deployment)
 
 
-def _parse_canonical(text: str, deployment: Deployment | None) -> ReadingMatrix | None:
-    """The matrix of a trace whose body holds only the bytes of _CANONICAL_BYTES,
-    in lines of at most _CANONICAL_LINE bytes, or None when the text or its
-    values need the row reader."""
-    if not text.startswith(_CANONICAL_HEADER) or not text.isascii():
+def _canonical_rows(text: str, row: np.dtype) -> np.ndarray | None:
+    """The rows of a canonical CSV text whose header is the field names of
+    ``row``, read in one np.loadtxt, or None when the text needs the row
+    reader. The array is never empty."""
+    header = ",".join(row.names) + "\n"
+    if not text.startswith(header) or not text.isascii():
         return None
-    body = text[len(_CANONICAL_HEADER):].encode("ascii")
+    body = text[len(header):].encode("ascii")
     if body.translate(None, _CANONICAL_BYTES):
         return None
     ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
@@ -197,28 +228,20 @@ def _parse_canonical(text: str, deployment: Deployment | None) -> ReadingMatrix 
             # a body without rows draws a UserWarning, and some numpy releases read
             # '1.0' into an int64 column with only a DeprecationWarning
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(body), dtype=_READING_ROW, delimiter=",", comments=None,
-                              ndmin=1, encoding="ascii")
+            return np.loadtxt(io.BytesIO(body), dtype=row, delimiter=",", comments=None, ndmin=1,
+                              encoding="ascii")
     except (ValueError, Warning):
         return None
-    if not np.isfinite(rows["value"]).all():
-        return None
-    matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
-    if matrix.missing.size - np.count_nonzero(matrix.missing) != rows.size:  # a duplicate cell
-        return None
-    if deployment is not None and not np.isin(matrix.node_ids, deployment.ids()).all():
-        return None
-    return matrix
 
 
-def _parse_rows(fh: IO[str], deployment: Deployment | None) -> ReadingMatrix:
+def _parse_reading_rows(fh: IO[str], deployment: Deployment | None) -> ReadingMatrix:
     """Read a trace row by row, raising DataFormatError at the first bad line."""
     known = set(deployment.ids()) if deployment is not None else None
     epochs: list[int] = []
     nids: list[int] = []
     values: list[float] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, row in _rows(fh, _READINGS_HEADER):
+    for lineno, row in _rows(fh, _READING_ROW.names):
         try:
             epoch = int(row[0])
             nid = int(row[1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -253,34 +253,47 @@ def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
 
 def cluster_accuracy(
     dep: Deployment,
-    cluster: Cluster,
+    clusters: Cluster | Iterable[Cluster],
     model: CorrelationModel,
     sig: SignalModel,
     noise: NoiseProfile,
     event: EventSource,
-) -> AccuracyReport:
-    """Information accuracy of a cluster from its geometry.
+) -> AccuracyReport | list[AccuracyReport]:
+    """Information accuracy of one cluster, or of each of several, from their geometry.
 
     Correlations are taken from the exponential model: node-to-event distances
     give rho_event, pairwise node distances give rho_pair; head and members all
-    count toward m.
+    count toward m. A single Cluster gives one report; a sequence of clusters,
+    such as a ClusterSet, gives a list of reports in its order, each equal to
+    the cluster's own report. rho_event and the noise variances are taken for
+    the nodes of all clusters at once, rho_pair per cluster.
     """
-    order = _cluster_order(cluster)
-    pos = np.asarray([dep.node(i).position for i in order], dtype=float)
-    m = len(order)
+    single = isinstance(clusters, Cluster)
+    group = [clusters] if single else list(clusters)
+    orders = [_cluster_order(c) for c in group]
+    nodes = [i for order in orders for i in order]
+    pos = dep.positions()[[dep.index(i) for i in nodes]]
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
-    rho_pair = correlation(model, pairwise_distances(pos))
-    nv = noise.for_nodes(order)
-    accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
-    return AccuracyReport(
-        head=cluster.head,
-        order_index=cluster.order_index,
-        m=m,
-        accuracy=accuracy,
-        gain_term=gain,
-        redundancy_term=off_sum / (m * m),
-        noise_term=noise_num / (m * m),
-    )
+    nv = noise.for_nodes(nodes)
+    reports = []
+    start = 0
+    for cluster, order in zip(group, orders):
+        m = len(order)
+        part = slice(start, start + m)
+        start += m
+        rho_pair = correlation(model, pairwise_distances(pos[part]))
+        accuracy, gain, off_sum, noise_num = _accuracy_terms(
+            m, rho_event[part], rho_pair, sig.sigma_s2, nv[part])
+        reports.append(AccuracyReport(
+            head=cluster.head,
+            order_index=cluster.order_index,
+            m=m,
+            accuracy=accuracy,
+            gain_term=gain,
+            redundancy_term=off_sum / (m * m),
+            noise_term=noise_num / (m * m),
+        ))
+    return reports[0] if single else reports
 
 
 def predict_dead(observed: Sequence[float], o_total: int, unbiased: bool = False) -> float:

@@ -385,6 +385,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("input error: ") and "codec can't decode" in err
 
+    @pytest.mark.parametrize("command", ["cluster", "estimate", "synth"])
+    def test_unwritable_out_is_usage_error(self, command, nodes_arg, tmp_path, capsys):
+        # an --out below a plain file cannot be made; no input is at fault
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        code, _, err = run([command, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot write --out {out}: ") and "Traceback" not in err
+
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("node_id,x,y,z\n1,a,b,c\n", encoding="utf-8")
@@ -504,3 +514,40 @@ class TestExitCodes:
         assert code == 0
         for token in ("--phi1", "--rounds", "--threshold", "default 300", "default 5"):
             assert token in out
+
+
+# the argvs of the C9 acceptance criterion, one per subcommand
+C9_ARGVS = [
+    ["cluster", "--radius", "6"],
+    ["estimate"],
+    ["place", "--synthetic", "sun-shade", "--rounds", "300", "--threshold", "5", "--seed", "42"],
+    ["synth", "--synthetic", "uniform", "--epochs", "60"],
+    ["predict", "--synthetic", "uniform", "--epochs", "60", "--dead", "16"],
+    ["pipeline", "--synthetic", "sun-shade", "--rounds", "15", "--epochs", "60"],
+]
+
+
+class TestSubcommandParser:
+    """build_parser(name) gives only that subcommand its flags, and parses and
+    documents it as the parser of every subcommand does."""
+
+    def test_help_and_namespace_match_the_full_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        full = subcommands()
+        for argv in C9_ARGVS:
+            name = argv[0]
+            one = build_parser(name)
+            (sub,) = (a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+            assert sub.choices[name].format_help() == full[name].format_help()
+            argv = [*argv, "--nodes", "nodes.csv", "--out", "out"]
+            assert one.parse_args(argv) == build_parser().parse_args(argv)
+            for other, parser in sub.choices.items():
+                assert (other == name) == bool(parser._actions), f"{other} built for {name}"
+        assert {argv[0] for argv in C9_ARGVS} == set(full)
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        code, out, _ = run(["--help"], capsys)
+        assert code == 0
+        assert out == build_parser().format_help()
+        for name in subcommands():
+            assert f"    {name} " in out

@@ -67,6 +67,12 @@ class TestParseNodes:
         with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
             data_io.parse_nodes(src)
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_bytes("node_id,x,y,z\n1,0,0,0\n2,1,1,1 # café\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match=r"^line 3: .*nodes\.csv: 'utf-8' codec can't decode byte 0xe9"):
+            data_io.parse_nodes(path)
+
 
 class TestParseReadings:
     def test_three_rows_one_node(self):
@@ -118,6 +124,12 @@ class TestParseReadings:
         src = io.StringIO(f'epoch,node_id,value\n0,1,1.0\n1,1,"{"1" * (csv.field_size_limit() + 1)}"\n')
         with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
             data_io.parse_readings(src)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        path.write_bytes(b"epoch,node_id,value\n0,1,1.0\n1,1,2.0\n2,1,\xff\n")
+        with pytest.raises(DataFormatError, match=r"^line 4: .*readings\.csv: 'utf-8' codec can't decode byte 0xff"):
+            data_io.parse_readings(path)
 
     def test_full_scale_parse_under_a_second(self, deployment):
         scn = data_io.SyntheticScenario(
@@ -515,3 +527,83 @@ class TestReadingsRouting:
     def test_one_shot_stream_is_read_once(self, eol):
         text = eol.join(["epoch,node_id,value", "0,1,1.5", "1,1,2.5", "1,2,-3.0"]) + eol
         assert_bit_identical(data_io.parse_readings(OneShot(text)), reference_parse_readings(io.StringIO(text)))
+
+
+# coordinate texts in the canonical alphabet: shortest round-trip repr (up to 17
+# digits, exponents, -0.0), 17 significant digits in exponent form, %.17g, and
+# the three-decimal form of a generated deployment where it stays short
+COORDINATE_TEXTS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.16e}", f"{x:.17g}", *[f"{x:.3f}"] * (abs(x) < 1e20)])
+)
+
+
+@st.composite
+def canonical_node_files(draw):
+    n = draw(st.integers(1, 30))
+    ids = draw(st.lists(POSITIVE_IDS, min_size=n, max_size=n, unique=True))
+    rows = [",".join([str(i), *draw(st.lists(COORDINATE_TEXTS, min_size=3, max_size=3))]) for i in ids]
+    return "node_id,x,y,z\n" + "\n".join(rows) + "\n"
+
+
+def node_outcome(parse, text):
+    """The nodes' ids and position bits, or the DataFormatError message."""
+    try:
+        dep = parse(io.StringIO(text, newline=""))
+    except DataFormatError as exc:
+        return str(exc)
+    assert all(type(n.id) is int and type(n.position) is tuple for n in dep.nodes)
+    return [(n.id, *(float.hex(c) for c in n.position)) for n in dep.nodes]
+
+
+ROUTED_NODES = {
+    "id zero": "node_id,x,y,z\n1,0,0,0\n0,1,1,1\n",
+    "negative id": "node_id,x,y,z\n-4,0,0,0\n",
+    "id 2**63": f"node_id,x,y,z\n1,0,0,0\n{2**63},1,1,1\n",
+    "id 2**63 - 1": f"node_id,x,y,z\n{2**63 - 1},-0.0,1e-320,1.7976931348623157e308\n",
+    "fractional id": "node_id,x,y,z\n1,0,0,0\n2.0,1,1,1\n",
+    "exponent id": "node_id,x,y,z\n1e3,0,0,0\n",
+    "overflow to inf": "node_id,x,y,z\n1,0,0,0\n2,1,1e999,1\n",
+    "duplicate id": "node_id,x,y,z\n1,0,0,0\n2,1,1,1\n1,2,2,2\n",
+    "header only": "node_id,x,y,z\n",
+    "plus signs": "node_id,x,y,z\n+7,+1,+.5,+5.\n",
+    "blank rows": "node_id,x,y,z\n\n1,0,0,0\n\n2,1,1,1\n\n",
+    "no final newline": "node_id,x,y,z\n1,0,0,0\n2,1,1,1",
+    "crlf": "node_id,x,y,z\r\n1,0,0,0\r\n",
+    "quoted": 'node_id,x,y,z\n"1",0,0,0\n',
+    "trailing comma": "node_id,x,y,z\n1,0,0,0,\n",
+    "missing field": "node_id,x,y,z\n1,0,,0\n",
+}
+
+
+class TestNodesRouting:
+    """Node files in canonical form take the array path and give the Deployment
+    the row reader gives; every other text, and every file that path rejects,
+    has the row reader's outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_node_files())
+    def test_array_path_matches_the_row_reader(self, text):
+        want = node_outcome(data_io._parse_node_rows, text)
+
+        def no_row_reader(*args):
+            raise AssertionError("the row reader ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "_rows", no_row_reader)
+            assert node_outcome(data_io.parse_nodes, text) == want
+
+    @pytest.mark.parametrize("text", ROUTED_NODES.values(), ids=ROUTED_NODES.keys())
+    def test_outcome_matches_the_row_reader(self, text):
+        assert node_outcome(data_io.parse_nodes, text) == node_outcome(data_io._parse_node_rows, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-.eE,\n", max_size=80))
+    def test_canonical_alphabet_fuzz(self, body):
+        text = "node_id,x,y,z\n" + body
+        assert node_outcome(data_io.parse_nodes, text) == node_outcome(data_io._parse_node_rows, text)
+
+    def test_generated_deployment_skips_the_row_reader(self, fixture_path, monkeypatch):
+        want = node_outcome(data_io._parse_node_rows, fixture_path.read_text(encoding="utf-8"))
+        monkeypatch.setattr(data_io, "_rows", None)
+        dep = data_io.parse_nodes(fixture_path)
+        assert [(n.id, *(float.hex(c) for c in n.position)) for n in dep.nodes] == want

@@ -1,0 +1,170 @@
+"""The estimate path's array forms against reference copies of the loops they
+replaced, bit for bit: cluster_accuracy over a whole ClusterSet against one
+per-cluster call each, and the tie-break distances taken over each
+candidate's unassigned neighbors against the blocked maximum over every
+column."""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsn3d.clustering import (
+    Cluster,
+    ClusterSet,
+    Deployment,
+    ElectionRecord,
+    SensorNode,
+    _adjacency,
+    _row_blocks,
+    filter_in_event_range,
+    form_clusters,
+)
+from wsn3d.estimation import AccuracyReport, NoiseProfile, SignalModel, _accuracy_terms, cluster_accuracy
+from wsn3d.geometry import CorrelationModel, EventSource, correlation, pairwise_distances
+
+MODEL = CorrelationModel(theta=30.0)
+
+
+def reference_cluster_accuracy(dep, cluster, model, sig, noise, event):
+    """One cluster's report from its own positions, rho_event and noise
+    variances, as cluster_accuracy computed it one cluster per call."""
+    order = (cluster.head, *sorted(cluster.members))
+    pos = np.asarray([dep.node(i).position for i in order], dtype=float)
+    m = len(order)
+    rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
+    rho_pair = correlation(model, pairwise_distances(pos))
+    nv = noise.for_nodes(order)
+    accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
+    return AccuracyReport(
+        head=cluster.head, order_index=cluster.order_index, m=m, accuracy=accuracy,
+        gain_term=gain, redundancy_term=off_sum / (m * m), noise_term=noise_num / (m * m),
+    )
+
+
+def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
+    """form_clusters with the tie-break distance of every candidate, lone or
+    not, taken as the maximum over all N columns, 128 candidate rows at a
+    time, where the row's unassigned neighbors are."""
+    participating = filter_in_event_range(dep, model) if dep.event is not None else set(dep.ids())
+    ids = np.asarray(sorted(participating), dtype=np.int64)
+    pos = np.asarray([dep.node(i).position for i in ids.tolist()], dtype=float).reshape(-1, 3)
+    adj = _adjacency(pos, radius)
+    counts = adj.sum(axis=1)
+    alive = np.ones(len(ids), dtype=bool)
+    clusters = []
+    while alive.any():
+        best_count = counts[alive].max()
+        if best_count == 0:
+            for i in ids[alive].tolist():
+                clusters.append(Cluster(head=i, members=frozenset(), order_index=len(clusters) + 1))
+                if trace is not None:
+                    trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
+            break
+        candidates = np.flatnonzero(alive & (counts == best_count))
+        dmax = np.empty(len(candidates))
+        for block in _row_blocks(len(candidates)):
+            rows = candidates[block]
+            dmax[block] = np.max(
+                pairwise_distances(pos[rows], pos), axis=1, where=adj[rows] & alive, initial=0.0
+            )
+        tied = candidates[dmax <= dmax.min() + 1e-12]
+        if len(tied) > 1 and dep.event is not None:
+            dev = pairwise_distances(pos[tied], dep.event.position)[:, 0]
+            tied = tied[dev <= dev.min() + 1e-12]
+        head = tied[0]
+        members = adj[head] & alive
+        if trace is not None:
+            trace.append(ElectionRecord(
+                head=int(ids[head]), candidates=ids[candidates].tolist(), dmax_ties=ids[tied].tolist()
+            ))
+        clusters.append(Cluster(
+            head=int(ids[head]), members=frozenset(ids[members].tolist()), order_index=len(clusters) + 1
+        ))
+        absorbed = np.append(np.flatnonzero(members), head)
+        alive[absorbed] = False
+        counts -= adj[absorbed].sum(axis=0)
+    return ClusterSet(clusters=tuple(clusters), radius=radius)
+
+
+@st.composite
+def deployments(draw):
+    """(deployment, radius): uniform float positions at the bundled fixture's
+    density, or an integer grid where counts and distances tie; shuffled ids
+    up to 2**63 - 1 and an event source half of the time."""
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        pos = rng.integers(0, 5, (n, 3)).astype(float)
+        radius = float(np.sqrt(draw(st.integers(1, 48))))
+    else:
+        pos = rng.uniform(0.0, 10.0 * (n / 54) ** (1 / 3), (n, 3))
+        radius = draw(st.sampled_from([1.5, 3.0, 6.0]))
+    ids = draw(st.lists(st.integers(1, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    event = None
+    if draw(st.booleans()):
+        at = tuple(rng.uniform(0.0, 5.0, 3).tolist())
+        event = EventSource(at, draw(st.sampled_from([0.7, 0.85, 0.95])))
+    nodes = tuple(SensorNode(id=i, position=tuple(p)) for i, p in zip(ids, pos.tolist()))
+    return Deployment(nodes=nodes, event=event), radius
+
+
+def bits(report):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+class TestOneCallAccuracy:
+    @settings(max_examples=200, deadline=None)
+    @given(deployments(), st.data())
+    def test_cluster_set_matches_per_cluster_reports(self, case, data):
+        dep, radius = case
+        cs = form_clusters(dep, radius, MODEL if dep.event else None)
+        event = dep.event or EventSource(position=dep.centroid())
+        # per-node noise, zeros included, so each cluster's slice of the variances matters
+        variances = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 2.0]), min_size=len(dep),
+                                       max_size=len(dep)))
+        noise = NoiseProfile(dict(zip(dep.ids(), variances)))
+        sig = SignalModel(sigma_s2=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
+        got = cluster_accuracy(dep, cs, MODEL, sig, noise, event)
+        want = [reference_cluster_accuracy(dep, c, MODEL, sig, noise, event) for c in cs]
+        assert isinstance(got, list)
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+        for c, w in zip(cs, want):
+            one = cluster_accuracy(dep, c, MODEL, sig, noise, event)
+            assert isinstance(one, AccuracyReport) and bits(one) == bits(w)
+
+    def test_singletons_and_an_empty_set(self):
+        nodes = tuple(SensorNode(id=i, position=(10.0 * i, 0.0, 0.0)) for i in (4, 2, 9))
+        event = EventSource(position=(20.0, 0.0, 0.0))
+        dep = Deployment(nodes=nodes, event=event)
+        noise = NoiseProfile.uniform(dep.ids(), 0.05)
+        cs = form_clusters(dep, 1.0, CorrelationModel(theta=1e6))
+        assert [c.size for c in cs] == [1, 1, 1]
+        got = cluster_accuracy(dep, cs, MODEL, SignalModel(), noise, event)
+        want = [reference_cluster_accuracy(dep, c, MODEL, SignalModel(), noise, event) for c in cs]
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+        assert cluster_accuracy(dep, ClusterSet(clusters=(), radius=1.0), MODEL, SignalModel(), noise, event) == []
+
+
+class TestTieDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(deployments())
+    def test_records_match_the_blocked_maximum(self, case):
+        dep, radius = case
+        got_trace, want_trace = [], []
+        got = form_clusters(dep, radius, MODEL, trace=got_trace)
+        want = blocked_dmax_form_clusters(dep, radius, MODEL, trace=want_trace)
+        assert got == want
+        assert got_trace == want_trace
+
+    def test_many_tied_candidates_span_blocks(self):
+        # an 8 x 8 x 8 unit lattice at radius 1: the 216 interior nodes tie on
+        # six neighbors each, more candidates than one block of rows
+        pts = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        dep = Deployment(nodes=tuple(SensorNode(id=k + 1, position=tuple(p)) for k, p in enumerate(pts.tolist())))
+        got_trace, want_trace = [], []
+        assert form_clusters(dep, 1.0, trace=got_trace) == blocked_dmax_form_clusters(dep, 1.0, trace=want_trace)
+        assert got_trace == want_trace
+        assert len(got_trace[0].candidates) == 216
