@@ -29,10 +29,10 @@ for n_dead in (0, 2, 4):
 
 print()
 print("predictor quality for each node, pretending it died (all 54 locations)")
-rho_pair = correlation(model, pairwise_distances(dep.positions()))
+rho_pair = correlation(model, pairwise_distances(dep.positions))
 # every node's row of rho_pair is its rho_dead: score all 54 in one call
 qualities = prediction_accuracy(len(dep), rho_pair, rho_pair)
-scores = sorted(zip(qualities.tolist(), dep.ids()), reverse=True)
+scores = sorted(zip(qualities.tolist(), dep.node_ids.tolist()), reverse=True)
 print("  best predicted (central, well correlated):")
 for q, nid in scores[:3]:
     print(f"    node {nid:>2}: quality {q:.4f}")

@@ -5,7 +5,6 @@ from .clustering import (
     Cluster,
     ClusterSet,
     Deployment,
-    SensorNode,
     capture_clusters,
     euclidean_distance,
     filter_in_event_range,

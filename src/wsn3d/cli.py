@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 input-data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -146,7 +147,7 @@ def _load_deployment(args) -> Deployment:
     dep = data_io.parse_nodes(args.nodes)
     if args.event:
         event = EventSource(position=_parse_event(args.event), tau_e=args.tau_e)
-        dep = Deployment(nodes=dep.nodes, event=event)
+        dep = dataclasses.replace(dep, event=event)
     return dep
 
 
@@ -223,7 +224,7 @@ def _estimate(args, dep: Deployment) -> ClusterSet:
     cs = _cluster(args, model, dep)
     event, event_origin = _event_for_estimation(args, dep)
     sig = estimation.SignalModel(sigma_s2=args.sigma_s2)
-    noise = estimation.NoiseProfile.uniform(dep.ids(), args.sigma_n2)
+    noise = estimation.NoiseProfile.uniform(dep.node_ids.tolist(), args.sigma_n2)
     reports = estimation.cluster_accuracy(dep, cs, model, sig, noise, event)
     out = Path(args.out)
     meta = {
@@ -250,25 +251,29 @@ def _dead_ids(args, dep: Deployment) -> list[int]:
     repeated = sorted({i for i in dead_ids if dead_ids.count(i) > 1})
     if repeated:
         raise ConfigurationError(f"dead ids given more than once: {repeated}")
-    unknown = set(dead_ids) - set(dep.ids())
+    known = set(dep.node_ids.tolist())
+    unknown = set(dead_ids) - known
     if unknown:
         raise ConfigurationError(f"dead ids not in deployment: {sorted(unknown)}")
-    if set(dead_ids) == set(dep.ids()):
+    if set(dead_ids) == known:
         raise ConfigurationError("all nodes are dead; nothing observed")
     return dead_ids
 
 
 def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    live_ids = [i for i in sorted(matrix.node_ids) if i not in dead_ids]
-    missing = [i for i in live_ids if matrix.present_values(i).size == 0]
-    if missing:
-        raise DataFormatError(f"no readings for live nodes {missing}")
-    observed = [float(matrix.present_values(i).mean()) for i in live_ids]
+    ids = np.asarray(matrix.node_ids)
+    rows = np.argsort(ids)
+    rows = rows[~np.isin(ids[rows], dead_ids)]  # the live nodes' rows, in id order
+    live_ids, live = ids[rows], matrix.values[rows]
+    silent = np.isnan(live).all(axis=1)
+    if silent.any():
+        raise DataFormatError(f"no readings for live nodes {live_ids[silent].tolist()}")
+    observed = [float(row[~np.isnan(row)].mean()) for row in live]
     o_total = len(live_ids) + len(dead_ids)
     value = estimation.predict_dead(observed, o_total, unbiased=args.predict_unbiased)
-    all_ids = sorted(set(live_ids) | set(dead_ids))
-    rho_pair = correlation(model, pairwise_distances([dep.node(i).position for i in all_ids]))
+    all_ids = np.sort(np.concatenate([live_ids, dead_ids]))  # not np.union1d, which imports numpy.ma
+    rho_pair = correlation(model, pairwise_distances(dep.positions[dep.index(all_ids)]))
     rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
     qualities = estimation.prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=args.eq13_literal)
     print(f"{'dead':>5}  {'predicted':>10}  {'quality':>8}")
@@ -286,26 +291,31 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _place(args, dep: Deployment, cs: ClusterSet):
+def _placement_params(args) -> placement.PlacementParams:
+    return placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
+
+
+def _place(args, cs: ClusterSet, matrix, params: placement.PlacementParams) -> set[int]:
     """Run the placement search on the partition ``cs``; write curve.csv and nodes.csv."""
     if not cs.clusters:
         raise ConfigurationError("no node was clustered; nothing to place")
-    matrix = _readings_matrix(args, dep)
-    missing = set(cs.all_ids()) - set(matrix.node_ids)
-    if missing:
-        raise DataFormatError(f"readings do not cover nodes {sorted(missing)}")
-    params = placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
+    clustered = np.asarray(sorted(cs.all_ids()))
+    counted = np.asarray(matrix.node_ids)[np.count_nonzero(~matrix.missing, axis=1) >= 2]
+    short = clustered[~np.isin(clustered, counted)]  # a node absent from the readings has 0
+    if short.size:
+        raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short.tolist()}")
     state, costs = placement.run_placement(matrix, cs, params)
     selected = placement.select_nodes(costs, args.threshold)
     curve, nodes = data_io.write_cost_curves(state, costs, selected)
     _write_outputs(Path(args.out), {"curve.csv": curve, "nodes.csv": nodes})
     print(f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}")
-    return matrix, selected
+    return selected
 
 
 def cmd_place(args) -> int:
     dep = data_io.parse_nodes(args.nodes)
-    _, selected = _place(args, dep, form_clusters(dep, args.radius))
+    cs = form_clusters(dep, args.radius)
+    selected = _place(args, cs, _readings_matrix(args, dep), _placement_params(args))
     if selected:
         print("selected:", ",".join(str(i) for i in sorted(selected)))
     out = Path(args.out)
@@ -324,8 +334,10 @@ def cmd_synth(args) -> int:
 
 def cmd_pipeline(args) -> int:
     dep = _load_deployment(args)
-    dead_ids = _dead_ids(args, dep)  # a bad --dead fails before the first artifact is written
-    matrix, _ = _place(args, dep, _estimate(args, dep))
+    # bad --dead ids, readings or search flags fail before the first artifact is written
+    dead_ids = _dead_ids(args, dep)
+    matrix, params = _readings_matrix(args, dep), _placement_params(args)
+    _place(args, _estimate(args, dep), matrix, params)
     if dead_ids:
         _predict(args, dep, matrix, dead_ids)
     elif args.dead:

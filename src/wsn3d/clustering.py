@@ -16,63 +16,65 @@ from .errors import ConfigurationError
 from .geometry import CorrelationModel, EventSource, correlation_radius, pairwise_distances
 
 
-@dataclass(frozen=True)
-class SensorNode:
-    id: int
-    position: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not (isinstance(self.id, int) and self.id >= 1):
-            raise ValueError(f"node id must be a positive integer, got {self.id!r}")
-        if self.id >= 2**63:  # clustering holds ids in int64 arrays
-            raise ValueError(f"node id {self.id} does not fit in int64")
-        if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
-            raise ValueError(f"node {self.id}: position must be a finite 3D point")
+def _node_problem(node_id, position) -> str | None:
+    """Why ``node_id`` at ``position`` cannot be a deployment node, or None."""
+    if type(node_id) is not int or node_id < 1:
+        return f"node id must be a positive integer, got {node_id!r}"
+    if node_id >= 2**63:  # ids are held in int64 arrays
+        return f"node id {node_id} does not fit in int64"
+    if not all(map(math.isfinite, position)):
+        return f"node {node_id}: position must be a finite 3D point"
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deployment:
-    """An ordered set of uniquely identified sensor nodes, plus an optional event."""
+    """Sensor nodes as two read-only arrays, plus an optional event: ``node_ids``
+    (int64, unique, from 1 to 2**63 - 1) and ``positions`` ((N, 3) float64,
+    finite), row k of each belonging to the same node."""
 
-    nodes: tuple[SensorNode, ...]
+    node_ids: np.ndarray
+    positions: np.ndarray
     event: EventSource | None = None
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
-    _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.nodes:
+        ids = np.asarray(self.node_ids)
+        pos = np.array(self.positions, dtype=np.float64, order="C")  # a copy, made read-only below
+        if ids.size == 0:
             raise ValueError("deployment needs at least one node")
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate node ids: {dupes}")
-        object.__setattr__(self, "_index", {i: k for k, i in enumerate(ids)})
-        positions = np.asarray([n.position for n in self.nodes], dtype=float)
-        positions.flags.writeable = False
-        object.__setattr__(self, "_positions", positions)
+        if ids.ndim != 1 or pos.shape != (len(ids), 3):
+            raise ValueError(f"need node ids of shape (N,) and positions (N, 3), got {ids.shape} and {pos.shape}")
+        if ids.dtype.kind not in "iu" or ids.min() < 1 or ids.max() >= 2**63 or not np.isfinite(pos).all():
+            # the first offending node, by the checks the row reader makes; a list
+            # of Python ints that no integer dtype holds arrives here as floats
+            nodes = zip(np.asarray(self.node_ids, dtype=object).tolist(), pos.tolist())
+            problem = next(filter(None, (_node_problem(i, p) for i, p in nodes)), None)
+            if problem:
+                raise ValueError(problem)
+        ids = np.array(ids, dtype=np.int64)
+        ordered = np.sort(ids)  # not np.unique, which imports numpy.ma (about 1 MB) on first use
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate node ids: {sorted(set(repeated.tolist()))}")
+        ids.flags.writeable = pos.flags.writeable = False
+        object.__setattr__(self, "node_ids", ids)
+        object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
-    def ids(self) -> list[int]:
-        return [n.id for n in self.nodes]
-
-    def index(self, node_id: int) -> int:
-        """Position of the node with this id in ``nodes``."""
-        try:
-            return self._index[node_id]
-        except KeyError:
-            raise KeyError(f"no node with id {node_id}") from None
-
-    def node(self, node_id: int) -> SensorNode:
-        return self.nodes[self.index(node_id)]
-
-    def positions(self) -> np.ndarray:
-        """The (N, 3) node positions in ``nodes`` order; read-only, built once."""
-        return self._positions
+    def index(self, ids) -> np.ndarray:
+        """Rows of the nodes with these ids, in the order given; an unknown id is a KeyError."""
+        want = np.asarray(ids)
+        order = np.argsort(self.node_ids)
+        rows = order[np.minimum(np.searchsorted(self.node_ids, want, sorter=order), len(order) - 1)]
+        unknown = self.node_ids[rows] != want
+        if unknown.any():
+            raise KeyError(f"no node with id {want[unknown][0]}")
+        return rows
 
     def centroid(self) -> tuple[float, float, float]:
-        c = self.positions().mean(axis=0)
+        c = self.positions.mean(axis=0)
         return (float(c[0]), float(c[1]), float(c[2]))
 
 
@@ -157,15 +159,15 @@ def filter_in_event_range(dep: Deployment, model: CorrelationModel) -> set[int]:
     Equivalent to keeping nodes within correlation_radius(model, tau_e) of the
     event position.
     """
-    return set(np.asarray(dep.ids())[_in_event_range(dep, model)].tolist())
+    return set(dep.node_ids[_in_event_range(dep, model)].tolist())
 
 
 def _in_event_range(dep: Deployment, model: CorrelationModel) -> np.ndarray:
-    """Boolean mask over ``dep.nodes`` of the nodes filter_in_event_range keeps."""
+    """Boolean mask over the deployment's rows of the nodes filter_in_event_range keeps."""
     if dep.event is None:
         raise ConfigurationError("deployment has no event source to filter against")
     r = correlation_radius(model, dep.event.tau_e)
-    return pairwise_distances(dep.positions(), dep.event.position)[:, 0] <= r
+    return pairwise_distances(dep.positions, dep.event.position)[:, 0] <= r
 
 
 def _row_blocks(n: int, size: int = _BLOCK_ROWS):
@@ -185,16 +187,14 @@ def _adjacency(pos: np.ndarray, radius: float) -> np.ndarray:
     return adj
 
 
-def neighbor_sets(nodes, radius: float) -> dict[int, set[int]]:
+def neighbor_sets(dep: Deployment, radius: float) -> dict[int, set[int]]:
     """Map each node id to the ids of all other nodes within the given radius.
 
     The boundary is inclusive, so the relation is symmetric.
     """
     _check_radius(radius)
-    node_list = list(nodes.nodes) if isinstance(nodes, Deployment) else list(nodes)
-    ids = np.asarray([n.id for n in node_list], dtype=np.int64)
-    adj = _adjacency(np.asarray([n.position for n in node_list], dtype=float).reshape(-1, 3), radius)
-    return {int(i): set(ids[row].tolist()) for i, row in zip(ids, adj)}
+    ids = dep.node_ids
+    return {i: set(ids[row].tolist()) for i, row in zip(ids.tolist(), _adjacency(dep.positions, radius))}
 
 
 def form_clusters(
@@ -227,9 +227,8 @@ def form_clusters(
 
     # Index k is the k-th smallest participating id, so ascending index order
     # is id order and the first of a tied set is the smallest id.
-    dep_ids = np.asarray(dep.ids(), dtype=np.int64)
-    rows = rows[np.argsort(dep_ids[rows])]
-    ids, pos = dep_ids[rows], dep.positions()[rows]
+    rows = rows[np.argsort(dep.node_ids[rows])]
+    ids, pos = dep.node_ids[rows], dep.positions[rows]
     adj = _adjacency(pos, radius)
     counts = adj.sum(axis=1)  # in-radius neighbors that are still unassigned
     alive = np.ones(len(ids), dtype=bool)
@@ -281,8 +280,8 @@ def capture_clusters(dep: Deployment, heads, radius: float) -> ClusterSet:
     an externally reported partition is consistent with a capture radius.
     """
     _check_radius(radius)
-    ids = np.asarray(dep.ids(), dtype=np.int64)
-    adj = _adjacency(dep.positions(), radius)
+    ids = dep.node_ids
+    adj = _adjacency(dep.positions, radius)
     alive = np.ones(len(ids), dtype=bool)
     clusters: list[Cluster] = []
     for head in heads:

@@ -20,7 +20,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .clustering import Cluster, ClusterSet, Deployment, SensorNode
+from .clustering import Cluster, ClusterSet, Deployment, _node_problem
 from .errors import DataFormatError
 from .estimation import AccuracyReport
 from .geometry import CorrelationModel, correlation, pairwise_distances
@@ -41,28 +41,23 @@ _READING_ROW = np.dtype([("epoch", np.int64), ("node_id", np.int64), ("value", n
 
 @dataclass
 class ReadingMatrix:
-    """Per-node, per-epoch readings with an explicit missing-cell mask."""
+    """Per-node, per-epoch readings; NaN marks a missing cell, and only NaN."""
 
     node_ids: tuple[int, ...]
     epochs: tuple[int, ...]
     values: np.ndarray  # shape (nodes, epochs), NaN where missing
-    missing: np.ndarray  # bool, same shape
-    _rows: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (len(self.node_ids), len(self.epochs))
-        if self.values.shape != shape or self.missing.shape != shape:
-            raise ValueError(f"values and missing must have shape {shape}")
-        if not np.all(np.isfinite(self.values[~self.missing])):
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape {shape}")
+        if np.isinf(self.values).any():
             raise ValueError("present cells must hold finite values")
-        self._rows = {nid: k for k, nid in enumerate(self.node_ids)}
 
-    def row(self, node_id: int) -> np.ndarray:
-        return self.values[self._rows[node_id]]
-
-    def present_values(self, node_id: int) -> np.ndarray:
-        k = self._rows[node_id]
-        return self.values[k][~self.missing[k]]
+    @property
+    def missing(self) -> np.ndarray:
+        """The missing cells, np.isnan(values)."""
+        return np.isnan(self.values)
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def _csv_rows(fh: IO[str]) -> Iterator[list[str]]:
         raise DataFormatError(str(exc), line=reader.line_num) from None
 
 
-def _rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+def _checked_rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, row) for each non-blank row after the header, which
     must equal ``header``; every row must have as many columns as the header,
     and every field must be ``_plain``."""
@@ -154,34 +149,31 @@ def parse_nodes(source: str | Path | IO[str]) -> Deployment:
     text = _read_text(source)
     rows = _canonical_rows(text, _NODE_ROW)
     if rows is not None:
-        ids = rows["node_id"]
-        xyz = np.stack([rows["x"], rows["y"], rows["z"]], axis=1)
-        ordered = np.sort(ids)  # not np.unique, which imports numpy.ma (about 1 MB) on first use
-        if ordered[0] >= 1 and (ordered[1:] != ordered[:-1]).all() and np.isfinite(xyz).all():
-            return Deployment(nodes=tuple(map(SensorNode, ids.tolist(), map(tuple, xyz.tolist()))))
+        try:
+            return Deployment(rows["node_id"], np.stack([rows["x"], rows["y"], rows["z"]], axis=1))
+        except ValueError:
+            pass
     return _parse_node_rows(io.StringIO(text, newline=""))
 
 
 def _parse_node_rows(fh: IO[str]) -> Deployment:
     """Read a deployment row by row, raising DataFormatError at the first bad line."""
-    nodes: list[SensorNode] = []
-    seen: set[int] = set()
-    for lineno, row in _rows(fh, _NODE_ROW.names):
+    nodes: dict[int, list[float]] = {}
+    for lineno, row in _checked_rows(fh, _NODE_ROW.names):
         try:
             nid = int(row[0])
-            x, y, z = (float(v) for v in row[1:])
+            xyz = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise DataFormatError(str(exc), line=lineno) from None
-        if nid in seen:
+        if nid in nodes:
             raise DataFormatError(f"duplicate node id {nid}", line=lineno)
-        seen.add(nid)
-        try:
-            nodes.append(SensorNode(id=nid, position=(x, y, z)))
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line=lineno) from None
+        problem = _node_problem(nid, xyz)
+        if problem:
+            raise DataFormatError(problem, line=lineno)
+        nodes[nid] = xyz
     if not nodes:
         raise DataFormatError("no nodes")
-    return Deployment(nodes=tuple(nodes))
+    return Deployment(list(nodes), list(nodes.values()))
 
 
 def parse_readings(
@@ -189,7 +181,8 @@ def parse_readings(
 ) -> ReadingMatrix:
     """Read a reading trace from CSV with header epoch,node_id,value.
 
-    Epochs need not be dense; cells absent from the file are marked missing.
+    Epochs need not be dense; cells absent from the file are NaN, the mark of
+    a missing cell.
     When a deployment is supplied, readings for unknown nodes are rejected.
     Epochs and node ids must fit in int64.
 
@@ -204,8 +197,8 @@ def parse_readings(
     rows = _canonical_rows(text, _READING_ROW)
     if rows is not None and np.isfinite(rows["value"]).all():
         matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
-        no_duplicate = matrix.missing.size - np.count_nonzero(matrix.missing) == rows.size
-        if no_duplicate and (deployment is None or np.isin(matrix.node_ids, deployment.ids()).all()):
+        no_duplicate = matrix.values.size - np.count_nonzero(matrix.missing) == rows.size
+        if no_duplicate and (deployment is None or np.isin(matrix.node_ids, deployment.node_ids).all()):
             return matrix
     return _parse_reading_rows(io.StringIO(text, newline=""), deployment)
 
@@ -236,12 +229,12 @@ def _canonical_rows(text: str, row: np.dtype) -> np.ndarray | None:
 
 def _parse_reading_rows(fh: IO[str], deployment: Deployment | None) -> ReadingMatrix:
     """Read a trace row by row, raising DataFormatError at the first bad line."""
-    known = set(deployment.ids()) if deployment is not None else None
+    known = set(deployment.node_ids.tolist()) if deployment is not None else None
     epochs: list[int] = []
     nids: list[int] = []
     values: list[float] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, row in _rows(fh, _READING_ROW.names):
+    for lineno, row in _checked_rows(fh, _READING_ROW.names):
         try:
             epoch = int(row[0])
             nid = int(row[1])
@@ -271,8 +264,7 @@ def _reading_matrix(epochs, nids, values) -> ReadingMatrix:
     epoch_ids, cols = np.unique(np.asarray(epochs, dtype=np.int64), return_inverse=True)
     grid = np.full((len(node_ids), len(epoch_ids)), np.nan)
     grid[rows, cols] = values
-    return ReadingMatrix(node_ids=tuple(node_ids.tolist()), epochs=tuple(epoch_ids.tolist()),
-                         values=grid, missing=np.isnan(grid))
+    return ReadingMatrix(node_ids=tuple(node_ids.tolist()), epochs=tuple(epoch_ids.tolist()), values=grid)
 
 
 def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix:
@@ -282,7 +274,7 @@ def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix
     numerically singular, a diagonal jitter of 1e-10 * variance is added once
     before giving up.
     """
-    cov = scn.variance * correlation(scn.model, pairwise_distances(dep.positions()))
+    cov = scn.variance * correlation(scn.model, pairwise_distances(dep.positions))
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -297,22 +289,17 @@ def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix
             ) from None
     rng = np.random.default_rng(scn.seed)
     draws = rng.standard_normal((scn.epochs, len(dep))) @ chol.T  # (epochs, nodes)
-    ids = dep.ids()
+    ids = dep.node_ids.tolist()
     offsets = np.asarray([scn.offsets.get(i, 0.0) for i in ids])
     scales = np.asarray([scn.scales.get(i, 1.0) for i in ids])
     values = (offsets[:, None] + scales[:, None] * draws.T).astype(float)
-    return ReadingMatrix(
-        node_ids=tuple(ids),
-        epochs=tuple(range(scn.epochs)),
-        values=values,
-        missing=np.zeros_like(values, dtype=bool),
-    )
+    return ReadingMatrix(node_ids=tuple(ids), epochs=tuple(range(scn.epochs)), values=values)
 
 
 def sun_shade_groups(dep: Deployment, z_split: float = 4.6) -> tuple[set[int], set[int]]:
     """Split nodes by elevation: ids at or above z_split ("sun") and below ("shade")."""
-    sun = {n.id for n in dep.nodes if n.position[2] >= z_split}
-    return sun, set(dep.ids()) - sun
+    high = dep.positions[:, 2] >= z_split
+    return set(dep.node_ids[high].tolist()), set(dep.node_ids[~high].tolist())
 
 
 def sun_shade_scenario(

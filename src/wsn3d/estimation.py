@@ -140,10 +140,10 @@ def simulate_observations(
         raise ValueError("source sequence must be non-empty")
     order = _cluster_order(cluster)
     try:
-        positions = [dep.node(i).position for i in order]
+        rows = dep.index(order)
     except KeyError as exc:
         raise ConfigurationError(f"cluster node missing from deployment: {exc.args[0]}") from None
-    dists = pairwise_distances(positions, dep.event.position)[:, 0]
+    dists = pairwise_distances(dep.positions[rows], dep.event.position)[:, 0]
     variances = noise.for_nodes(order)
 
     phases = _steering_phases(model, dists)
@@ -272,7 +272,7 @@ def cluster_accuracy(
     group = [clusters] if single else list(clusters)
     orders = [_cluster_order(c) for c in group]
     nodes = [i for order in orders for i in order]
-    pos = dep.positions()[[dep.index(i) for i in nodes]]
+    pos = dep.positions[dep.index(nodes)]
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
     nv = noise.for_nodes(nodes)
     reports = []

@@ -105,13 +105,13 @@ class PrefixMoments:
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
         self.node_ids = ids = sorted(clusters.all_ids())
-        missing = set(ids) - set(matrix.node_ids)
-        if missing:
-            raise ValueError(f"readings missing for nodes {sorted(missing)}")
+        rows = np.flatnonzero(np.isin(matrix.node_ids, ids))
+        if rows.size < len(ids):
+            raise ValueError(f"readings missing for nodes {sorted(set(ids) - set(matrix.node_ids))}")
         self.epoch_count = len(matrix.epochs)
-        row = {nid: r for r, nid in enumerate(matrix.node_ids)}
-        rows = [row[nid] for nid in ids]
-        present, values = ~matrix.missing[rows], np.where(matrix.missing[rows], 0.0, matrix.values[rows])
+        values = matrix.values[rows[np.argsort(np.take(matrix.node_ids, rows))]]  # rows in id order
+        present = ~np.isnan(values)
+        values = np.where(present, values, 0.0)
         # shift each node by the mean of its present readings (0 with none): costs stay, sums keep their digits
         values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
         self._present, self._values = present.astype(float), np.where(present, values, 0.0)

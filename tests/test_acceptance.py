@@ -39,15 +39,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def random_cluster_deployment(m, seed=0, box=20.0):
-    from wsn3d.clustering import Cluster, Deployment, SensorNode
+    from wsn3d.clustering import Cluster, Deployment
     from wsn3d.geometry import EventSource
 
     rng = np.random.default_rng(seed)
-    nodes = tuple(
-        SensorNode(id=k + 1, position=tuple(rng.uniform(0.0, box, 3))) for k in range(m)
-    )
+    positions = rng.uniform(0.0, box, (m, 3))
     event = EventSource(position=tuple(rng.uniform(0.0, box, 3)), tau_e=0.85)
-    dep = Deployment(nodes=nodes, event=event)
+    dep = Deployment(np.arange(1, m + 1), positions, event)
     cluster = Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1)
     return dep, cluster
 
@@ -245,7 +243,7 @@ def test_c8_synthetic_field_fidelity(deployment):
         model = CorrelationModel(theta=30.0, alpha=1.0)
         scn = data_io.SyntheticScenario(model=model, variance=1.0, epochs=800, seed=42)
         matrix = data_io.generate_synthetic(scn, deployment)
-        pos = deployment.positions()
+        pos = deployment.positions
         diff = pos[:, None, :] - pos[None, :, :]
         want = np.exp(-np.sqrt((diff**2).sum(axis=2)) / 30.0)
         emp = np.corrcoef(matrix.values)

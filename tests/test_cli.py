@@ -273,6 +273,18 @@ class TestPlace:
         assert code == 0
         assert "0 of 54" in out
 
+    def test_nodes_with_fewer_than_two_readings_are_an_input_error(self, nodes_arg, tmp_path, capsys):
+        # node 3 is read once and node 8 never; both are clustered
+        rows = [f"{e},{i},{i + 0.5 * e}" for e in range(6) for i in range(1, 55) if i != 8 and (i != 3 or e == 0)]
+        trace = tmp_path / "trace.csv"
+        trace.write_text("epoch,node_id,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["place", "--nodes", nodes_arg, "--readings", str(trace), "--rounds", "3", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "clustered nodes with fewer than 2 readings: [3, 8]" in err
+        assert not out.exists()
+
     def test_requires_reading_source(self, nodes_arg, tmp_path, capsys):
         code, _, err = run(
             ["place", "--nodes", nodes_arg, "--rounds", "2", "--out", str(tmp_path)], capsys
@@ -302,6 +314,9 @@ class TestSynth:
         assert code == 1
         assert "--variance" in err
         assert not out.exists()
+
+
+SUN_SHADE = ["--synthetic", "sun-shade"]
 
 
 class TestPipeline:
@@ -353,12 +368,22 @@ class TestPipeline:
         assert "nothing to place" in err
         assert not (tmp_path / "nodes.csv").exists()
 
-    @pytest.mark.parametrize("dead, message", [("3,3", "more than once: [3]"), ("3,999", "not in deployment: [999]")])
-    def test_bad_dead_ids_fail_before_any_artifact(self, nodes_arg, tmp_path, capsys, dead, message):
-        argv = ["pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade", "--rounds", "3",
-                "--epochs", "30", "--dead", dead, "--out", str(tmp_path)]
+    @pytest.mark.parametrize("flags, exit_code, message", [
+        pytest.param([*SUN_SHADE, "--dead", "3,3"], 1, "more than once: [3]", id="3,3-more than once: [3]"),
+        pytest.param([*SUN_SHADE, "--dead", "3,999"], 1, "not in deployment: [999]",
+                     id="3,999-not in deployment: [999]"),
+        pytest.param([*SUN_SHADE, "--rounds", "0"], 1, "rounds must be at least 1", id="rounds-0"),
+        pytest.param([*SUN_SHADE, "--phi1", "-1"], 1, "adaptation factors", id="negative-phi1"),
+        pytest.param([*SUN_SHADE, "--epochs", "1"], 1, "at least 2 epochs", id="one-epoch"),
+        pytest.param([*SUN_SHADE, "--readings", "readings.csv"], 1, "either --readings or --synthetic",
+                     id="two-reading-sources"),
+        pytest.param(["--readings", "no-such-readings.csv"], 2, "no-such-readings.csv", id="missing-readings-file"),
+    ])
+    def test_bad_dead_ids_fail_before_any_artifact(self, nodes_arg, tmp_path, capsys, flags, exit_code, message):
+        """A bad --dead, search flag or reading source fails before clusters.json is written."""
+        argv = ["pipeline", "--nodes", nodes_arg, "--rounds", "3", "--epochs", "30", "--out", str(tmp_path), *flags]
         code, out, err = run(argv, capsys)
-        assert code == 1
+        assert code == exit_code
         assert message in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,6 @@ from wsn3d.clustering import (
     ClusterSet,
     Deployment,
     ElectionRecord,
-    SensorNode,
     capture_clusters,
     euclidean_distance,
     filter_in_event_range,
@@ -23,14 +22,12 @@ MODEL = CorrelationModel(theta=30.0, alpha=1.0)
 
 
 def line_deployment(xs, event=None):
-    nodes = tuple(SensorNode(id=k + 1, position=(float(x), 0.0, 0.0)) for k, x in enumerate(xs))
-    return Deployment(nodes=nodes, event=event)
+    return Deployment(np.arange(1, len(xs) + 1), [(float(x), 0.0, 0.0) for x in xs], event)
 
 
 class TestEuclideanDistance:
     def test_fixture_pair(self, deployment):
-        a = deployment.node(47).position
-        b = deployment.node(5).position
+        a, b = deployment.positions[deployment.index([47, 5])]
         assert euclidean_distance(a, b) == pytest.approx(1.6820719366305354, abs=1e-9)
 
     def test_coincident_points(self):
@@ -75,17 +72,14 @@ class TestNeighborSets:
 
     def test_symmetry_random_geometry(self):
         rng = np.random.default_rng(11)
-        nodes = tuple(
-            SensorNode(id=k + 1, position=tuple(rng.uniform(0, 10, 3))) for k in range(40)
-        )
-        nbrs = neighbor_sets(Deployment(nodes=nodes), 3.0)
+        nbrs = neighbor_sets(Deployment(np.arange(1, 41), rng.uniform(0, 10, (40, 3))), 3.0)
         for i, s in nbrs.items():
             for j in s:
                 assert i in nbrs[j]
 
     def test_fixture_node47_superset(self, deployment):
         # brute-force oracle over the full 54-node set
-        pos = {n.id: np.asarray(n.position) for n in deployment.nodes}
+        pos = dict(zip(deployment.node_ids.tolist(), deployment.positions))
         want = {
             j
             for j in pos
@@ -120,13 +114,13 @@ class TestFormClusters:
     def test_partition_and_monotone_sizes(self, deployment):
         cs = form_clusters(deployment, 6.0)
         seen = sorted(i for c in cs for i in c.node_ids())
-        assert seen == sorted(deployment.ids())
+        assert seen == sorted(deployment.node_ids.tolist())
         sizes = [len(c.members) for c in cs]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_membership_radius(self, deployment):
         cs = form_clusters(deployment, 6.0)
-        pos = {n.id: n.position for n in deployment.nodes}
+        pos = dict(zip(deployment.node_ids.tolist(), deployment.positions))
         for c in cs:
             for m in c.members:
                 assert euclidean_distance(pos[c.head], pos[m]) <= 6.0
@@ -135,16 +129,15 @@ class TestFormClusters:
         cs = form_clusters(deployment, 6.0)
         rng = np.random.default_rng(3)
         for _ in range(3):
-            shuffled = list(deployment.nodes)
-            rng.shuffle(shuffled)
-            cs2 = form_clusters(Deployment(nodes=tuple(shuffled)), 6.0)
+            shuffled = rng.permutation(len(deployment))
+            cs2 = form_clusters(Deployment(deployment.node_ids[shuffled], deployment.positions[shuffled]), 6.0)
             assert [(c.head, c.members) for c in cs2] == [(c.head, c.members) for c in cs]
 
     def test_head_dominance_replay(self, deployment):
         # at formation time no remaining node may out-neighbor the elected head
         cs = form_clusters(deployment, 6.0)
-        remaining = set(deployment.ids())
-        pos = {n.id: np.asarray(n.position) for n in deployment.nodes}
+        remaining = set(deployment.node_ids.tolist())
+        pos = dict(zip(deployment.node_ids.tolist(), deployment.positions))
         for c in cs:
             counts = {
                 i: sum(1 for j in remaining if j != i and np.linalg.norm(pos[i] - pos[j]) <= 6.0)
@@ -178,9 +171,9 @@ def per_pair_form_clusters(dep, radius, model=None, trace=None):
     if dep.event is not None:
         participating = filter_in_event_range(dep, model)
     else:
-        participating = set(dep.ids())
+        participating = set(dep.node_ids.tolist())
 
-    by_id = {n.id: np.asarray(n.position, dtype=float) for n in dep.nodes}
+    by_id = dict(zip(dep.node_ids.tolist(), dep.positions))
     ev = np.asarray(dep.event.position, dtype=float) if dep.event is not None else None
 
     def dist(i: int, j: int) -> float:
@@ -239,8 +232,8 @@ def integer_deployments(draw):
     else:
         at = draw(st.tuples(*[st.integers(0, GRID).map(float)] * 3))
     event = draw(st.none() | st.sampled_from([0.8, 0.85, 0.9]).map(lambda tau: EventSource(at, tau)))
-    nodes = tuple(SensorNode(id=i, position=tuple(map(float, p))) for i, p in zip(ids, coords))
-    return Deployment(nodes=nodes, event=event), float(np.sqrt(draw(st.integers(1, 3 * GRID * GRID))))
+    radius = float(np.sqrt(draw(st.integers(1, 3 * GRID * GRID))))
+    return Deployment(ids, np.asarray(coords, dtype=float), event), radius
 
 
 class TestElectionProperties:
@@ -259,7 +252,7 @@ class TestElectionProperties:
     def test_partition_and_neighbor_invariants(self, case):
         dep, radius = case
         cs = form_clusters(dep, radius, MODEL)
-        participating = filter_in_event_range(dep, MODEL) if dep.event else set(dep.ids())
+        participating = filter_in_event_range(dep, MODEL) if dep.event else set(dep.node_ids.tolist())
         assert sorted(i for c in cs for i in c.node_ids()) == sorted(participating)
         sizes = [len(c.members) for c in cs]
         assert sizes == sorted(sizes, reverse=True)
@@ -310,11 +303,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             ClusterSet(clusters=(a, b), radius=1.0)
 
-    def test_deployment_rejects_duplicate_ids(self):
-        n = SensorNode(id=1, position=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            Deployment(nodes=(n, n))
+    @pytest.mark.parametrize("node_ids, positions, message", [
+        pytest.param([1.0, 2.0], np.zeros((2, 3)), "must be a positive integer, got 1.0", id="float-id"),
+        pytest.param([1, 0], np.zeros((2, 3)), "must be a positive integer, got 0", id="id-0"),
+        pytest.param([-3], np.zeros((1, 3)), "must be a positive integer, got -3", id="negative-id"),
+        pytest.param([1, 2**63], np.zeros((2, 3)), f"node id {2**63} does not fit in int64", id="id-2**63"),
+        pytest.param([1, 1], np.zeros((2, 3)), r"duplicate node ids: \[1\]", id="duplicate-id"),
+        pytest.param([1, 2], np.zeros((2, 2)), r"positions \(N, 3\), got \(2,\) and \(2, 2\)",
+                     id="N-by-2-positions"),
+        pytest.param([1, 2], [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], "node 2: position must be a finite 3D point",
+                     id="nan-coordinate"),
+        pytest.param([], np.zeros((0, 3)), "at least one node", id="empty"),
+    ])
+    def test_deployment_rejects(self, node_ids, positions, message):
+        with pytest.raises(ValueError, match=message):
+            Deployment(node_ids, positions)
 
-    def test_deployment_needs_a_node(self):
-        with pytest.raises(ValueError):
-            Deployment(nodes=())
+    def test_deployment_holds_read_only_arrays(self):
+        dep = Deployment([5, 2, 9], [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+        assert dep.node_ids.dtype == np.int64 and dep.positions.dtype == np.float64
+        assert not dep.node_ids.flags.writeable and not dep.positions.flags.writeable
+        assert dep.index([9, 5, 9]).tolist() == [2, 0, 2]
+        with pytest.raises(KeyError, match="no node with id 7"):
+            dep.index([2, 7])

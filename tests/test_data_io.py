@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsn3d import data_io
-from wsn3d.clustering import Cluster, ClusterSet, Deployment, SensorNode, form_clusters
+from wsn3d.clustering import ClusterSet, Deployment, form_clusters
 from wsn3d.errors import DataFormatError
 from wsn3d.estimation import NoiseProfile, SignalModel, cluster_accuracy
 from wsn3d.geometry import CorrelationModel, EventSource
@@ -17,8 +17,8 @@ from wsn3d.geometry import CorrelationModel, EventSource
 class TestParseNodes:
     def test_bundled_fixture(self, deployment):
         assert len(deployment) == 54
-        assert deployment.node(1).position == (1.807, 6.525, 8.785)
-        assert deployment.node(47).position == (3.756, 5.074, 7.998)
+        assert deployment.positions[deployment.index([1, 47])].tolist() == [[1.807, 6.525, 8.785],
+                                                                            [3.756, 5.074, 7.998]]
 
     def test_empty_body_rejected(self):
         with pytest.raises(DataFormatError, match="no nodes"):
@@ -26,7 +26,7 @@ class TestParseNodes:
 
     def test_single_row(self):
         dep = data_io.parse_nodes(io.StringIO("node_id,x,y,z\n47,3.756,5.074,7.998\n"))
-        assert dep.node(47).position == (3.756, 5.074, 7.998)
+        assert dep.node_ids.tolist() == [47] and dep.positions.tolist() == [[3.756, 5.074, 7.998]]
 
     def test_duplicate_id_reports_line(self):
         src = io.StringIO("node_id,x,y,z\n1,0,0,0\n1,1,1,1\n")
@@ -60,7 +60,7 @@ class TestParseNodes:
     def test_row_order_preserved(self):
         src = io.StringIO("node_id,x,y,z\n5,0,0,0\n2,1,1,1\n")
         dep = data_io.parse_nodes(src)
-        assert dep.ids() == [5, 2]
+        assert dep.node_ids.tolist() == [5, 2]
 
     def test_field_over_the_csv_limit_reports_line(self):
         src = io.StringIO(f'node_id,x,y,z\n1,0,0,0\n2,0,0,"{"1" * (csv.field_size_limit() + 1)}"\n')
@@ -79,7 +79,7 @@ class TestParseReadings:
         src = io.StringIO("epoch,node_id,value\n0,7,1.5\n1,7,2.5\n2,7,3.5\n")
         m = data_io.parse_readings(src)
         assert m.node_ids == (7,) and m.epochs == (0, 1, 2)
-        assert np.array_equal(m.row(7), [1.5, 2.5, 3.5])
+        assert np.array_equal(m.values, [[1.5, 2.5, 3.5]])
 
     def test_sparse_epochs_marked_missing(self):
         src = io.StringIO("epoch,node_id,value\n0,1,1.0\n5,1,2.0\n5,2,3.0\n")
@@ -148,17 +148,11 @@ class TestGenerateSynthetic:
     MODEL = CorrelationModel(theta=30.0, alpha=1.0)
 
     def test_coincident_nodes_move_together(self):
-        from wsn3d.clustering import Deployment, SensorNode
-
-        nodes = (
-            SensorNode(id=1, position=(1.0, 1.0, 1.0)),
-            SensorNode(id=2, position=(1.0, 1.0, 1.0)),
-        )
         scn = data_io.SyntheticScenario(model=self.MODEL, epochs=100, seed=0)
-        m = data_io.generate_synthetic(scn, Deployment(nodes=nodes))
+        m = data_io.generate_synthetic(scn, Deployment([1, 2], np.ones((2, 3))))
         # duplicate covariance rows force the jitter path; fields stay equal
         # up to the jitter scale
-        assert np.max(np.abs(m.row(1) - m.row(2))) < 1e-3
+        assert np.max(np.abs(m.values[0] - m.values[1])) < 1e-3
 
     def test_tiny_theta_decorrelates(self, deployment):
         scn = data_io.SyntheticScenario(
@@ -186,10 +180,10 @@ class TestGenerateSynthetic:
         sun, shade = data_io.sun_shade_groups(deployment)
         scn = data_io.sun_shade_scenario(deployment, epochs=800)
         m = data_io.generate_synthetic(scn, deployment)
-        sun_id, shade_id = min(sun), min(shade)
-        assert m.row(sun_id).mean() == pytest.approx(25.0, abs=1.0)
-        assert m.row(shade_id).mean() == pytest.approx(18.0, abs=1.0)
-        assert np.var(m.row(sun_id)) > np.var(m.row(shade_id)) * 10
+        sun_row, shade_row = (m.values[m.node_ids.index(min(group))] for group in (sun, shade))
+        assert sun_row.mean() == pytest.approx(25.0, abs=1.0)
+        assert shade_row.mean() == pytest.approx(18.0, abs=1.0)
+        assert np.var(sun_row) > np.var(shade_row) * 10
 
 
 class TestClusterReport:
@@ -211,7 +205,7 @@ class TestClusterReport:
         model = CorrelationModel(theta=30.0)
         cs = form_clusters(deployment, 6.0)
         event = EventSource(position=deployment.centroid(), tau_e=0.85)
-        noise = NoiseProfile.uniform(deployment.ids(), 0.05)
+        noise = NoiseProfile.uniform(deployment.node_ids.tolist(), 0.05)
         reports = [
             cluster_accuracy(deployment, c, model, SignalModel(), noise, event) for c in cs
         ]
@@ -265,17 +259,26 @@ class TestReadingsRoundTrip:
         matrix = data_io.generate_synthetic(scn, deployment)
         back = data_io.parse_readings(io.StringIO(data_io.write_readings(matrix)))
         assert back.node_ids == tuple(sorted(matrix.node_ids))
-        for nid in matrix.node_ids:
-            assert np.array_equal(back.row(nid), matrix.row(nid))
+        assert np.array_equal(back.values, matrix.values[np.argsort(matrix.node_ids)])
 
     def test_integer_values_written_as_floats(self):
-        matrix = data_io.ReadingMatrix(
-            node_ids=(2, 1), epochs=(0, 1), values=np.array([[3, 4], [5, 6]]),
-            missing=np.array([[False, True], [False, False]]),
-        )
+        matrix = data_io.ReadingMatrix(node_ids=(2, 1), epochs=(0, 1), values=np.array([[3, 4], [5, 6]]))
         text = data_io.write_readings(matrix)
-        assert text == "epoch,node_id,value\n0,2,3.0\n0,1,5.0\n1,1,6.0\n"
+        assert text == "epoch,node_id,value\n0,2,3.0\n0,1,5.0\n1,2,4.0\n1,1,6.0\n"
         assert text == reference_write_readings(matrix)
+
+
+class TestReadingMatrix:
+    def test_nan_is_the_only_missing_mark(self):
+        values = np.array([[1.0, np.nan, 2.5], [np.nan, -0.0, 7.0]])
+        m = data_io.ReadingMatrix(node_ids=(4, 9), epochs=(0, 3, 8), values=values)
+        assert np.array_equal(m.missing, np.isnan(values))
+        assert data_io.write_readings(m) == "epoch,node_id,value\n0,4,1.0\n3,9,-0.0\n8,4,2.5\n8,9,7.0\n"
+        with pytest.raises(ValueError, match=r"values must have shape \(1, 3\)"):
+            data_io.ReadingMatrix(node_ids=(4,), epochs=(0, 3, 8), values=values)
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                data_io.ReadingMatrix(node_ids=(4, 9), epochs=(0, 3, 8), values=np.where(m.missing, bad, values))
 
 
 def reference_parse_readings(fh, deployment=None):
@@ -284,7 +287,7 @@ def reference_parse_readings(fh, deployment=None):
     header = next(reader, None)
     if header != ["epoch", "node_id", "value"]:
         raise DataFormatError(f"expected header epoch,node_id,value, got {header}", line=1)
-    known = set(deployment.ids()) if deployment is not None else None
+    known = set(deployment.node_ids.tolist()) if deployment is not None else None
     cells: dict[tuple[int, int], float] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -309,13 +312,11 @@ def reference_parse_readings(fh, deployment=None):
     node_ids = tuple(sorted({nid for nid, _ in cells}))
     epochs = tuple(sorted({e for _, e in cells}))
     values = np.full((len(node_ids), len(epochs)), np.nan)
-    missing = np.ones((len(node_ids), len(epochs)), dtype=bool)
     nrow = {nid: k for k, nid in enumerate(node_ids)}
     ecol = {e: k for k, e in enumerate(epochs)}
     for (nid, e), v in cells.items():
         values[nrow[nid], ecol[e]] = v
-        missing[nrow[nid], ecol[e]] = False
-    return data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=values, missing=missing)
+    return data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=values)
 
 
 def reference_write_readings(matrix):
@@ -350,9 +351,7 @@ def reading_matrices(draw, ids=INT64):
     missing = ~np.asarray(present).reshape(shape)
     values = np.asarray(draw(st.lists(FINITE, min_size=n, max_size=n)), dtype=float).reshape(shape)
     values[missing] = np.nan
-    return data_io.ReadingMatrix(
-        node_ids=tuple(node_ids), epochs=tuple(epochs), values=values, missing=missing
-    )
+    return data_io.ReadingMatrix(node_ids=tuple(node_ids), epochs=tuple(epochs), values=values)
 
 
 def trimmed(matrix):
@@ -362,7 +361,6 @@ def trimmed(matrix):
         node_ids=tuple(np.asarray(matrix.node_ids)[rows].tolist()),
         epochs=tuple(np.asarray(matrix.epochs)[cols].tolist()),
         values=matrix.values[rows][:, cols],
-        missing=matrix.missing[rows][:, cols],
     )
 
 
@@ -433,7 +431,7 @@ class TestReadingsProperties:
         the first with the same error."""
         header, *clean = data_io.write_readings(matrix).splitlines()
         rows = data.draw(st.permutations(clean))
-        dep = Deployment(nodes=tuple(SensorNode(id=i, position=(0.0, 0.0, 0.0)) for i in matrix.node_ids))
+        dep = Deployment(matrix.node_ids, np.zeros((len(matrix.node_ids), 3)))
         for fault in data.draw(st.lists(st.sampled_from(self.FAULTS), min_size=1, max_size=2)):
             row = self.faulty_row(fault, data.draw(st.sampled_from(clean)), set(matrix.node_ids), data)
             rows.insert(data.draw(st.integers(0, len(rows))), row)
@@ -465,7 +463,7 @@ class OneShot:
         return text
 
 
-ROUTED_DEPLOYMENT = Deployment(nodes=tuple(SensorNode(id=i, position=(0.0, 0.0, 0.0)) for i in (1, 2, 7)))
+ROUTED_DEPLOYMENT = Deployment([1, 2, 7], np.zeros((3, 3)))
 ROUTED = {
     "crlf": "epoch,node_id,value\r\n0,1,1.0\r\n1,2,2.5\r\n",
     "quoted": 'epoch,node_id,value\n"0","1","1.0"\n1,2,"2.5"\n',
@@ -495,7 +493,7 @@ class TestReadingsRouting:
         n, t = 150, 1500
         matrix = data_io.ReadingMatrix(
             node_ids=tuple(range(1, n + 1)), epochs=tuple(range(t)),
-            values=rng.normal(20.0, 3.0, (n, t)), missing=np.zeros((n, t), dtype=bool),
+            values=rng.normal(20.0, 3.0, (n, t)),
         )
         header, *rows = data_io.write_readings(matrix).splitlines()
         kept = rng.permutation(len(rows))[: round(0.95 * len(rows))]
@@ -505,7 +503,7 @@ class TestReadingsRouting:
         def no_row_reader(*args):
             raise AssertionError("the row reader ran")
 
-        monkeypatch.setattr(data_io, "_rows", no_row_reader)
+        monkeypatch.setattr(data_io, "_checked_rows", no_row_reader)
         assert_bit_identical(data_io.parse_readings(io.StringIO(text)), want)
         assert want.missing.sum() == n * t - len(kept) > 0
 
@@ -551,8 +549,13 @@ def node_outcome(parse, text):
         dep = parse(io.StringIO(text, newline=""))
     except DataFormatError as exc:
         return str(exc)
-    assert all(type(n.id) is int and type(n.position) is tuple for n in dep.nodes)
-    return [(n.id, *(float.hex(c) for c in n.position)) for n in dep.nodes]
+    return node_bits(dep)
+
+
+def node_bits(dep):
+    """Each node's id and the hex bits of its coordinates, in file order."""
+    assert dep.node_ids.dtype == np.int64 and dep.positions.dtype == np.float64
+    return [(i, *map(float.hex, p)) for i, p in zip(dep.node_ids.tolist(), dep.positions.tolist())]
 
 
 ROUTED_NODES = {
@@ -589,7 +592,7 @@ class TestNodesRouting:
             raise AssertionError("the row reader ran")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_io, "_rows", no_row_reader)
+            mp.setattr(data_io, "_checked_rows", no_row_reader)
             assert node_outcome(data_io.parse_nodes, text) == want
 
     @pytest.mark.parametrize("text", ROUTED_NODES.values(), ids=ROUTED_NODES.keys())
@@ -604,6 +607,6 @@ class TestNodesRouting:
 
     def test_generated_deployment_skips_the_row_reader(self, fixture_path, monkeypatch):
         want = node_outcome(data_io._parse_node_rows, fixture_path.read_text(encoding="utf-8"))
-        monkeypatch.setattr(data_io, "_rows", None)
+        monkeypatch.setattr(data_io, "_checked_rows", None)
         dep = data_io.parse_nodes(fixture_path)
-        assert [(n.id, *(float.hex(c) for c in n.position)) for n in dep.nodes] == want
+        assert node_bits(dep) == want

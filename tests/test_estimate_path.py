@@ -15,7 +15,6 @@ from wsn3d.clustering import (
     ClusterSet,
     Deployment,
     ElectionRecord,
-    SensorNode,
     _adjacency,
     _row_blocks,
     filter_in_event_range,
@@ -31,7 +30,7 @@ def reference_cluster_accuracy(dep, cluster, model, sig, noise, event):
     """One cluster's report from its own positions, rho_event and noise
     variances, as cluster_accuracy computed it one cluster per call."""
     order = (cluster.head, *sorted(cluster.members))
-    pos = np.asarray([dep.node(i).position for i in order], dtype=float)
+    pos = dep.positions[dep.index(order)]
     m = len(order)
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
     rho_pair = correlation(model, pairwise_distances(pos))
@@ -47,9 +46,9 @@ def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
     """form_clusters with the tie-break distance of every candidate, lone or
     not, taken as the maximum over all N columns, 128 candidate rows at a
     time, where the row's unassigned neighbors are."""
-    participating = filter_in_event_range(dep, model) if dep.event is not None else set(dep.ids())
+    participating = filter_in_event_range(dep, model) if dep.event is not None else set(dep.node_ids.tolist())
     ids = np.asarray(sorted(participating), dtype=np.int64)
-    pos = np.asarray([dep.node(i).position for i in ids.tolist()], dtype=float).reshape(-1, 3)
+    pos = dep.positions[dep.index(ids)]
     adj = _adjacency(pos, radius)
     counts = adj.sum(axis=1)
     alive = np.ones(len(ids), dtype=bool)
@@ -107,8 +106,7 @@ def deployments(draw):
     if draw(st.booleans()):
         at = tuple(rng.uniform(0.0, 5.0, 3).tolist())
         event = EventSource(at, draw(st.sampled_from([0.7, 0.85, 0.95])))
-    nodes = tuple(SensorNode(id=i, position=tuple(p)) for i, p in zip(ids, pos.tolist()))
-    return Deployment(nodes=nodes, event=event), radius
+    return Deployment(ids, pos, event), radius
 
 
 def bits(report):
@@ -125,7 +123,7 @@ class TestOneCallAccuracy:
         # per-node noise, zeros included, so each cluster's slice of the variances matters
         variances = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 2.0]), min_size=len(dep),
                                        max_size=len(dep)))
-        noise = NoiseProfile(dict(zip(dep.ids(), variances)))
+        noise = NoiseProfile(dict(zip(dep.node_ids.tolist(), variances)))
         sig = SignalModel(sigma_s2=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
         got = cluster_accuracy(dep, cs, MODEL, sig, noise, event)
         want = [reference_cluster_accuracy(dep, c, MODEL, sig, noise, event) for c in cs]
@@ -136,10 +134,9 @@ class TestOneCallAccuracy:
             assert isinstance(one, AccuracyReport) and bits(one) == bits(w)
 
     def test_singletons_and_an_empty_set(self):
-        nodes = tuple(SensorNode(id=i, position=(10.0 * i, 0.0, 0.0)) for i in (4, 2, 9))
         event = EventSource(position=(20.0, 0.0, 0.0))
-        dep = Deployment(nodes=nodes, event=event)
-        noise = NoiseProfile.uniform(dep.ids(), 0.05)
+        dep = Deployment([4, 2, 9], [(10.0 * i, 0.0, 0.0) for i in (4, 2, 9)], event)
+        noise = NoiseProfile.uniform(dep.node_ids.tolist(), 0.05)
         cs = form_clusters(dep, 1.0, CorrelationModel(theta=1e6))
         assert [c.size for c in cs] == [1, 1, 1]
         got = cluster_accuracy(dep, cs, MODEL, SignalModel(), noise, event)
@@ -163,7 +160,7 @@ class TestTieDistances:
         # an 8 x 8 x 8 unit lattice at radius 1: the 216 interior nodes tie on
         # six neighbors each, more candidates than one block of rows
         pts = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-        dep = Deployment(nodes=tuple(SensorNode(id=k + 1, position=tuple(p)) for k, p in enumerate(pts.tolist())))
+        dep = Deployment(np.arange(1, len(pts) + 1), pts)
         got_trace, want_trace = [], []
         assert form_clusters(dep, 1.0, trace=got_trace) == blocked_dmax_form_clusters(dep, 1.0, trace=want_trace)
         assert got_trace == want_trace

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wsn3d.clustering import Cluster, Deployment, SensorNode
+from wsn3d.clustering import Cluster, Deployment
 from wsn3d.errors import ConfigurationError
 from wsn3d.estimation import (
     NoiseProfile,
@@ -22,11 +24,9 @@ SIG = SignalModel()
 
 def random_cluster_deployment(m, seed=0, box=20.0):
     rng = np.random.default_rng(seed)
-    nodes = tuple(
-        SensorNode(id=k + 1, position=tuple(rng.uniform(0.0, box, 3))) for k in range(m)
-    )
+    positions = rng.uniform(0.0, box, (m, 3))
     event = EventSource(position=tuple(rng.uniform(0.0, box, 3)), tau_e=0.85)
-    dep = Deployment(nodes=nodes, event=event)
+    dep = Deployment(np.arange(1, m + 1), positions, event)
     cluster = Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1)
     return dep, cluster
 
@@ -72,7 +72,7 @@ class TestSimulateObservations:
 
     def test_requires_event(self):
         dep, cluster = random_cluster_deployment(2, seed=6)
-        dep = Deployment(nodes=dep.nodes)
+        dep = dataclasses.replace(dep, event=None)
         with pytest.raises(ConfigurationError):
             simulate_observations(dep, cluster, SIG, NoiseProfile.uniform([1, 2], 0.0), [1.0], 0)
 
@@ -224,9 +224,8 @@ class TestInformationAccuracy:
 
 class TestClusterAccuracy:
     def test_singleton_at_event_is_perfect(self):
-        node = SensorNode(id=1, position=(2.0, 2.0, 2.0))
         event = EventSource(position=(2.0, 2.0, 2.0), tau_e=0.85)
-        dep = Deployment(nodes=(node,), event=event)
+        dep = Deployment([1], [(2.0, 2.0, 2.0)], event)
         cluster = Cluster(head=1, members=frozenset(), order_index=1)
         model = CorrelationModel(theta=30.0)
         noise = NoiseProfile.uniform([1], 0.0)
@@ -238,24 +237,16 @@ class TestClusterAccuracy:
         # same node-to-event distances, different pairwise spreads
         event = EventSource(position=(0.0, 0.0, 0.0), tau_e=0.85)
         r = 5.0
-        clumped = (
-            SensorNode(id=1, position=(r, 0.0, 0.0)),
-            SensorNode(id=2, position=(r * np.cos(0.1), r * np.sin(0.1), 0.0)),
-            SensorNode(id=3, position=(r * np.cos(0.2), r * np.sin(0.2), 0.0)),
-        )
-        spread = (
-            SensorNode(id=1, position=(r, 0.0, 0.0)),
-            SensorNode(id=2, position=(-r, 0.0, 0.0)),
-            SensorNode(id=3, position=(0.0, r, 0.0)),
-        )
+        clumped = [(r, 0.0, 0.0), (r * np.cos(0.1), r * np.sin(0.1), 0.0), (r * np.cos(0.2), r * np.sin(0.2), 0.0)]
+        spread = [(r, 0.0, 0.0), (-r, 0.0, 0.0), (0.0, r, 0.0)]
         model = CorrelationModel(theta=30.0)
         cluster = Cluster(head=1, members=frozenset({2, 3}), order_index=1)
         noise = NoiseProfile.uniform([1, 2, 3], 0.0)
         acc_clumped = cluster_accuracy(
-            Deployment(nodes=clumped, event=event), cluster, model, SIG, noise, event
+            Deployment([1, 2, 3], clumped, event), cluster, model, SIG, noise, event
         ).accuracy
         acc_spread = cluster_accuracy(
-            Deployment(nodes=spread, event=event), cluster, model, SIG, noise, event
+            Deployment([1, 2, 3], spread, event), cluster, model, SIG, noise, event
         ).accuracy
         assert acc_spread > acc_clumped
 
@@ -264,7 +255,7 @@ class TestClusterAccuracy:
 
         model = CorrelationModel(theta=30.0)
         event = EventSource(position=deployment.centroid(), tau_e=0.85)
-        noise = NoiseProfile.uniform(deployment.ids(), 0.05)
+        noise = NoiseProfile.uniform(deployment.node_ids.tolist(), 0.05)
         for cluster in form_clusters(deployment, 6.0):
             rep = cluster_accuracy(deployment, cluster, model, SIG, noise, event)
             assert rep.accuracy == pytest.approx(

@@ -271,15 +271,11 @@ class TestRunPlacement:
 
     def test_identical_readings_symmetric_state(self, deployment):
         # every node shows the same series, so variances and bests coincide
-        ids = deployment.ids()
-        epochs = tuple(range(10))
         series = np.arange(10.0)
-        values = np.tile(series, (len(ids), 1))
         matrix = data_io.ReadingMatrix(
-            node_ids=tuple(ids),
-            epochs=epochs,
-            values=values,
-            missing=np.zeros_like(values, dtype=bool),
+            node_ids=tuple(deployment.node_ids.tolist()),
+            epochs=tuple(range(10)),
+            values=np.tile(series, (len(deployment), 1)),
         )
         clusters = form_clusters(deployment, 6.0)
         state, _ = run_placement(matrix, clusters, PlacementParams(rounds=1))
@@ -339,7 +335,7 @@ class TestRunPlacement:
                 cost = math.fsum(centered[i] ** 2) / (t - 1)
                 covs = [math.fsum(centered[i] * centered[j]) / (t - 1) for j in group if j != i]
                 want[i] = cost + (math.fsum(covs) / len(covs) if covs else 0.0)
-        lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset, matrix.missing)
+        lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset)
         got = cluster_costs(lifted, clusters)
         worst = max(abs(got[i] - w) / abs(w) for i, w in want.items())
         assert worst <= bound, f"relative error {worst:.3g} at offset {offset:g}"
@@ -351,7 +347,6 @@ class TestRunPlacement:
             node_ids=matrix.node_ids[:-1],
             epochs=matrix.epochs,
             values=matrix.values[:-1],
-            missing=matrix.missing[:-1],
         )
         clusters = form_clusters(deployment, 6.0)
         with pytest.raises(ValueError):
@@ -365,7 +360,6 @@ def two_clusters(values, missing):
         node_ids=tuple(range(1, n + 1)),
         epochs=tuple(range(values.shape[1])),
         values=np.where(missing, np.nan, values),
-        missing=missing,
     )
     clusters = ClusterSet(
         clusters=(
@@ -430,7 +424,6 @@ def placement_peak(rounds):
         node_ids=tuple(range(1, m + 1)),
         epochs=tuple(range(t)),
         values=np.random.default_rng(0).normal(size=(m, t)),
-        missing=np.zeros((m, t), dtype=bool),
     )
     clusters = ClusterSet(clusters=(Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1),), radius=1.0)
     block = 4 * (m * (m - 1) // 2) * t * 8
@@ -520,7 +513,6 @@ def gapped_partitions(draw, min_present=0, max_epochs=12, gap_free_nodes=False):
         node_ids=tuple(range(1, n + 1)),
         epochs=tuple(range(t)),
         values=np.where(missing, np.nan, values),
-        missing=missing,
     )
     return matrix, clusters
 
@@ -567,7 +559,7 @@ class TestArrayKernelProperties:
         """A constant added to every reading moves no cost; the oracle scores
         the readings without it."""
         matrix, clusters = case
-        lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset, matrix.missing)
+        lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset)
         got = PrefixMoments(lifted, clusters).costs(range(2, len(matrix.epochs) + 1))
         assert_every_window_matches_brute_force(got, matrix, clusters)
 
