@@ -266,10 +266,11 @@ def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
     rows = np.argsort(ids)
     rows = rows[~np.isin(ids[rows], dead_ids)]  # the live nodes' rows, in id order
     live_ids, live = ids[rows], matrix.values[rows]
-    silent = np.isnan(live).all(axis=1)
+    present = ~np.isnan(live)
+    silent = ~present.any(axis=1)
     if silent.any():
         raise DataFormatError(f"no readings for live nodes {live_ids[silent].tolist()}")
-    observed = [float(row[~np.isnan(row)].mean()) for row in live]
+    observed = [float(row[keep].mean()) for row, keep in zip(live, present)]
     o_total = len(live_ids) + len(dead_ids)
     value = estimation.predict_dead(observed, o_total, unbiased=args.predict_unbiased)
     all_ids = np.sort(np.concatenate([live_ids, dead_ids]))  # not np.union1d, which imports numpy.ma
