@@ -1,57 +1,41 @@
-"""Observation fusion and information accuracy at a cluster head.
+"""Information accuracy at a cluster head: the closed form and a simulated field.
 
-Simulates phase-shifted baseband observations, fuses them back with the
-inverse-variance estimator, and sweeps the closed-form accuracy over noise
-levels and cluster sizes.
+The head fuses its cluster's noisy readings into their plain mean. Its
+accuracy, 1 - E[(S - mean)**2] / sigma_s2 for the field value S at the event,
+has a closed form; drawing the field with the event as one more node checks
+it. Then sweeps the closed form over cluster sizes.
 """
 
-import dataclasses
+import math
 
 import numpy as np
 
 from wsn3d import (
     CorrelationModel,
+    Deployment,
     EventSource,
     NoiseProfile,
     SignalModel,
-    blue_estimate,
+    SyntheticScenario,
     cluster_accuracy,
-    empirical_mse,
     form_clusters,
+    generate_synthetic,
     load_bundled_deployment,
     pairwise_distances,
-    simulate_observations,
 )
 from wsn3d.clustering import Cluster
 
-dep0 = load_bundled_deployment()
-event = EventSource(position=dep0.centroid(), tau_e=0.85)
-dep = dataclasses.replace(dep0, event=event)
+dep = load_bundled_deployment()
+event = EventSource(position=dep.centroid(), tau_e=0.85)
 model = CorrelationModel(theta=30.0, alpha=1.0)
 sig = SignalModel(sigma_s2=1.0)
-clusters = form_clusters(dep0, 6.0)
-big = clusters.clusters[0]
+sigma_n2 = 0.05
+clusters = form_clusters(dep, 6.0)
+noise = NoiseProfile.uniform(dep.node_ids.tolist(), sigma_n2)
+reports = cluster_accuracy(dep, clusters, model, sig, noise, event)
 
-print(f"cluster head {big.head} with {big.size} nodes")
-source = np.random.default_rng(1).standard_normal(200)
-
-for sigma_n2 in (0.0, 0.01, 0.1):
-    noise = NoiseProfile.uniform(dep.node_ids.tolist(), sigma_n2)
-    obs = simulate_observations(dep, big, sig, noise, source, seed=7)
-    mse = empirical_mse(obs, sig, source)
-    print(f"  noise variance {sigma_n2:5.2f}  ->  fusion MSE {mse:.3e}")
-
-print()
-print("zero-noise fusion is exact:")
-noise0 = NoiseProfile.uniform(dep.node_ids.tolist(), 0.0)
-obs0 = simulate_observations(dep, big, sig, noise0, source, seed=7)
-print(f"  max |estimate - source| = {np.max(np.abs(blue_estimate(obs0, sig) - source)):.3e}")
-
-print()
-print("closed-form accuracy per cluster (noise variance 0.05, event at centroid)")
-noise = NoiseProfile.uniform(dep.node_ids.tolist(), 0.05)
-for c in clusters:
-    rep = cluster_accuracy(dep0, c, model, sig, noise, event)
+print(f"closed-form accuracy per cluster (noise variance {sigma_n2}, event at centroid)")
+for rep in reports:
     print(
         f"  head {rep.head:>2} (m={rep.m:>2}): accuracy {rep.accuracy:.4f} "
         f"(gain {rep.gain_term:.4f}, redundancy {rep.redundancy_term:.4f}, "
@@ -59,10 +43,24 @@ for c in clusters:
     )
 
 print()
+draws = 20_000
+print(f"closed form against 1 - MSE of the fused mean over {draws} field draws")
+event_id = int(dep.node_ids.max()) + 1
+with_event = Deployment(np.append(dep.node_ids, event_id), np.vstack([dep.positions, event.position]))
+scn = SyntheticScenario(model=model, variance=sig.sigma_s2, epochs=draws, seed=5)
+field = generate_synthetic(scn, with_event).values
+readings = field + np.random.default_rng(5).normal(0.0, math.sqrt(sigma_n2), field.shape)
+s = field[with_event.index([event_id])[0]]
+for cluster, rep in zip(clusters, reports):
+    err = (s - readings[with_event.index([cluster.head, *cluster.members])].mean(axis=0)) ** 2 / sig.sigma_s2
+    z = (1.0 - err.mean() - rep.accuracy) / (err.std(ddof=1) / math.sqrt(draws))
+    print(f"  head {rep.head:>2} (m={rep.m:>2}): formula {rep.accuracy:.4f}  simulated {1.0 - err.mean():.4f}  z {z:+.2f}")
+
+print()
 print("accuracy versus cluster size: nodes joining nearest-to-event first")
-order = dep0.node_ids[np.argsort(pairwise_distances(dep0.positions, event.position)[:, 0], kind="stable")].tolist()
+order = dep.node_ids[np.argsort(pairwise_distances(dep.positions, event.position)[:, 0], kind="stable")].tolist()
 for m in (1, 2, 5, 10, 20, 40, 54):
     chosen = order[:m]
     cluster = Cluster(head=chosen[0], members=frozenset(chosen[1:]), order_index=1)
-    rep = cluster_accuracy(dep0, cluster, model, sig, noise, event)
+    rep = cluster_accuracy(dep, cluster, model, sig, noise, event)
     print(f"  m = {m:>2}  ->  accuracy {rep.accuracy:.4f}")

@@ -27,16 +27,11 @@ from .errors import ConfigurationError, DataFormatError
 from .estimation import (
     AccuracyReport,
     NoiseProfile,
-    ObservationSet,
     SignalModel,
-    blue_estimate,
     cluster_accuracy,
-    empirical_mse,
     information_accuracy,
     predict_dead,
     prediction_accuracy,
-    propagation_delay,
-    simulate_observations,
 )
 from .geometry import (
     CorrelationModel,

@@ -161,20 +161,21 @@ def _cluster(args, model: CorrelationModel, dep: Deployment) -> ClusterSet:
     return form_clusters(dep, _clustering_radius(args, model), model if dep.event else None)
 
 
-def _print_cluster_table(cs, reports=None):
+def _cluster_table(cs, reports=None) -> list[str]:
     by_head = {r.head: r for r in reports} if reports else {}
-    print(f"{len(cs)} clusters at radius {cs.radius:g} m")
+    lines = [f"{len(cs)} clusters at radius {cs.radius:g} m"]
     header = f"{'order':>5}  {'head':>4}  {'size':>4}  members"
     if by_head:
         header = f"{'order':>5}  {'head':>4}  {'size':>4}  {'accuracy':>9}  members"
-    print(header)
+    lines.append(header)
     for c in cs:
         members = ",".join(str(m) for m in sorted(c.members)) or "-"
         if by_head:
             acc = by_head[c.head].accuracy
-            print(f"{c.order_index:>5}  {c.head:>4}  {c.size:>4}  {acc:>9.4f}  {members}")
+            lines.append(f"{c.order_index:>5}  {c.head:>4}  {c.size:>4}  {acc:>9.4f}  {members}")
         else:
-            print(f"{c.order_index:>5}  {c.head:>4}  {c.size:>4}  {members}")
+            lines.append(f"{c.order_index:>5}  {c.head:>4}  {c.size:>4}  {members}")
+    return lines
 
 
 def _event_for_estimation(args, dep: Deployment) -> tuple[EventSource, str]:
@@ -213,35 +214,34 @@ def cmd_cluster(args) -> int:
     out = Path(args.out)
     meta = {"theta": args.theta, "alpha": args.alpha, "derived_radius": bool(args.derive_radius)}
     _write_outputs(out, {"clusters.json": data_io.write_cluster_report(cs, metadata=meta)})
-    _print_cluster_table(cs)
-    print(f"wrote {out / 'clusters.json'}")
+    print(*_cluster_table(cs), f"wrote {out / 'clusters.json'}", sep="\n")
     return 0
 
 
-def _estimate(args, dep: Deployment) -> ClusterSet:
-    """Cluster, score every cluster, write clusters.json and print the table."""
+def _estimate(args, dep: Deployment) -> tuple[ClusterSet, str, list[str]]:
+    """Cluster and score every cluster: the partition, the text of clusters.json
+    and the lines to print once it is written."""
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     cs = _cluster(args, model, dep)
     event, event_origin = _event_for_estimation(args, dep)
     sig = estimation.SignalModel(sigma_s2=args.sigma_s2)
     noise = estimation.NoiseProfile.uniform(dep.node_ids.tolist(), args.sigma_n2)
     reports = estimation.cluster_accuracy(dep, cs, model, sig, noise, event)
-    out = Path(args.out)
     meta = {
         "theta": args.theta, "alpha": args.alpha,
         "sigma_s2": args.sigma_s2, "sigma_n2": args.sigma_n2,
         "event": list(event.position), "event_origin": event_origin,
     }
-    _write_outputs(out, {"clusters.json": data_io.write_cluster_report(cs, reports, metadata=meta)})
-    if event_origin == "centroid-default":
-        print(f"note: no --event given; using the deployment centroid {event.position}")
-    _print_cluster_table(cs, reports)
-    print(f"wrote {out / 'clusters.json'}")
-    return cs
+    note = f"note: no --event given; using the deployment centroid {event.position}"
+    lines = [note] if event_origin == "centroid-default" else []
+    lines += [*_cluster_table(cs, reports), f"wrote {Path(args.out) / 'clusters.json'}"]
+    return cs, data_io.write_cluster_report(cs, reports, metadata=meta), lines
 
 
 def cmd_estimate(args) -> int:
-    _estimate(args, _load_deployment(args))
+    _, report, lines = _estimate(args, _load_deployment(args))
+    _write_outputs(Path(args.out), {"clusters.json": report})
+    print(*lines, sep="\n")
     return 0
 
 
@@ -260,7 +260,8 @@ def _dead_ids(args, dep: Deployment) -> list[int]:
     return dead_ids
 
 
-def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
+def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> list[str]:
+    """The table of each dead node's predicted reading and its quality, as lines."""
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     ids = np.asarray(matrix.node_ids)
     rows = np.argsort(ids)
@@ -277,16 +278,15 @@ def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> None:
     rho_pair = correlation(model, pairwise_distances(dep.positions[dep.index(all_ids)]))
     rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
     qualities = estimation.prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=args.eq13_literal)
-    print(f"{'dead':>5}  {'predicted':>10}  {'quality':>8}")
-    for d, quality in zip(dead_ids, qualities):
-        print(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}")
+    return [f"{'dead':>5}  {'predicted':>10}  {'quality':>8}",
+            *(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}" for d, quality in zip(dead_ids, qualities))]
 
 
 def cmd_predict(args) -> int:
     dep = data_io.parse_nodes(args.nodes)
     dead_ids = _dead_ids(args, dep)
     if dead_ids:
-        _predict(args, dep, _readings_matrix(args, dep), dead_ids)
+        print(*_predict(args, dep, _readings_matrix(args, dep), dead_ids), sep="\n")
     else:
         print("no dead nodes given; nothing to predict")
     return 0
@@ -296,8 +296,9 @@ def _placement_params(args) -> placement.PlacementParams:
     return placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
 
 
-def _place(args, cs: ClusterSet, matrix, params: placement.PlacementParams) -> set[int]:
-    """Run the placement search on the partition ``cs``; write curve.csv and nodes.csv."""
+def _place(args, cs: ClusterSet, matrix, params: placement.PlacementParams) -> tuple[set[int], str, dict[str, str]]:
+    """Run the placement search on the partition ``cs``: the selected ids, the
+    line to print and the texts of curve.csv and nodes.csv."""
     if not cs.clusters:
         raise ConfigurationError("no node was clustered; nothing to place")
     clustered = np.asarray(sorted(cs.all_ids()))
@@ -308,18 +309,19 @@ def _place(args, cs: ClusterSet, matrix, params: placement.PlacementParams) -> s
     state, costs = placement.run_placement(matrix, cs, params)
     selected = placement.select_nodes(costs, args.threshold)
     curve, nodes = data_io.write_cost_curves(state, costs, selected)
-    _write_outputs(Path(args.out), {"curve.csv": curve, "nodes.csv": nodes})
-    print(f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}")
-    return selected
+    line = f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}"
+    return selected, line, {"curve.csv": curve, "nodes.csv": nodes}
 
 
 def cmd_place(args) -> int:
     dep = data_io.parse_nodes(args.nodes)
     cs = form_clusters(dep, args.radius)
-    selected = _place(args, cs, _readings_matrix(args, dep), _placement_params(args))
+    selected, line, texts = _place(args, cs, _readings_matrix(args, dep), _placement_params(args))
+    out = Path(args.out)
+    _write_outputs(out, texts)
+    print(line)
     if selected:
         print("selected:", ",".join(str(i) for i in sorted(selected)))
-    out = Path(args.out)
     print(f"wrote {out / 'curve.csv'} and {out / 'nodes.csv'}")
     return 0
 
@@ -335,14 +337,18 @@ def cmd_synth(args) -> int:
 
 def cmd_pipeline(args) -> int:
     dep = _load_deployment(args)
-    # bad --dead ids, readings or search flags fail before the first artifact is written
     dead_ids = _dead_ids(args, dep)
     matrix, params = _readings_matrix(args, dep), _placement_params(args)
-    _place(args, _estimate(args, dep), matrix, params)
+    cs, report, lines = _estimate(args, dep)
+    _, line, texts = _place(args, cs, matrix, params)
+    lines.append(line)
     if dead_ids:
-        _predict(args, dep, matrix, dead_ids)
+        lines += _predict(args, dep, matrix, dead_ids)
     elif args.dead:
-        print("no dead nodes given; nothing to predict")
+        lines.append("no dead nodes given; nothing to predict")
+    # every stage has run, so a failing one leaves no artifact behind
+    _write_outputs(Path(args.out), {"clusters.json": report, **texts})
+    print(*lines, sep="\n")
     return 0
 
 

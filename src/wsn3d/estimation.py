@@ -1,10 +1,10 @@
-"""Observation simulation, BLUE fusion, information accuracy, and dead-node prediction.
+"""Information accuracy of a cluster head's fused estimate, and dead-node prediction.
 
-The observation model is complex baseband: node q observes the source sample
-multiplied by the steering phase exp(1j * 2*pi*q/wavelength * d_q) plus white
-circularly symmetric Gaussian noise. The head undoes the phases and averages
-with inverse-variance weights, which recovers the source exactly when noise is
-absent.
+A cluster head fuses its m nodes' noisy readings of a Gaussian field into the
+plain mean. Its information accuracy, 1 - E[(S - mean)**2] / sigma_s2 for the
+field value S at the event, follows in closed form from the exponential
+correlation model: a gain from each node's correlation with the event, less a
+redundancy term from the pairwise correlations and a noise term.
 """
 
 from __future__ import annotations
@@ -24,22 +24,13 @@ _SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Source signal variance plus carrier parameters of the sensing channel.
-
-    Defaults describe a 2.4 GHz carrier in free space, where
-    speed = carrier_freq * wavelength / (2*pi) holds exactly.
-    """
+    """Variance of the source signal, the field value at the event."""
 
     sigma_s2: float = 1.0
-    wavelength: float = 0.125
-    carrier_freq: float = 2.0 * math.pi * 2.4e9
-    speed: float = 3.0e8
 
     def __post_init__(self):
         if not (0.0 < self.sigma_s2 < math.inf):
             raise ValueError(f"sigma_s2 must be positive and finite, got {self.sigma_s2}")
-        if self.wavelength <= 0.0 or self.speed <= 0.0:
-            raise ValueError("wavelength and speed must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,27 +55,6 @@ class NoiseProfile:
             raise ConfigurationError(f"no noise variance for node {exc.args[0]}") from None
 
 
-@dataclass
-class ObservationSet:
-    """Complex baseband samples of one cluster, ordered head first, then members by id."""
-
-    node_ids: tuple[int, ...]
-    samples: np.ndarray  # complex, shape (m, T)
-    distances: np.ndarray  # to the event source, shape (m,)
-    noise_variances: np.ndarray  # shape (m,)
-
-    def __post_init__(self):
-        m = self.samples.shape[0]
-        if len(self.node_ids) != m or len(self.distances) != m or len(self.noise_variances) != m:
-            raise ValueError("per-node arrays must agree with the sample row count")
-        if np.any(self.distances < 0.0):
-            raise ValueError("distances must be non-negative")
-
-    @property
-    def m(self) -> int:
-        return len(self.node_ids)
-
-
 @dataclass(frozen=True)
 class AccuracyReport:
     """Information accuracy of one cluster and its three components.
@@ -101,94 +71,8 @@ class AccuracyReport:
     noise_term: float
 
 
-def propagation_delay(model: SignalModel, d: float) -> float:
-    """Travel time of the signal over distance d, i.e. d / speed.
-
-    Identical to 2*pi*d / (carrier_freq * wavelength) whenever the model's
-    speed is consistent with its carrier, as the defaults are.
-    """
-    return d / model.speed
-
-
 def _cluster_order(cluster: Cluster) -> tuple[int, ...]:
     return (cluster.head, *sorted(cluster.members))
-
-
-def _steering_phases(model: SignalModel, distances: np.ndarray) -> np.ndarray:
-    q = np.arange(len(distances), dtype=float)
-    return 2.0 * math.pi * q * distances / model.wavelength
-
-
-def simulate_observations(
-    dep: Deployment,
-    cluster: Cluster,
-    model: SignalModel,
-    noise: NoiseProfile,
-    source: Sequence[float],
-    seed: int,
-) -> ObservationSet:
-    """Generate per-node baseband observations of a source sample sequence.
-
-    Node q (in head-first order) sees source * exp(1j * 2*pi*q/wavelength * d_q)
-    plus complex Gaussian noise of its profiled variance, split evenly between
-    real and imaginary parts. Reproducible from the seed.
-    """
-    if dep.event is None:
-        raise ConfigurationError("deployment has no event source; node distances are undefined")
-    s = np.asarray(source, dtype=complex)
-    if s.size == 0:
-        raise ValueError("source sequence must be non-empty")
-    order = _cluster_order(cluster)
-    try:
-        rows = dep.index(order)
-    except KeyError as exc:
-        raise ConfigurationError(f"cluster node missing from deployment: {exc.args[0]}") from None
-    dists = pairwise_distances(dep.positions[rows], dep.event.position)[:, 0]
-    variances = noise.for_nodes(order)
-
-    phases = _steering_phases(model, dists)
-    clean = s[None, :] * np.exp(1j * phases)[:, None]
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(variances / 2.0)[:, None]
-    noise_draw = scale * (
-        rng.standard_normal((len(order), s.size)) + 1j * rng.standard_normal((len(order), s.size))
-    )
-    return ObservationSet(
-        node_ids=order,
-        samples=clean + noise_draw,
-        distances=dists,
-        noise_variances=variances,
-    )
-
-
-def blue_estimate(obs: ObservationSet, model: SignalModel) -> np.ndarray:
-    """Fuse the cluster's observations into a source estimate.
-
-    Each node's samples are rotated back by its conjugate steering phase and
-    combined with inverse-variance weights (a plain average when all noise
-    variances are equal). Exact when noise is absent; unbiased otherwise.
-    """
-    if obs.m == 0:
-        raise ValueError("observation set is empty")
-    phases = _steering_phases(model, obs.distances)
-    aligned = obs.samples * np.exp(-1j * phases)[:, None]
-    v = obs.noise_variances
-    if np.all(v == v[0]):
-        return aligned.mean(axis=0)
-    if np.any(v == 0.0):
-        # noiseless rows carry infinite weight; average only those
-        return aligned[v == 0.0].mean(axis=0)
-    w = (1.0 / v) / np.sum(1.0 / v)
-    return np.einsum("q,qt->t", w, aligned)
-
-
-def empirical_mse(obs: ObservationSet, model: SignalModel, truth: Sequence[float]) -> float:
-    """Mean squared error |truth - estimate|**2 of the fused estimate over epochs."""
-    t = np.asarray(truth, dtype=complex)
-    est = blue_estimate(obs, model)
-    if t.shape != est.shape:
-        raise ValueError(f"truth length {t.size} does not match {est.size} epochs")
-    return float(np.mean(np.abs(t - est) ** 2))
 
 
 def information_accuracy(

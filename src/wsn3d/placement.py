@@ -4,8 +4,15 @@ Each node tracks its present variance, its personal best, and the network-wide
 global best; an accumulator pulls the present variance toward both bests each
 round. Costs score nodes by the temporal variance of their readings plus the
 mean covariance with their cluster neighbors, so high-variability nodes win.
-The update as written has no damping, so the present variance can grow without
-bound while the accumulator stays positive; no clamp is applied.
+
+The update has no damping. While the bests stay fixed, let phi = phi1 + phi2
+and e the present variance less phi1/phi * sigma_b2 + phi2/phi * sigma_gb2;
+one round maps (e, i_a) to ((1 - phi) * e + i_a, i_a - phi * e). That map has
+determinant 1 and trace 2 - phi, so it never decays. Below phi = 4 its
+eigenvalues lie on the unit circle and (e, i_a) oscillates without settling;
+from phi = 4 on they are real, one of modulus above 1 or a repeated -1, and
+the variance grows without bound. PlacementParams therefore requires
+phi1 + phi2 < 4.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ class PlacementParams:
     def __post_init__(self):
         if not (0.0 <= self.phi1 < math.inf and 0.0 <= self.phi2 < math.inf and self.phi1 + self.phi2 > 0.0):
             raise ValueError(f"adaptation factors must be finite, non-negative, not both 0: {self.phi1}, {self.phi2}")
+        if self.phi1 + self.phi2 >= 4.0:
+            raise ValueError(f"adaptation factors must sum to less than 4, where the search diverges: {self.phi1} + {self.phi2}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
 

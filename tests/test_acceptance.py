@@ -14,19 +14,19 @@ import pytest
 
 from wsn3d import data_io, reference
 from wsn3d.cli import main as cli_main
-from wsn3d.clustering import capture_clusters, form_clusters
+from wsn3d.clustering import Deployment, capture_clusters, form_clusters
 from wsn3d.estimation import (
     NoiseProfile,
     SignalModel,
-    blue_estimate,
+    cluster_accuracy,
     information_accuracy,
     predict_dead,
     prediction_accuracy,
-    simulate_observations,
 )
 from wsn3d.geometry import (
     CorrelationModel,
     Dodecahedron,
+    EventSource,
     correlation,
     correlation_radius,
     dodeca_circumradius,
@@ -36,18 +36,6 @@ from wsn3d.geometry import (
 from wsn3d.placement import PlacementParams, cluster_costs, run_placement, select_nodes
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def random_cluster_deployment(m, seed=0, box=20.0):
-    from wsn3d.clustering import Cluster, Deployment
-    from wsn3d.geometry import EventSource
-
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, box, (m, 3))
-    event = EventSource(position=tuple(rng.uniform(0.0, box, 3)), tau_e=0.85)
-    dep = Deployment(np.arange(1, m + 1), positions, event)
-    cluster = Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1)
-    return dep, cluster
 
 
 @contextmanager
@@ -166,23 +154,32 @@ def test_c4_accuracy_algebraic_identities():
             assert abs(got - (2.0 * rho - 1.0 - sigma_n2 / sigma_s2)) < 1e-14
 
 
-def test_c5_blue_exactness_and_gain():
-    with criterion("C5", "BLUE zero-noise exactness and 1/m averaging gain"):
-        sig = SignalModel()
-        for m in (1, 5, 17, 33, 64):
-            dep, cluster = random_cluster_deployment(m, seed=m + 100)
-            s = np.random.default_rng(m).standard_normal(16)
-            noise = NoiseProfile.uniform(range(1, m + 1), 0.0)
-            obs = simulate_observations(dep, cluster, sig, noise, s, seed=0)
-            assert np.max(np.abs(blue_estimate(obs, sig) - s)) < 1e-10
-        m, trials = 64, 10_000
-        dep, cluster = random_cluster_deployment(m, seed=500)
-        noise = NoiseProfile.uniform(range(1, m + 1), 1.0)
-        errs = np.empty(trials)
-        for t in range(trials):
-            obs = simulate_observations(dep, cluster, sig, noise, np.ones(1), seed=t)
-            errs[t] = np.abs(blue_estimate(obs, sig)[0] - 1.0) ** 2
-        assert 1.0 / 96.0 <= errs.mean() <= 3.0 / 128.0
+def test_c5_cluster_accuracy_matches_simulated_field(deployment):
+    """Each cluster's accuracy equals 1 - E[(S - mean)**2] / sigma_s2, where S
+    is the field at the event and mean the plain mean of the cluster's noisy
+    readings, estimated over a drawn field within 5 standard errors."""
+    z_bound, draws, sigma_n2 = 5.0, 40_000, 0.05
+    with criterion("C5", "cluster accuracy is 1 - MSE of the fused mean over a simulated field"):
+        model = CorrelationModel(theta=30.0, alpha=1.0)
+        sig = SignalModel(sigma_s2=1.0)
+        clusters = form_clusters(deployment, 6.0)
+        noise = NoiseProfile.uniform(deployment.node_ids.tolist(), sigma_n2)
+        event_id = int(deployment.node_ids.max()) + 1
+        for position in (deployment.centroid(), (2.0, 2.0, 2.0)):
+            event = EventSource(position=position, tau_e=0.85)
+            # the event is one more node of the field, so S is drawn with the readings
+            dep = Deployment(np.append(deployment.node_ids, event_id), np.vstack([deployment.positions, position]))
+            scn = data_io.SyntheticScenario(model=model, variance=sig.sigma_s2, epochs=draws, seed=5)
+            field = data_io.generate_synthetic(scn, dep)
+            rng = np.random.default_rng(5)
+            readings = field.values + rng.normal(0.0, math.sqrt(sigma_n2), field.values.shape)
+            s = field.values[dep.index([event_id])[0]]
+            reports = cluster_accuracy(deployment, clusters, model, sig, noise, event)
+            for cluster, report in zip(clusters, reports):
+                rows = dep.index([cluster.head, *cluster.members])
+                err = (s - readings[rows].mean(axis=0)) ** 2 / sig.sigma_s2
+                z = (1.0 - err.mean() - report.accuracy) / (err.std(ddof=1) / math.sqrt(draws))
+                assert abs(z) <= z_bound, (position, cluster.head, report.accuracy, z)
 
 
 def test_c6_dead_node_predictor():

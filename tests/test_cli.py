@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wsn3d
 from wsn3d import data_io
 from wsn3d.cli import build_parser, main
+from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
 from wsn3d.placement import cluster_costs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -208,6 +210,25 @@ class TestPredict:
             assert predicted == "5.0000"
             assert quality == f"{2.0 / 4 * sum(rho[x]) - off_sum / 2**2:.4f}"
 
+    def test_printed_quality_is_not_one_minus_mse(self, nodes_arg, deployment, tmp_path, capsys):
+        """For a unit noiseless field, the quality predict prints is not 1 - MSE
+        of the value it prints, sum(S_live) / O: the printed form sums rho over
+        all O nodes, the dead node's own rho = 1 included, and its double sum
+        runs over all O nodes too. This pins the gap on the bundled deployment."""
+        argv = ["predict", "--nodes", nodes_arg, "--synthetic", "uniform", "--epochs", "20", "--seed", "42",
+                "--dead", "3,7,11", "--out", str(tmp_path)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        printed = [float(line.split()[2]) for line in out.splitlines()[1:]]
+        rho = correlation(CorrelationModel(theta=30.0), pairwise_distances(deployment.positions))
+        o, dead = len(deployment), deployment.index([3, 7, 11])
+        live = np.delete(np.arange(o), dead)
+        printed_form = 2.0 / o * rho[dead].sum(axis=1) - (rho.sum() - o) / o**2
+        one_minus_mse = 2.0 / o * rho[np.ix_(dead, live)].sum(axis=1) - rho[np.ix_(live, live)].sum() / o**2
+        assert o == 54
+        assert printed == [0.8754, 0.7939, 0.7755] == [round(q, 4) for q in printed_form]
+        assert [round(q, 4) for q in one_minus_mse] == [0.8494, 0.7677, 0.7477]
+
     def test_all_dead_is_error(self, single_node_csv, tmp_path, capsys):
         code, _, err = run(
             [
@@ -378,15 +399,24 @@ class TestPipeline:
         pytest.param([*SUN_SHADE, "--readings", "readings.csv"], 1, "either --readings or --synthetic",
                      id="two-reading-sources"),
         pytest.param(["--readings", "no-such-readings.csv"], 2, "no-such-readings.csv", id="missing-readings-file"),
+        pytest.param([*SUN_SHADE, "--phi1", "3", "--phi2", "7"], 1, "sum to less than 4", id="phi-sum-4-or-more"),
+        pytest.param(["--readings", "{tmp_path}/short.csv"], 2, "clustered nodes with fewer than 2 readings: [3]",
+                     id="node-with-one-reading"),
     ])
     def test_bad_dead_ids_fail_before_any_artifact(self, nodes_arg, tmp_path, capsys, flags, exit_code, message):
-        """A bad --dead, search flag or reading source fails before clusters.json is written."""
-        argv = ["pipeline", "--nodes", nodes_arg, "--rounds", "3", "--epochs", "30", "--out", str(tmp_path), *flags]
+        """A bad --dead, search flag or reading source, or readings too short to
+        place, fail before clusters.json is written."""
+        # two epochs of every bundled node, but only the first of node 3
+        rows = [f"{e},{i},{e + i / 10}" for e in range(2) for i in range(1, 55) if (e, i) != (1, 3)]
+        (tmp_path / "short.csv").write_text("\n".join(["epoch,node_id,value", *rows]) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["pipeline", "--nodes", nodes_arg, "--rounds", "3", "--epochs", "30", "--out", str(out_dir),
+                *(f.format(tmp_path=tmp_path) for f in flags)]
         code, out, err = run(argv, capsys)
         assert code == exit_code
         assert message in err
         assert out == ""
-        assert list(tmp_path.iterdir()) == []
+        assert not out_dir.exists()
 
 
 class TestExitCodes:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,160 +6,14 @@ from wsn3d.errors import ConfigurationError
 from wsn3d.estimation import (
     NoiseProfile,
     SignalModel,
-    blue_estimate,
     cluster_accuracy,
-    empirical_mse,
     information_accuracy,
     predict_dead,
     prediction_accuracy,
-    propagation_delay,
-    simulate_observations,
 )
 from wsn3d.geometry import CorrelationModel, EventSource
 
 SIG = SignalModel()
-
-
-def random_cluster_deployment(m, seed=0, box=20.0):
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, box, (m, 3))
-    event = EventSource(position=tuple(rng.uniform(0.0, box, 3)), tau_e=0.85)
-    dep = Deployment(np.arange(1, m + 1), positions, event)
-    cluster = Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1)
-    return dep, cluster
-
-
-class TestPropagationDelay:
-    def test_zero_distance(self):
-        assert propagation_delay(SIG, 0.0) == 0.0
-
-    def test_distance_equal_to_speed(self):
-        assert propagation_delay(SIG, SIG.speed) == 1.0
-
-    def test_microsecond_case(self):
-        assert propagation_delay(SignalModel(speed=3e8), 300.0) == pytest.approx(1e-6, abs=1e-18)
-
-    def test_phase_form_agrees_for_consistent_model(self):
-        # speed == carrier_freq * wavelength / (2 pi) for the default model
-        d = 17.3
-        phase_form = 2.0 * np.pi * d / (SIG.carrier_freq * SIG.wavelength)
-        assert propagation_delay(SIG, d) == pytest.approx(phase_form, rel=1e-12)
-
-
-class TestSimulateObservations:
-    def test_zero_noise_single_node_identity_phase(self):
-        dep, cluster = random_cluster_deployment(1, seed=1)
-        s = np.random.default_rng(2).standard_normal(16)
-        obs = simulate_observations(dep, cluster, SIG, NoiseProfile.uniform([1], 0.0), s, seed=0)
-        assert np.allclose(obs.samples[0], s, atol=0.0)
-
-    def test_zero_noise_unit_modulus(self):
-        dep, cluster = random_cluster_deployment(5, seed=3)
-        s = np.random.default_rng(4).standard_normal(8)
-        noise = NoiseProfile.uniform(range(1, 6), 0.0)
-        obs = simulate_observations(dep, cluster, SIG, noise, s, seed=0)
-        assert np.allclose(np.abs(obs.samples), np.abs(s)[None, :], atol=1e-12)
-
-    def test_seeded_determinism_bitwise(self):
-        dep, cluster = random_cluster_deployment(4, seed=5)
-        s = np.ones(10)
-        noise = NoiseProfile.uniform(range(1, 5), 0.01)
-        a = simulate_observations(dep, cluster, SIG, noise, s, seed=99)
-        b = simulate_observations(dep, cluster, SIG, noise, s, seed=99)
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_requires_event(self):
-        dep, cluster = random_cluster_deployment(2, seed=6)
-        dep = dataclasses.replace(dep, event=None)
-        with pytest.raises(ConfigurationError):
-            simulate_observations(dep, cluster, SIG, NoiseProfile.uniform([1, 2], 0.0), [1.0], 0)
-
-    def test_empty_source_rejected(self):
-        dep, cluster = random_cluster_deployment(2, seed=7)
-        with pytest.raises(ValueError):
-            simulate_observations(dep, cluster, SIG, NoiseProfile.uniform([1, 2], 0.0), [], 0)
-
-
-class TestBlueEstimate:
-    @pytest.mark.parametrize("m", [1, 2, 7, 33, 64])
-    def test_zero_noise_exact_recovery(self, m):
-        dep, cluster = random_cluster_deployment(m, seed=m)
-        s = np.random.default_rng(m + 1).standard_normal(32)
-        noise = NoiseProfile.uniform(range(1, m + 1), 0.0)
-        obs = simulate_observations(dep, cluster, SIG, noise, s, seed=0)
-        est = blue_estimate(obs, SIG)
-        assert np.max(np.abs(est - s)) < 1e-10
-
-    def test_single_node_noise_passthrough(self):
-        dep, cluster = random_cluster_deployment(1, seed=8)
-        s = np.zeros(64)
-        noise = NoiseProfile.uniform([1], 0.5)
-        obs = simulate_observations(dep, cluster, SIG, noise, s, seed=5)
-        # node 0 carries the identity steering phase, so the estimate IS the noise
-        assert np.array_equal(blue_estimate(obs, SIG), obs.samples[0])
-
-    def test_averaging_gain_m64(self):
-        # constant source, unit noise variance: MSE should sit near 1/64
-        m, trials = 64, 10_000
-        dep, cluster = random_cluster_deployment(m, seed=9)
-        noise = NoiseProfile.uniform(range(1, m + 1), 1.0)
-        errs = np.empty(trials)
-        rng_seeds = range(trials)
-        s = np.ones(1)
-        for t in rng_seeds:
-            obs = simulate_observations(dep, cluster, SIG, noise, s, seed=t)
-            errs[t] = np.abs(blue_estimate(obs, SIG)[0] - 1.0) ** 2
-        mse = errs.mean()
-        assert 1.0 / 96.0 <= mse <= 3.0 / 128.0
-
-    def test_unequal_variances_prefer_quiet_nodes(self):
-        m, trials = 2, 4000
-        dep, cluster = random_cluster_deployment(m, seed=10)
-        noise = NoiseProfile({1: 0.01, 2: 4.0})
-        errs = np.empty(trials)
-        for t in range(trials):
-            obs = simulate_observations(dep, cluster, SIG, noise, [1.0], seed=t)
-            errs[t] = np.abs(blue_estimate(obs, SIG)[0] - 1.0) ** 2
-        # BLUE variance is the harmonic combination, far below the plain average's
-        blue_var = 1.0 / (1.0 / 0.01 + 1.0 / 4.0)
-        plain_var = (0.01 + 4.0) / 4.0
-        assert errs.mean() < 3.0 * blue_var
-        assert errs.mean() < plain_var / 10.0
-
-    def test_unbiased_three_sigma(self):
-        m, trials, sigma_n2 = 4, 20_000, 0.25
-        dep, cluster = random_cluster_deployment(m, seed=11)
-        noise = NoiseProfile.uniform(range(1, m + 1), sigma_n2)
-        resid = np.empty(trials, dtype=complex)
-        for t in range(trials):
-            obs = simulate_observations(dep, cluster, SIG, noise, [1.0], seed=t)
-            resid[t] = blue_estimate(obs, SIG)[0] - 1.0
-        bound = 3.0 * np.sqrt(sigma_n2) / np.sqrt(trials * m)
-        assert abs(resid.mean()) < bound
-
-
-class TestEmpiricalMse:
-    def test_exact_pipeline_is_zero(self):
-        dep, cluster = random_cluster_deployment(6, seed=12)
-        s = np.random.default_rng(13).standard_normal(50)
-        noise = NoiseProfile.uniform(range(1, 7), 0.0)
-        obs = simulate_observations(dep, cluster, SIG, noise, s, seed=0)
-        assert empirical_mse(obs, SIG, s) < 1e-20
-
-    def test_constant_offset(self):
-        dep, cluster = random_cluster_deployment(3, seed=14)
-        s = np.random.default_rng(15).standard_normal(20)
-        noise = NoiseProfile.uniform(range(1, 4), 0.0)
-        obs = simulate_observations(dep, cluster, SIG, noise, s, seed=0)
-        c = 0.7 - 0.2j
-        assert empirical_mse(obs, SIG, s + c) == pytest.approx(abs(c) ** 2, rel=1e-10)
-
-    def test_length_mismatch_rejected(self):
-        dep, cluster = random_cluster_deployment(2, seed=16)
-        noise = NoiseProfile.uniform([1, 2], 0.0)
-        obs = simulate_observations(dep, cluster, SIG, noise, np.ones(4), seed=0)
-        with pytest.raises(ValueError):
-            empirical_mse(obs, SIG, np.ones(5))
 
 
 class TestInformationAccuracy:

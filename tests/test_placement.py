@@ -229,7 +229,7 @@ class TestPlacementStep:
             round=data.draw(st.integers(0, 3)),
             cost_history=(1.5,),
         )
-        params = data.draw(st.sampled_from([PlacementParams(0.5, 0.5), PlacementParams(0.1, 0.01), PlacementParams(3, 7)]))
+        params = data.draw(st.sampled_from([PlacementParams(0.5, 0.5), PlacementParams(0.1, 0.01), PlacementParams(1.9, 2.0)]))
         want, one, ref = [], state, state
         for row in costs:
             one, ref = placement_step(one, row, params), reference_step(ref, row, params)
@@ -478,6 +478,11 @@ class TestParams:
     def test_factors_must_not_both_vanish(self):
         with pytest.raises(ValueError):
             PlacementParams(phi1=0.0, phi2=0.0)
+
+    @pytest.mark.parametrize("phi1, phi2", [(2.0, 2.0), (3.0, 7.0), (4.0, 0.0)])
+    def test_factors_must_sum_below_four(self, phi1, phi2):
+        with pytest.raises(ValueError, match="sum to less than 4"):
+            PlacementParams(phi1=phi1, phi2=phi2)
 
     def test_rounds_at_least_one(self):
         with pytest.raises(ValueError):
