@@ -21,9 +21,9 @@ model = CorrelationModel(theta=30.0, alpha=1.0)
 
 def show(cs, title):
     print(title)
-    for c in cs:
+    for order, c in enumerate(cs, start=1):
         members = ",".join(str(m) for m in sorted(c.members)) or "-"
-        print(f"  #{c.order_index}: head {c.head:>2} ({c.size} nodes)  {members}")
+        print(f"  #{order}: head {c.head:>2} ({c.size} nodes)  {members}")
     print()
 
 

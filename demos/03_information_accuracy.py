@@ -61,6 +61,6 @@ print("accuracy versus cluster size: nodes joining nearest-to-event first")
 order = dep.node_ids[np.argsort(pairwise_distances(dep.positions, event.position)[:, 0], kind="stable")].tolist()
 for m in (1, 2, 5, 10, 20, 40, 54):
     chosen = order[:m]
-    cluster = Cluster(head=chosen[0], members=frozenset(chosen[1:]), order_index=1)
-    rep = cluster_accuracy(dep, cluster, model, sig, noise, event)
+    cluster = Cluster(head=chosen[0], members=frozenset(chosen[1:]))
+    rep = cluster_accuracy(dep, [cluster], model, sig, noise, event)[0]
     print(f"  m = {m:>2}  ->  accuracy {rep.accuracy:.4f}")

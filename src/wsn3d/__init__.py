@@ -6,10 +6,7 @@ from .clustering import (
     ClusterSet,
     Deployment,
     capture_clusters,
-    euclidean_distance,
-    filter_in_event_range,
     form_clusters,
-    neighbor_sets,
 )
 from .data_io import (
     ReadingMatrix,
@@ -50,7 +47,6 @@ from .placement import (
     PlacementParams,
     PlacementState,
     cluster_costs,
-    cost_function,
     placement_step,
     run_placement,
     select_nodes,

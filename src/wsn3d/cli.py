@@ -168,13 +168,13 @@ def _cluster_table(cs, reports=None) -> list[str]:
     if by_head:
         header = f"{'order':>5}  {'head':>4}  {'size':>4}  {'accuracy':>9}  members"
     lines.append(header)
-    for c in cs:
+    for order, c in enumerate(cs, start=1):
         members = ",".join(str(m) for m in sorted(c.members)) or "-"
         if by_head:
             acc = by_head[c.head].accuracy
-            lines.append(f"{c.order_index:>5}  {c.head:>4}  {c.size:>4}  {acc:>9.4f}  {members}")
+            lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {acc:>9.4f}  {members}")
         else:
-            lines.append(f"{c.order_index:>5}  {c.head:>4}  {c.size:>4}  {members}")
+            lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {members}")
     return lines
 
 
@@ -247,7 +247,10 @@ def cmd_estimate(args) -> int:
 
 def _dead_ids(args, dep: Deployment) -> list[int]:
     """The --dead ids, checked against the deployment: each at most once, none unknown, not all."""
-    dead_ids = [int(v) for v in args.dead.split(",") if v.strip()]
+    try:
+        dead_ids = [int(v) for v in args.dead.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigurationError(f"--dead expects comma-separated node ids, got {args.dead!r}") from None
     repeated = sorted({i for i in dead_ids if dead_ids.count(i) > 1})
     if repeated:
         raise ConfigurationError(f"dead ids given more than once: {repeated}")
@@ -263,18 +266,19 @@ def _dead_ids(args, dep: Deployment) -> list[int]:
 def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> list[str]:
     """The table of each dead node's predicted reading and its quality, as lines."""
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
+    all_ids = np.sort(dep.node_ids)
+    live_ids = all_ids[~np.isin(all_ids, dead_ids)]
     ids = np.asarray(matrix.node_ids)
     rows = np.argsort(ids)
-    rows = rows[~np.isin(ids[rows], dead_ids)]  # the live nodes' rows, in id order
-    live_ids, live = ids[rows], matrix.values[rows]
+    rows = rows[np.isin(ids[rows], live_ids)]  # the live nodes' rows, in id order
+    live = matrix.values[rows]
     present = ~np.isnan(live)
-    silent = ~present.any(axis=1)
+    silent = ~np.isin(live_ids, ids[rows][present.any(axis=1)])  # no row, or no present cell in it
     if silent.any():
         raise DataFormatError(f"no readings for live nodes {live_ids[silent].tolist()}")
     observed = [float(row[keep].mean()) for row, keep in zip(live, present)]
-    o_total = len(live_ids) + len(dead_ids)
+    o_total = len(all_ids)
     value = estimation.predict_dead(observed, o_total, unbiased=args.predict_unbiased)
-    all_ids = np.sort(np.concatenate([live_ids, dead_ids]))  # not np.union1d, which imports numpy.ma
     rho_pair = correlation(model, pairwise_distances(dep.positions[dep.index(all_ids)]))
     rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
     qualities = estimation.prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=args.eq13_literal)

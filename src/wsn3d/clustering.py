@@ -82,13 +82,10 @@ class Deployment:
 class Cluster:
     head: int
     members: frozenset[int]
-    order_index: int
 
     def __post_init__(self):
         if self.head in self.members:
             raise ValueError(f"head {self.head} cannot be its own member")
-        if self.order_index < 1:
-            raise ValueError("order_index is 1-based")
 
     def node_ids(self) -> set[int]:
         return {self.head} | set(self.members)
@@ -120,9 +117,6 @@ class ClusterSet:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def heads(self) -> list[int]:
-        return [c.head for c in self.clusters]
-
     def all_ids(self) -> set[int]:
         out: set[int] = set()
         for c in self.clusters:
@@ -148,24 +142,10 @@ def _check_radius(radius: float) -> None:
         raise ValueError(f"radius must be positive and finite, got {radius}")
 
 
-def euclidean_distance(a, b) -> float:
-    """L2 distance between two 3D points."""
-    return float(pairwise_distances(a, b)[0, 0])
-
-
-def filter_in_event_range(dep: Deployment, model: CorrelationModel) -> set[int]:
-    """Ids of nodes whose correlation with the event source is at least tau_e.
-
-    Equivalent to keeping nodes within correlation_radius(model, tau_e) of the
-    event position.
-    """
-    return set(dep.node_ids[_in_event_range(dep, model)].tolist())
-
-
 def _in_event_range(dep: Deployment, model: CorrelationModel) -> np.ndarray:
-    """Boolean mask over the deployment's rows of the nodes filter_in_event_range keeps."""
-    if dep.event is None:
-        raise ConfigurationError("deployment has no event source to filter against")
+    """Boolean mask over the deployment's rows of the nodes whose correlation
+    with its event source is at least tau_e: those within
+    correlation_radius(model, tau_e) of the event position."""
     r = correlation_radius(model, dep.event.tau_e)
     return pairwise_distances(dep.positions, dep.event.position)[:, 0] <= r
 
@@ -185,16 +165,6 @@ def _adjacency(pos: np.ndarray, radius: float) -> np.ndarray:
         np.less_equal(pairwise_distances(pos[rows], pos), radius, out=adj[rows])
     np.fill_diagonal(adj, False)
     return adj
-
-
-def neighbor_sets(dep: Deployment, radius: float) -> dict[int, set[int]]:
-    """Map each node id to the ids of all other nodes within the given radius.
-
-    The boundary is inclusive, so the relation is symmetric.
-    """
-    _check_radius(radius)
-    ids = dep.node_ids
-    return {i: set(ids[row].tolist()) for i, row in zip(ids.tolist(), _adjacency(dep.positions, radius))}
 
 
 def form_clusters(
@@ -237,7 +207,7 @@ def form_clusters(
         best_count = counts[alive].max()
         if best_count == 0:
             for i in ids[alive].tolist():
-                clusters.append(Cluster(head=i, members=frozenset(), order_index=len(clusters) + 1))
+                clusters.append(Cluster(head=i, members=frozenset()))
                 if trace is not None:
                     trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
             break
@@ -262,9 +232,7 @@ def form_clusters(
             trace.append(ElectionRecord(
                 head=int(ids[head]), candidates=ids[candidates].tolist(), dmax_ties=ids[tied].tolist()
             ))
-        clusters.append(Cluster(
-            head=int(ids[head]), members=frozenset(ids[members].tolist()), order_index=len(clusters) + 1
-        ))
+        clusters.append(Cluster(head=int(ids[head]), members=frozenset(ids[members].tolist())))
         absorbed = np.append(np.flatnonzero(members), head)
         alive[absorbed] = False
         counts -= adj[absorbed].sum(axis=0)  # the relation is symmetric: rows stand for columns
@@ -292,9 +260,7 @@ def capture_clusters(dep: Deployment, heads, radius: float) -> ClusterSet:
         if not alive[k]:
             raise ValueError(f"head {head} was already assigned to an earlier cluster")
         members = adj[k] & alive
-        clusters.append(Cluster(
-            head=head, members=frozenset(ids[members].tolist()), order_index=len(clusters) + 1
-        ))
+        clusters.append(Cluster(head=head, members=frozenset(ids[members].tolist())))
         alive[k] = False
         alive[members] = False
     if alive.any():

@@ -20,7 +20,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .clustering import Cluster, ClusterSet, Deployment, _node_problem
+from .clustering import ClusterSet, Deployment, _node_problem
 from .errors import DataFormatError
 from .estimation import AccuracyReport
 from .geometry import CorrelationModel, correlation, pairwise_distances
@@ -344,9 +344,9 @@ def write_cluster_report(
     """
     by_head = {r.head: r for r in reports} if reports else {}
     entries = []
-    for c in cs:
+    for order, c in enumerate(cs, start=1):
         entry: dict[str, object] = {
-            "order": c.order_index,
+            "order": order,
             "head": c.head,
             "members": sorted(c.members),
         }
@@ -362,16 +362,6 @@ def write_cluster_report(
     if metadata:
         doc["metadata"] = dict(metadata)
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def read_cluster_report(text: str) -> ClusterSet:
-    """Rebuild a ClusterSet from a document produced by write_cluster_report."""
-    doc = json.loads(text)
-    clusters = tuple(
-        Cluster(head=e["head"], members=frozenset(e["members"]), order_index=e["order"])
-        for e in doc["clusters"]
-    )
-    return ClusterSet(clusters=clusters, radius=doc["radius"])
 
 
 def write_cost_curves(state, costs: Mapping[int, float], selected: set[int]) -> tuple[str, str]:

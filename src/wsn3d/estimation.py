@@ -63,7 +63,6 @@ class AccuracyReport:
     """
 
     head: int
-    order_index: int
     m: int
     accuracy: float
     gain_term: float
@@ -137,31 +136,28 @@ def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
 
 def cluster_accuracy(
     dep: Deployment,
-    clusters: Cluster | Iterable[Cluster],
+    clusters: Iterable[Cluster],
     model: CorrelationModel,
     sig: SignalModel,
     noise: NoiseProfile,
     event: EventSource,
-) -> AccuracyReport | list[AccuracyReport]:
-    """Information accuracy of one cluster, or of each of several, from their geometry.
+) -> list[AccuracyReport]:
+    """Information accuracy of each cluster, such as those of a ClusterSet, from their geometry.
 
     Correlations are taken from the exponential model: node-to-event distances
     give rho_event, pairwise node distances give rho_pair; head and members all
-    count toward m. A single Cluster gives one report; a sequence of clusters,
-    such as a ClusterSet, gives a list of reports in its order, each equal to
-    the cluster's own report. rho_event and the noise variances are taken for
+    count toward m. The reports come in the clusters' order, each equal to the
+    one the cluster gets alone. rho_event and the noise variances are taken for
     the nodes of all clusters at once, rho_pair per cluster.
     """
-    single = isinstance(clusters, Cluster)
-    group = [clusters] if single else list(clusters)
-    orders = [_cluster_order(c) for c in group]
+    orders = [_cluster_order(c) for c in clusters]
     nodes = [i for order in orders for i in order]
     pos = dep.positions[dep.index(nodes)]
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
     nv = noise.for_nodes(nodes)
     reports = []
     start = 0
-    for cluster, order in zip(group, orders):
+    for order in orders:
         m = len(order)
         part = slice(start, start + m)
         start += m
@@ -169,15 +165,14 @@ def cluster_accuracy(
         accuracy, gain, off_sum, noise_num = _accuracy_terms(
             m, rho_event[part], rho_pair, sig.sigma_s2, nv[part])
         reports.append(AccuracyReport(
-            head=cluster.head,
-            order_index=cluster.order_index,
+            head=order[0],
             m=m,
             accuracy=accuracy,
             gain_term=gain,
             redundancy_term=off_sum / (m * m),
             noise_term=noise_num / (m * m),
         ))
-    return reports[0] if single else reports
+    return reports
 
 
 def predict_dead(observed: Sequence[float], o_total: int, unbiased: bool = False) -> float:

@@ -60,25 +60,6 @@ class PlacementState:
     cost_history: tuple[float, ...] = ()
 
 
-def cost_function(readings, neighbor_readings=None) -> float:
-    """Cost of one node: sample variance of its readings plus the mean sample
-    covariance with each aligned neighbor series (zero when no neighbors)."""
-    x = np.asarray(readings, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 epochs to form a variance, got {x.size}")
-    cost = float(np.var(x, ddof=1))
-    if neighbor_readings is not None:
-        nb = np.atleast_2d(np.asarray(neighbor_readings, dtype=float))
-        if nb.size:
-            if nb.shape[1] != x.size:
-                raise ValueError("neighbor readings must align with the node's epochs")
-            xc = x - x.mean()
-            nc = nb - nb.mean(axis=1, keepdims=True)
-            covs = nc @ xc / (x.size - 1)
-            cost += float(covs.mean())
-    return cost
-
-
 def _covariance(n, sx, sy, sxy):
     """One-pass sample covariance from prefix moments (the variance when y is x)."""
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,6 +13,7 @@ import pytest
 import wsn3d
 from wsn3d import data_io
 from wsn3d.cli import build_parser, main
+from wsn3d.clustering import Cluster, ClusterSet
 from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
 from wsn3d.placement import cluster_costs
 
@@ -252,6 +253,20 @@ class TestPredict:
         assert "more than once: [3]" in err
         assert out == ""
 
+    def test_live_node_without_readings_is_input_error(self, nodes_arg, tmp_path, capsys):
+        # every bundled node but node 5 reads two epochs
+        rows = [f"{e},{i},{e + i / 10}" for e in range(2) for i in range(1, 55) if i != 5]
+        trace = tmp_path / "readings.csv"
+        trace.write_text("\n".join(["epoch,node_id,value", *rows]) + "\n", encoding="utf-8")
+        argv = ["predict", "--nodes", nodes_arg, "--readings", str(trace), "--out", str(tmp_path)]
+        code, out, err = run([*argv, "--dead", "3,7"], capsys)
+        assert code == 2
+        assert "no readings for live nodes [5]" in err
+        assert out == ""
+        code, out, _ = run([*argv, "--dead", "3,5"], capsys)  # a dead node needs no readings
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[1:]] == ["3", "5"]
+
 
 class TestPlace:
     def test_sun_shade_selects_sun_group(self, nodes_arg, deployment, tmp_path, capsys):
@@ -359,7 +374,8 @@ class TestPipeline:
                 "--rounds", "5", "--epochs", "60", "--out", str(tmp_path), *flags]
         code, _, _ = run(argv, capsys)
         assert code == 0
-        cs = data_io.read_cluster_report((tmp_path / "clusters.json").read_text())
+        doc = json.loads((tmp_path / "clusters.json").read_text())
+        cs = ClusterSet(tuple(Cluster(e["head"], frozenset(e["members"])) for e in doc["clusters"]), doc["radius"])
         with (tmp_path / "nodes.csv").open(newline="") as f:
             written = {int(r["node_id"]): float(r["cost"]) for r in csv.DictReader(f)}
         assert set(written) == cs.all_ids()
@@ -393,6 +409,8 @@ class TestPipeline:
         pytest.param([*SUN_SHADE, "--dead", "3,3"], 1, "more than once: [3]", id="3,3-more than once: [3]"),
         pytest.param([*SUN_SHADE, "--dead", "3,999"], 1, "not in deployment: [999]",
                      id="3,999-not in deployment: [999]"),
+        pytest.param([*SUN_SHADE, "--dead", "3,x"], 1, "--dead expects comma-separated node ids, got '3,x'",
+                     id="3,x-not an id"),
         pytest.param([*SUN_SHADE, "--rounds", "0"], 1, "rounds must be at least 1", id="rounds-0"),
         pytest.param([*SUN_SHADE, "--phi1", "-1"], 1, "adaptation factors", id="negative-phi1"),
         pytest.param([*SUN_SHADE, "--epochs", "1"], 1, "at least 2 epochs", id="one-epoch"),

@@ -9,14 +9,13 @@ from wsn3d.clustering import (
     ClusterSet,
     Deployment,
     ElectionRecord,
+    _adjacency,
+    _in_event_range,
     capture_clusters,
-    euclidean_distance,
-    filter_in_event_range,
     form_clusters,
-    neighbor_sets,
 )
 from wsn3d.errors import ConfigurationError
-from wsn3d.geometry import CorrelationModel, EventSource
+from wsn3d.geometry import CorrelationModel, EventSource, pairwise_distances
 
 MODEL = CorrelationModel(theta=30.0, alpha=1.0)
 
@@ -25,54 +24,59 @@ def line_deployment(xs, event=None):
     return Deployment(np.arange(1, len(xs) + 1), [(float(x), 0.0, 0.0) for x in xs], event)
 
 
+def neighbor_ids(dep, radius):
+    """Map each node id to the ids of the other nodes within the radius."""
+    ids = dep.node_ids
+    return {i: set(ids[row].tolist()) for i, row in zip(ids.tolist(), _adjacency(dep.positions, radius))}
+
+
+def in_event_range_ids(dep, model):
+    return set(dep.node_ids[_in_event_range(dep, model)].tolist())
+
+
 class TestEuclideanDistance:
     def test_fixture_pair(self, deployment):
         a, b = deployment.positions[deployment.index([47, 5])]
-        assert euclidean_distance(a, b) == pytest.approx(1.6820719366305354, abs=1e-9)
+        assert pairwise_distances(a, b)[0, 0] == pytest.approx(1.6820719366305354, abs=1e-9)
 
     def test_coincident_points(self):
-        assert euclidean_distance((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
+        assert pairwise_distances((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))[0, 0] == 0.0
 
     def test_pythagorean_triple(self):
-        assert euclidean_distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0, abs=1e-12)
+        assert pairwise_distances((0, 0, 0), (3, 4, 0))[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 class TestEventFilter:
     def test_node_at_event_is_kept(self):
         ev = EventSource(position=(2.0, 0.0, 0.0), tau_e=0.85)
         dep = line_deployment([0.0, 2.0, 50.0], event=ev)
-        assert 2 in filter_in_event_range(dep, MODEL)
+        assert 2 in in_event_range_ids(dep, MODEL)
 
     def test_tau_near_one_excludes_everything_away(self):
         ev = EventSource(position=(100.0, 0.0, 0.0), tau_e=1.0 - 1e-12)
         dep = line_deployment([0.0, 2.0, 50.0], event=ev)
-        assert filter_in_event_range(dep, MODEL) == set()
+        assert in_event_range_ids(dep, MODEL) == set()
 
     def test_three_node_line(self):
         # distances 1, 5, 10 from the event; radius ~4.876 keeps only the first
         ev = EventSource(position=(0.0, 0.0, 0.0), tau_e=0.85)
         dep = line_deployment([1.0, 5.0, 10.0], event=ev)
-        assert filter_in_event_range(dep, MODEL) == {1}
-
-    def test_missing_event_is_configuration_error(self):
-        dep = line_deployment([0.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            filter_in_event_range(dep, MODEL)
+        assert in_event_range_ids(dep, MODEL) == {1}
 
 
 class TestNeighborSets:
     def test_single_node(self):
         dep = line_deployment([0.0])
-        assert neighbor_sets(dep, 6.0) == {1: set()}
+        assert neighbor_ids(dep, 6.0) == {1: set()}
 
     def test_boundary_is_inclusive(self):
         dep = line_deployment([0.0, 1.5])
-        nbrs = neighbor_sets(dep, 1.5)
+        nbrs = neighbor_ids(dep, 1.5)
         assert nbrs == {1: {2}, 2: {1}}
 
     def test_symmetry_random_geometry(self):
         rng = np.random.default_rng(11)
-        nbrs = neighbor_sets(Deployment(np.arange(1, 41), rng.uniform(0, 10, (40, 3))), 3.0)
+        nbrs = neighbor_ids(Deployment(np.arange(1, 41), rng.uniform(0, 10, (40, 3))), 3.0)
         for i, s in nbrs.items():
             for j in s:
                 assert i in nbrs[j]
@@ -85,13 +89,13 @@ class TestNeighborSets:
             for j in pos
             if j != 47 and float(np.linalg.norm(pos[j] - pos[47])) <= 6.0
         }
-        nbrs = neighbor_sets(deployment, 6.0)
+        nbrs = neighbor_ids(deployment, 6.0)
         assert nbrs[47] == want
         assert nbrs[47] >= {5, 6, 12, 28, 32, 38}
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            neighbor_sets(line_deployment([0.0]), 0.0)
+            form_clusters(line_deployment([0.0]), 0.0)
 
 
 class TestFormClusters:
@@ -123,7 +127,7 @@ class TestFormClusters:
         pos = dict(zip(deployment.node_ids.tolist(), deployment.positions))
         for c in cs:
             for m in c.members:
-                assert euclidean_distance(pos[c.head], pos[m]) <= 6.0
+                assert pairwise_distances(pos[c.head], pos[m])[0, 0] <= 6.0
 
     def test_order_invariance(self, deployment):
         cs = form_clusters(deployment, 6.0)
@@ -169,7 +173,7 @@ def per_pair_form_clusters(dep, radius, model=None, trace=None):
     """Reference election: recounts every remaining node's neighbors with one
     np.linalg.norm per pair on every round. form_clusters must match it."""
     if dep.event is not None:
-        participating = filter_in_event_range(dep, model)
+        participating = in_event_range_ids(dep, model)
     else:
         participating = set(dep.node_ids.tolist())
 
@@ -186,7 +190,7 @@ def per_pair_form_clusters(dep, radius, model=None, trace=None):
         best_count = max(len(s) for s in nbrs.values())
         if best_count == 0:
             for i in sorted(remaining):
-                clusters.append(Cluster(head=i, members=frozenset(), order_index=len(clusters) + 1))
+                clusters.append(Cluster(head=i, members=frozenset()))
                 if trace is not None:
                     trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
             break
@@ -201,7 +205,7 @@ def per_pair_form_clusters(dep, radius, model=None, trace=None):
         head = min(tied)
         if trace is not None:
             trace.append(ElectionRecord(head=head, candidates=candidates, dmax_ties=tied))
-        clusters.append(Cluster(head=head, members=frozenset(nbrs[head]), order_index=len(clusters) + 1))
+        clusters.append(Cluster(head=head, members=frozenset(nbrs[head])))
         remaining -= {head} | nbrs[head]
     return ClusterSet(clusters=tuple(clusters), radius=radius)
 
@@ -252,18 +256,18 @@ class TestElectionProperties:
     def test_partition_and_neighbor_invariants(self, case):
         dep, radius = case
         cs = form_clusters(dep, radius, MODEL)
-        participating = filter_in_event_range(dep, MODEL) if dep.event else set(dep.node_ids.tolist())
+        participating = in_event_range_ids(dep, MODEL) if dep.event else set(dep.node_ids.tolist())
         assert sorted(i for c in cs for i in c.node_ids()) == sorted(participating)
         sizes = [len(c.members) for c in cs]
         assert sizes == sorted(sizes, reverse=True)
-        nbrs = neighbor_sets(dep, radius)
+        nbrs = neighbor_ids(dep, radius)
         assert all(i in nbrs[j] for i, s in nbrs.items() for j in s)
         remaining = set(participating)
         for c in cs:
             assert set(c.members) == nbrs[c.head] & remaining
             remaining -= c.node_ids()
         if dep.event is None:
-            assert capture_clusters(dep, cs.heads(), radius) == cs
+            assert capture_clusters(dep, [c.head for c in cs], radius) == cs
 
 
 class TestCaptureClusters:
@@ -289,17 +293,17 @@ class TestCaptureClusters:
 class TestTypes:
     def test_head_cannot_be_member(self):
         with pytest.raises(ValueError):
-            Cluster(head=1, members=frozenset({1, 2}), order_index=1)
+            Cluster(head=1, members=frozenset({1, 2}))
 
     def test_cluster_set_rejects_overlap(self):
-        a = Cluster(head=1, members=frozenset({2}), order_index=1)
-        b = Cluster(head=3, members=frozenset({2}), order_index=2)
+        a = Cluster(head=1, members=frozenset({2}))
+        b = Cluster(head=3, members=frozenset({2}))
         with pytest.raises(ValueError):
             ClusterSet(clusters=(a, b), radius=1.0)
 
     def test_cluster_set_rejects_growing_sizes(self):
-        a = Cluster(head=1, members=frozenset(), order_index=1)
-        b = Cluster(head=3, members=frozenset({4}), order_index=2)
+        a = Cluster(head=1, members=frozenset())
+        b = Cluster(head=3, members=frozenset({4}))
         with pytest.raises(ValueError):
             ClusterSet(clusters=(a, b), radius=1.0)
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import time
 
 import numpy as np
@@ -198,17 +199,18 @@ class TestClusterReport:
 
     def test_round_trip(self, deployment):
         cs = form_clusters(deployment, 6.0)
-        back = data_io.read_cluster_report(data_io.write_cluster_report(cs))
-        assert back == cs
+        doc = json.loads(data_io.write_cluster_report(cs))
+        assert doc["radius"] == cs.radius
+        assert [(e["order"], e["head"], e["members"]) for e in doc["clusters"]] == [
+            (order, c.head, sorted(c.members)) for order, c in enumerate(cs, start=1)
+        ]
 
     def test_accuracy_fields_serialized(self, deployment):
         model = CorrelationModel(theta=30.0)
         cs = form_clusters(deployment, 6.0)
         event = EventSource(position=deployment.centroid(), tau_e=0.85)
         noise = NoiseProfile.uniform(deployment.node_ids.tolist(), 0.05)
-        reports = [
-            cluster_accuracy(deployment, c, model, SignalModel(), noise, event) for c in cs
-        ]
+        reports = cluster_accuracy(deployment, cs, model, SignalModel(), noise, event)
         text = data_io.write_cluster_report(cs, reports)
         assert text.count('"accuracy"') == 7
 

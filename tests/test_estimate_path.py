@@ -16,8 +16,8 @@ from wsn3d.clustering import (
     Deployment,
     ElectionRecord,
     _adjacency,
+    _in_event_range,
     _row_blocks,
-    filter_in_event_range,
     form_clusters,
 )
 from wsn3d.estimation import AccuracyReport, NoiseProfile, SignalModel, _accuracy_terms, cluster_accuracy
@@ -37,7 +37,7 @@ def reference_cluster_accuracy(dep, cluster, model, sig, noise, event):
     nv = noise.for_nodes(order)
     accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
     return AccuracyReport(
-        head=cluster.head, order_index=cluster.order_index, m=m, accuracy=accuracy,
+        head=cluster.head, m=m, accuracy=accuracy,
         gain_term=gain, redundancy_term=off_sum / (m * m), noise_term=noise_num / (m * m),
     )
 
@@ -46,8 +46,8 @@ def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
     """form_clusters with the tie-break distance of every candidate, lone or
     not, taken as the maximum over all N columns, 128 candidate rows at a
     time, where the row's unassigned neighbors are."""
-    participating = filter_in_event_range(dep, model) if dep.event is not None else set(dep.node_ids.tolist())
-    ids = np.asarray(sorted(participating), dtype=np.int64)
+    participating = dep.node_ids[_in_event_range(dep, model)] if dep.event is not None else dep.node_ids
+    ids = np.sort(participating)
     pos = dep.positions[dep.index(ids)]
     adj = _adjacency(pos, radius)
     counts = adj.sum(axis=1)
@@ -57,7 +57,7 @@ def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
         best_count = counts[alive].max()
         if best_count == 0:
             for i in ids[alive].tolist():
-                clusters.append(Cluster(head=i, members=frozenset(), order_index=len(clusters) + 1))
+                clusters.append(Cluster(head=i, members=frozenset()))
                 if trace is not None:
                     trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
             break
@@ -78,9 +78,7 @@ def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
             trace.append(ElectionRecord(
                 head=int(ids[head]), candidates=ids[candidates].tolist(), dmax_ties=ids[tied].tolist()
             ))
-        clusters.append(Cluster(
-            head=int(ids[head]), members=frozenset(ids[members].tolist()), order_index=len(clusters) + 1
-        ))
+        clusters.append(Cluster(head=int(ids[head]), members=frozenset(ids[members].tolist())))
         absorbed = np.append(np.flatnonzero(members), head)
         alive[absorbed] = False
         counts -= adj[absorbed].sum(axis=0)
@@ -130,8 +128,8 @@ class TestOneCallAccuracy:
         assert isinstance(got, list)
         assert [bits(r) for r in got] == [bits(r) for r in want]
         for c, w in zip(cs, want):
-            one = cluster_accuracy(dep, c, MODEL, sig, noise, event)
-            assert isinstance(one, AccuracyReport) and bits(one) == bits(w)
+            one = cluster_accuracy(dep, [c], MODEL, sig, noise, event)
+            assert [bits(r) for r in one] == [bits(w)]
 
     def test_singletons_and_an_empty_set(self):
         event = EventSource(position=(20.0, 0.0, 0.0))

@@ -78,10 +78,10 @@ class TestClusterAccuracy:
     def test_singleton_at_event_is_perfect(self):
         event = EventSource(position=(2.0, 2.0, 2.0), tau_e=0.85)
         dep = Deployment([1], [(2.0, 2.0, 2.0)], event)
-        cluster = Cluster(head=1, members=frozenset(), order_index=1)
+        cluster = Cluster(head=1, members=frozenset())
         model = CorrelationModel(theta=30.0)
         noise = NoiseProfile.uniform([1], 0.0)
-        rep = cluster_accuracy(dep, cluster, model, SIG, noise, event)
+        [rep] = cluster_accuracy(dep, [cluster], model, SIG, noise, event)
         assert rep.accuracy == 1.0
         assert rep.m == 1
 
@@ -92,14 +92,14 @@ class TestClusterAccuracy:
         clumped = [(r, 0.0, 0.0), (r * np.cos(0.1), r * np.sin(0.1), 0.0), (r * np.cos(0.2), r * np.sin(0.2), 0.0)]
         spread = [(r, 0.0, 0.0), (-r, 0.0, 0.0), (0.0, r, 0.0)]
         model = CorrelationModel(theta=30.0)
-        cluster = Cluster(head=1, members=frozenset({2, 3}), order_index=1)
+        cluster = Cluster(head=1, members=frozenset({2, 3}))
         noise = NoiseProfile.uniform([1, 2, 3], 0.0)
         acc_clumped = cluster_accuracy(
-            Deployment([1, 2, 3], clumped, event), cluster, model, SIG, noise, event
-        ).accuracy
+            Deployment([1, 2, 3], clumped, event), [cluster], model, SIG, noise, event
+        )[0].accuracy
         acc_spread = cluster_accuracy(
-            Deployment([1, 2, 3], spread, event), cluster, model, SIG, noise, event
-        ).accuracy
+            Deployment([1, 2, 3], spread, event), [cluster], model, SIG, noise, event
+        )[0].accuracy
         assert acc_spread > acc_clumped
 
     def test_terms_recompose(self, deployment):
@@ -108,8 +108,7 @@ class TestClusterAccuracy:
         model = CorrelationModel(theta=30.0)
         event = EventSource(position=deployment.centroid(), tau_e=0.85)
         noise = NoiseProfile.uniform(deployment.node_ids.tolist(), 0.05)
-        for cluster in form_clusters(deployment, 6.0):
-            rep = cluster_accuracy(deployment, cluster, model, SIG, noise, event)
+        for rep in cluster_accuracy(deployment, form_clusters(deployment, 6.0), model, SIG, noise, event):
             assert rep.accuracy == pytest.approx(
                 rep.gain_term - rep.redundancy_term - rep.noise_term, abs=1e-12
             )

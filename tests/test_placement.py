@@ -14,11 +14,29 @@ from wsn3d.placement import (
     PlacementState,
     PrefixMoments,
     cluster_costs,
-    cost_function,
     placement_step,
     run_placement,
     select_nodes,
 )
+
+
+def cost_function(readings, neighbor_readings=None) -> float:
+    """Cost of one node: sample variance of its readings plus the mean sample
+    covariance with each aligned neighbor series (zero when no neighbors)."""
+    x = np.asarray(readings, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"need at least 2 epochs to form a variance, got {x.size}")
+    cost = float(np.var(x, ddof=1))
+    if neighbor_readings is not None:
+        nb = np.atleast_2d(np.asarray(neighbor_readings, dtype=float))
+        if nb.size:
+            if nb.shape[1] != x.size:
+                raise ValueError("neighbor readings must align with the node's epochs")
+            xc = x - x.mean()
+            nc = nb - nb.mean(axis=1, keepdims=True)
+            covs = nc @ xc / (x.size - 1)
+            cost += float(covs.mean())
+    return cost
 
 
 FIELDS = ("sigma_p2", "sigma_b2", "best_cost", "i_a")
@@ -363,8 +381,8 @@ def two_clusters(values, missing):
     )
     clusters = ClusterSet(
         clusters=(
-            Cluster(head=1, members=frozenset({2, 3, 4}), order_index=1),
-            Cluster(head=5, members=frozenset(range(6, n + 1)), order_index=2),
+            Cluster(head=1, members=frozenset({2, 3, 4})),
+            Cluster(head=5, members=frozenset(range(6, n + 1))),
         ),
         radius=1.0,
     )
@@ -425,7 +443,7 @@ def placement_peak(rounds):
         epochs=tuple(range(t)),
         values=np.random.default_rng(0).normal(size=(m, t)),
     )
-    clusters = ClusterSet(clusters=(Cluster(head=1, members=frozenset(range(2, m + 1)), order_index=1),), radius=1.0)
+    clusters = ClusterSet(clusters=(Cluster(head=1, members=frozenset(range(2, m + 1))),), radius=1.0)
     block = 4 * (m * (m - 1) // 2) * t * 8
     tracemalloc.start()
     try:
@@ -508,10 +526,7 @@ def gapped_partitions(draw, min_present=0, max_epochs=12, gap_free_nodes=False):
         key=lambda g: (-len(g), g[0]),
     )
     clusters = ClusterSet(
-        clusters=tuple(
-            Cluster(head=g[0], members=frozenset(g[1:]), order_index=k)
-            for k, g in enumerate(groups, start=1)
-        ),
+        clusters=tuple(Cluster(head=g[0], members=frozenset(g[1:])) for g in groups),
         radius=1.0,
     )
     matrix = data_io.ReadingMatrix(
