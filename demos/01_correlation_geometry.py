@@ -6,7 +6,6 @@ to a sensing radius, and the dodecahedron constants used to size node ranges.
 
 from wsn3d import (
     CorrelationModel,
-    Dodecahedron,
     correlation,
     correlation_radius,
     dodeca_circumradius,
@@ -36,12 +35,11 @@ for tau in (0.5, 0.85, 0.99):
 
 print()
 print("regular dodecahedron with unit edge")
-d1 = Dodecahedron(edge=1.0)
-print(f"  circumradius = {dodeca_circumradius(d1):.6f}")
-print(f"  volume       = {dodeca_volume(d1):.6f}")
+print(f"  circumradius = {dodeca_circumradius(1.0):.6f}")
+print(f"  volume       = {dodeca_volume(1.0):.6f}")
 
 r = correlation_radius(model, 0.85)
 edge = dodeca_edge_from_circumradius(r)
 print()
 print(f"node range from the tau=0.85 radius {r:.4f} m:")
-print(f"  edge = {edge:.4f} m, volume = {dodeca_volume(Dodecahedron(edge=edge)):.2f} m^3")
+print(f"  edge = {edge:.4f} m, volume = {dodeca_volume(edge):.2f} m^3")

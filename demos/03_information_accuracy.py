@@ -14,8 +14,6 @@ from wsn3d import (
     CorrelationModel,
     Deployment,
     EventSource,
-    NoiseProfile,
-    SignalModel,
     SyntheticScenario,
     cluster_accuracy,
     form_clusters,
@@ -28,11 +26,10 @@ from wsn3d.clustering import Cluster
 dep = load_bundled_deployment()
 event = EventSource(position=dep.centroid(), tau_e=0.85)
 model = CorrelationModel(theta=30.0, alpha=1.0)
-sig = SignalModel(sigma_s2=1.0)
+sigma_s2 = 1.0
 sigma_n2 = 0.05
 clusters = form_clusters(dep, 6.0)
-noise = NoiseProfile.uniform(dep.node_ids.tolist(), sigma_n2)
-reports = cluster_accuracy(dep, clusters, model, sig, noise, event)
+reports = cluster_accuracy(dep, clusters, model, event, sigma_s2, sigma_n2)
 
 print(f"closed-form accuracy per cluster (noise variance {sigma_n2}, event at centroid)")
 for rep in reports:
@@ -47,12 +44,12 @@ draws = 20_000
 print(f"closed form against 1 - MSE of the fused mean over {draws} field draws")
 event_id = int(dep.node_ids.max()) + 1
 with_event = Deployment(np.append(dep.node_ids, event_id), np.vstack([dep.positions, event.position]))
-scn = SyntheticScenario(model=model, variance=sig.sigma_s2, epochs=draws, seed=5)
+scn = SyntheticScenario(model=model, variance=sigma_s2, epochs=draws, seed=5)
 field = generate_synthetic(scn, with_event).values
 readings = field + np.random.default_rng(5).normal(0.0, math.sqrt(sigma_n2), field.shape)
 s = field[with_event.index([event_id])[0]]
 for cluster, rep in zip(clusters, reports):
-    err = (s - readings[with_event.index([cluster.head, *cluster.members])].mean(axis=0)) ** 2 / sig.sigma_s2
+    err = (s - readings[with_event.index([cluster.head, *cluster.members])].mean(axis=0)) ** 2 / sigma_s2
     z = (1.0 - err.mean() - rep.accuracy) / (err.std(ddof=1) / math.sqrt(draws))
     print(f"  head {rep.head:>2} (m={rep.m:>2}): formula {rep.accuracy:.4f}  simulated {1.0 - err.mean():.4f}  z {z:+.2f}")
 
@@ -62,5 +59,5 @@ order = dep.node_ids[np.argsort(pairwise_distances(dep.positions, event.position
 for m in (1, 2, 5, 10, 20, 40, 54):
     chosen = order[:m]
     cluster = Cluster(head=chosen[0], members=frozenset(chosen[1:]))
-    rep = cluster_accuracy(dep, [cluster], model, sig, noise, event)[0]
+    rep = cluster_accuracy(dep, [cluster], model, event, sigma_s2, sigma_n2)[0]
     print(f"  m = {m:>2}  ->  accuracy {rep.accuracy:.4f}")

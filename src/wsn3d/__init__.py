@@ -23,8 +23,6 @@ from .data_io import (
 from .errors import ConfigurationError, DataFormatError
 from .estimation import (
     AccuracyReport,
-    NoiseProfile,
-    SignalModel,
     cluster_accuracy,
     information_accuracy,
     predict_dead,
@@ -32,7 +30,6 @@ from .estimation import (
 )
 from .geometry import (
     CorrelationModel,
-    Dodecahedron,
     EventSource,
     correlation,
     correlation_radius,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,13 +28,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are exit 1 here
         raise _UsageError(message)
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
 
 
 def _add_model_flags(p: _Parser):
@@ -73,7 +65,7 @@ def _add_search_flags(p: _Parser):
     p.add_argument("--phi1", type=float, default=0.5, help="personal-best adaptation factor (default 0.5)")
     p.add_argument("--phi2", type=float, default=0.5, help="global-best adaptation factor (default 0.5)")
     p.add_argument("--rounds", type=int, default=300, help="search rounds (default 300)")
-    p.add_argument("--threshold", type=_finite_float, default=5.0,
+    p.add_argument("--threshold", type=float, default=5.0,
                    help="selection cost threshold (default 5)")
 
 
@@ -162,19 +154,15 @@ def _cluster(args, model: CorrelationModel, dep: Deployment) -> ClusterSet:
 
 
 def _cluster_table(cs, reports=None) -> list[str]:
-    by_head = {r.head: r for r in reports} if reports else {}
-    lines = [f"{len(cs)} clusters at radius {cs.radius:g} m"]
-    header = f"{'order':>5}  {'head':>4}  {'size':>4}  members"
-    if by_head:
-        header = f"{'order':>5}  {'head':>4}  {'size':>4}  {'accuracy':>9}  members"
-    lines.append(header)
-    for order, c in enumerate(cs, start=1):
+    """The printed table of the partition; reports, one per cluster in its
+    order, add an accuracy column when there are any."""
+    header = f"{'accuracy':>9}  " if reports else ""
+    accuracies = [f"{r.accuracy:>9.4f}  " for r in reports] if reports else [""] * len(cs)
+    lines = [f"{len(cs)} clusters at radius {cs.radius:g} m",
+             f"{'order':>5}  {'head':>4}  {'size':>4}  {header}members"]
+    for order, (c, acc) in enumerate(zip(cs, accuracies), start=1):
         members = ",".join(str(m) for m in sorted(c.members)) or "-"
-        if by_head:
-            acc = by_head[c.head].accuracy
-            lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {acc:>9.4f}  {members}")
-        else:
-            lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {members}")
+        lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {acc}{members}")
     return lines
 
 
@@ -224,9 +212,7 @@ def _estimate(args, dep: Deployment) -> tuple[ClusterSet, str, list[str]]:
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     cs = _cluster(args, model, dep)
     event, event_origin = _event_for_estimation(args, dep)
-    sig = estimation.SignalModel(sigma_s2=args.sigma_s2)
-    noise = estimation.NoiseProfile.uniform(dep.node_ids.tolist(), args.sigma_n2)
-    reports = estimation.cluster_accuracy(dep, cs, model, sig, noise, event)
+    reports = estimation.cluster_accuracy(dep, cs, model, event, args.sigma_s2, args.sigma_n2)
     meta = {
         "theta": args.theta, "alpha": args.alpha,
         "sigma_s2": args.sigma_s2, "sigma_n2": args.sigma_n2,

@@ -339,10 +339,10 @@ def write_cluster_report(
 ) -> str:
     """Serialize clusters (and accuracy reports, when present) to a JSON document.
 
-    Clusters appear in formation order with stable field order; the schema is
-    documented in the README.
+    Clusters appear in formation order with stable field order; reports, when
+    given, come one per cluster in the same order. The schema is documented
+    in the README.
     """
-    by_head = {r.head: r for r in reports} if reports else {}
     entries = []
     for order, c in enumerate(cs, start=1):
         entry: dict[str, object] = {
@@ -350,8 +350,8 @@ def write_cluster_report(
             "head": c.head,
             "members": sorted(c.members),
         }
-        r = by_head.get(c.head)
-        if r is not None:
+        if reports:
+            r = reports[order - 1]
             entry["m"] = r.m
             entry["accuracy"] = r.accuracy
             entry["gain_term"] = r.gain_term

@@ -11,48 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .clustering import Cluster, Deployment
-from .errors import ConfigurationError
 from .geometry import CorrelationModel, EventSource, correlation, pairwise_distances
 
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SignalModel:
-    """Variance of the source signal, the field value at the event."""
-
-    sigma_s2: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma_s2 < math.inf):
-            raise ValueError(f"sigma_s2 must be positive and finite, got {self.sigma_s2}")
-
-
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Per-node noise variances, keyed by node id."""
-
-    variances: Mapping[int, float]
-
-    def __post_init__(self):
-        bad = {i: v for i, v in self.variances.items() if not (0.0 <= v < math.inf)}
-        if bad:
-            raise ValueError(f"noise variances must be non-negative and finite: {bad}")
-
-    @classmethod
-    def uniform(cls, node_ids, variance: float) -> "NoiseProfile":
-        return cls({int(i): float(variance) for i in node_ids})
-
-    def for_nodes(self, node_ids) -> np.ndarray:
-        try:
-            return np.asarray([self.variances[i] for i in node_ids], dtype=float)
-        except KeyError as exc:
-            raise ConfigurationError(f"no noise variance for node {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -70,10 +36,6 @@ class AccuracyReport:
     noise_term: float
 
 
-def _cluster_order(cluster: Cluster) -> tuple[int, ...]:
-    return (cluster.head, *sorted(cluster.members))
-
-
 def information_accuracy(
     m: int,
     rho_event: Sequence[float],
@@ -88,46 +50,50 @@ def information_accuracy(
                            + (m * sigma_s2 + sum_i noise_variances[i]) / sigma_s2)
 
     rho_event holds each node's correlation with the source, rho_pair the
-    symmetric unit-diagonal matrix of pairwise node correlations.
+    symmetric unit-diagonal matrix of pairwise node correlations. sigma_s2
+    must be positive and finite, each noise variance non-negative and finite.
     """
-    return _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances)[0]
+    nv = np.asarray(noise_variances, dtype=float)
+    _check_variances(sigma_s2, nv, "noise variances")
+    return _accuracy_terms(m, rho_event, rho_pair, sigma_s2, nv)[0]
 
 
-def _correlation_sums(n, rows, rho_pair, name, stacked=False):
-    """Row sums of ``rows`` and the off-diagonal sum of ``rho_pair``, once both are checked.
+def _check_variances(sigma_s2: float, noise: np.ndarray, noise_name: str) -> None:
+    """Raise ValueError unless sigma_s2 is positive and finite and every noise
+    variance is non-negative and finite; the message names the first bad value."""
+    if not 0.0 < sigma_s2 < math.inf:
+        raise ValueError(f"sigma_s2 must be positive and finite, got {sigma_s2}")
+    bad = noise[~((noise >= 0.0) & (noise < math.inf))]
+    if bad.size:
+        raise ValueError(f"{noise_name} must be non-negative and finite, got {bad[0]}")
 
-    rho_pair must be a symmetric (n, n) matrix. rows is one row of n
-    correlations, shape (n,), or with stacked=True also k rows, shape (k, n);
-    the row sums come back as a 0-d or a (k,) array. Each row is summed as
-    np.sum sums it alone, whatever the memory order of ``rows``.
-    """
-    r = np.asarray(rows, dtype=float, order="C")
+
+def _off_diagonal_sum(n: int, rho_pair) -> float:
+    """The sum of the off-diagonal entries of rho_pair, once it is checked to
+    be a symmetric (n, n) matrix."""
     rp = np.asarray(rho_pair, dtype=float)
-    if r.shape[-1:] != (n,) or r.ndim > (2 if stacked else 1):
-        shape = f"({n},) or (k, {n})" if stacked else f"({n},)"
-        raise ValueError(f"{name} must have shape {shape}, got {r.shape}")
     if rp.shape != (n, n):
         raise ValueError(f"rho_pair must have shape ({n}, {n}), got {rp.shape}")
     if np.max(np.abs(rp - rp.T), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must be symmetric")
-    return np.sum(r, axis=-1), float(np.sum(rp)) - float(np.sum(np.diag(rp)))
+    return float(np.sum(rp)) - float(np.sum(np.diag(rp)))
 
 
 def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
-    """(accuracy, gain, off-diagonal sum, noise numerator) of an m-node cluster."""
+    """(accuracy, gain, off-diagonal sum, noise numerator) of an m-node cluster
+    whose variances the caller has checked."""
     if m < 1:
         raise ValueError(f"node count must be at least 1, got {m}")
-    if sigma_s2 <= 0.0:
-        raise ValueError(f"sigma_s2 must be positive, got {sigma_s2}")
     nv = np.asarray(noise_variances, dtype=float)
     if nv.shape != (m,):
         raise ValueError(f"noise_variances must have shape ({m},), got {nv.shape}")
-    event_sum, off_sum = _correlation_sums(m, rho_event, rho_pair, "rho_event")
+    rho_e = np.asarray(rho_event, dtype=float)
+    if rho_e.shape != (m,):
+        raise ValueError(f"rho_event must have shape ({m},), got {rho_e.shape}")
+    off_sum = _off_diagonal_sum(m, rho_pair)
     if np.max(np.abs(np.diag(np.asarray(rho_pair, dtype=float)) - 1.0), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must have a unit diagonal")
-    if np.any(nv < 0.0):
-        raise ValueError("noise variances must be non-negative")
-    gain = 2.0 * float(event_sum) / m
+    gain = 2.0 * float(np.sum(rho_e)) / m
     noise_num = (m * sigma_s2 + float(np.sum(nv))) / sigma_s2
     # combine the two 1/m**2 terms before dividing so the perfect-correlation
     # zero-noise case yields exactly 1.0
@@ -138,23 +104,27 @@ def cluster_accuracy(
     dep: Deployment,
     clusters: Iterable[Cluster],
     model: CorrelationModel,
-    sig: SignalModel,
-    noise: NoiseProfile,
     event: EventSource,
+    sigma_s2: float,
+    sigma_n2: float,
 ) -> list[AccuracyReport]:
     """Information accuracy of each cluster, such as those of a ClusterSet, from their geometry.
 
     Correlations are taken from the exponential model: node-to-event distances
     give rho_event, pairwise node distances give rho_pair; head and members all
-    count toward m. The reports come in the clusters' order, each equal to the
-    one the cluster gets alone. rho_event and the noise variances are taken for
-    the nodes of all clusters at once, rho_pair per cluster.
+    count toward m. sigma_s2 is the variance of the signal at the event and
+    must be positive and finite; every node has the noise variance sigma_n2,
+    which must be non-negative and finite. Both are checked before any
+    cluster is scored. The reports come in the clusters' order, each equal to
+    the one the cluster gets alone. rho_event is taken for the nodes of all
+    clusters at once, rho_pair per cluster.
     """
-    orders = [_cluster_order(c) for c in clusters]
+    _check_variances(sigma_s2, np.asarray(sigma_n2, dtype=float), "sigma_n2")
+    orders = [(c.head, *sorted(c.members)) for c in clusters]
     nodes = [i for order in orders for i in order]
     pos = dep.positions[dep.index(nodes)]
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
-    nv = noise.for_nodes(nodes)
+    nv = np.full(len(nodes), float(sigma_n2))
     reports = []
     start = 0
     for order in orders:
@@ -163,7 +133,7 @@ def cluster_accuracy(
         start += m
         rho_pair = correlation(model, pairwise_distances(pos[part]))
         accuracy, gain, off_sum, noise_num = _accuracy_terms(
-            m, rho_event[part], rho_pair, sig.sigma_s2, nv[part])
+            m, rho_event[part], rho_pair, sigma_s2, nv[part])
         reports.append(AccuracyReport(
             head=order[0],
             m=m,
@@ -204,7 +174,12 @@ def prediction_accuracy(o_total: int, rho_dead, rho_pair, live_divisor: bool = F
     """
     if o_total < 1:
         raise ValueError(f"total count must be at least 1, got {o_total}")
-    dead_sums, off_sum = _correlation_sums(o_total, rho_dead, rho_pair, "rho_dead", stacked=True)
+    # C order sums each row as np.sum sums it alone, whatever the memory order of rho_dead
+    rows = np.asarray(rho_dead, dtype=float, order="C")
+    if rows.shape[-1:] != (o_total,) or rows.ndim > 2:
+        raise ValueError(f"rho_dead must have shape ({o_total},) or (k, {o_total}), got {rows.shape}")
+    off_sum = _off_diagonal_sum(o_total, rho_pair)
+    dead_sums = np.sum(rows, axis=-1)
     d = o_total - dead_sums.size if live_divisor else o_total
     if d < 1:
         raise ValueError(f"live count must be at least 1, got {o_total} nodes of which {dead_sums.size} dead")

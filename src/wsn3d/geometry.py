@@ -34,17 +34,6 @@ class CorrelationModel:
 
 
 @dataclass(frozen=True)
-class Dodecahedron:
-    """Regular dodecahedron described by its edge length in meters."""
-
-    edge: float
-
-    def __post_init__(self):
-        if not (self.edge > 0.0):
-            raise ValueError(f"edge must be positive, got {self.edge}")
-
-
-@dataclass(frozen=True)
 class EventSource:
     """Point event at a 3D position with a correlation threshold tau_e in (0, 1]."""
 
@@ -62,10 +51,11 @@ def correlation(model: CorrelationModel, d):
     """Correlation coefficient exp(-d**alpha / theta) at distance d >= 0.
 
     Accepts a scalar or an array of distances; equals 1 at d = 0 and decreases
-    strictly toward 0 as d grows.
+    strictly toward 0 as d grows, reaching it at d = inf. A negative or NaN
+    distance raises ValueError.
     """
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("distance must be non-negative")
     out = np.exp(-(arr ** model.alpha) / model.theta)
     return float(out) if np.isscalar(d) or arr.ndim == 0 else out
@@ -108,21 +98,28 @@ def event_volume(model: CorrelationModel, tau_e: float) -> float:
     return 4.0 / 3.0 * math.pi * r**3
 
 
-def dodeca_circumradius(d: Dodecahedron) -> float:
+def _check_edge(edge: float) -> None:
+    if not 0.0 < edge < math.inf:
+        raise ValueError(f"edge must be positive and finite, got {edge}")
+
+
+def dodeca_circumradius(edge: float) -> float:
     """Radius of the sphere through the 20 vertices: edge * (sqrt(3)/4)(1 + sqrt(5))."""
-    return CIRCUMRADIUS_PER_EDGE * d.edge
+    _check_edge(edge)
+    return CIRCUMRADIUS_PER_EDGE * edge
 
 
 def dodeca_edge_from_circumradius(r: float) -> float:
     """Edge length of the regular dodecahedron with circumradius r (exact inverse)."""
-    if r < 0.0:
-        raise ValueError(f"circumradius must be non-negative, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"circumradius must be non-negative and finite, got {r}")
     return r / CIRCUMRADIUS_PER_EDGE
 
 
-def dodeca_volume(d: Dodecahedron) -> float:
+def dodeca_volume(edge: float) -> float:
     """Volume edge**3 * (15 + 7*sqrt(5)) / 4 of the regular dodecahedron."""
-    return VOLUME_PER_EDGE_CUBED * d.edge**3
+    _check_edge(edge)
+    return VOLUME_PER_EDGE_CUBED * edge**3
 
 
 def dodeca_vertices(edge: float = 1.0) -> np.ndarray:
@@ -131,8 +128,7 @@ def dodeca_vertices(edge: float = 1.0) -> np.ndarray:
     Uses the classic construction from cube corners (+-1, +-1, +-1) plus the
     golden-rectangle points; that set has edge 2/phi and is rescaled.
     """
-    if edge <= 0.0:
-        raise ValueError(f"edge must be positive, got {edge}")
+    _check_edge(edge)
     inv = 1.0 / _PHI
     pts = []
     for sx in (-1.0, 1.0):

@@ -16,8 +16,6 @@ from wsn3d import data_io, reference
 from wsn3d.cli import main as cli_main
 from wsn3d.clustering import Deployment, capture_clusters, form_clusters
 from wsn3d.estimation import (
-    NoiseProfile,
-    SignalModel,
     cluster_accuracy,
     information_accuracy,
     predict_dead,
@@ -25,7 +23,6 @@ from wsn3d.estimation import (
 )
 from wsn3d.geometry import (
     CorrelationModel,
-    Dodecahedron,
     EventSource,
     correlation,
     correlation_radius,
@@ -122,9 +119,9 @@ def test_c2_geometry_oracles():
         inside = np.all(pts @ normals.T + offsets <= 1e-12, axis=1)
         box_volume = float(np.prod(hi - lo))
         mc_volume = box_volume * inside.mean()
-        assert abs(dodeca_volume(Dodecahedron(edge=1.0)) - mc_volume) / mc_volume < 0.01
+        assert abs(dodeca_volume(1.0) - mc_volume) / mc_volume < 0.01
         const = math.sqrt(3.0) / 4.0 * (1.0 + math.sqrt(5.0))
-        assert abs(dodeca_circumradius(Dodecahedron(edge=1.0)) - const) < 1e-9
+        assert abs(dodeca_circumradius(1.0) - const) < 1e-9
         assert time.perf_counter() - start < 30.0
 
 
@@ -161,23 +158,22 @@ def test_c5_cluster_accuracy_matches_simulated_field(deployment):
     z_bound, draws, sigma_n2 = 5.0, 40_000, 0.05
     with criterion("C5", "cluster accuracy is 1 - MSE of the fused mean over a simulated field"):
         model = CorrelationModel(theta=30.0, alpha=1.0)
-        sig = SignalModel(sigma_s2=1.0)
+        sigma_s2 = 1.0
         clusters = form_clusters(deployment, 6.0)
-        noise = NoiseProfile.uniform(deployment.node_ids.tolist(), sigma_n2)
         event_id = int(deployment.node_ids.max()) + 1
         for position in (deployment.centroid(), (2.0, 2.0, 2.0)):
             event = EventSource(position=position, tau_e=0.85)
             # the event is one more node of the field, so S is drawn with the readings
             dep = Deployment(np.append(deployment.node_ids, event_id), np.vstack([deployment.positions, position]))
-            scn = data_io.SyntheticScenario(model=model, variance=sig.sigma_s2, epochs=draws, seed=5)
+            scn = data_io.SyntheticScenario(model=model, variance=sigma_s2, epochs=draws, seed=5)
             field = data_io.generate_synthetic(scn, dep)
             rng = np.random.default_rng(5)
             readings = field.values + rng.normal(0.0, math.sqrt(sigma_n2), field.values.shape)
             s = field.values[dep.index([event_id])[0]]
-            reports = cluster_accuracy(deployment, clusters, model, sig, noise, event)
+            reports = cluster_accuracy(deployment, clusters, model, event, sigma_s2, sigma_n2)
             for cluster, report in zip(clusters, reports):
                 rows = dep.index([cluster.head, *cluster.members])
-                err = (s - readings[rows].mean(axis=0)) ** 2 / sig.sigma_s2
+                err = (s - readings[rows].mean(axis=0)) ** 2 / sigma_s2
                 z = (1.0 - err.mean() - report.accuracy) / (err.std(ddof=1) / math.sqrt(draws))
                 assert abs(z) <= z_bound, (position, cluster.head, report.accuracy, z)
 

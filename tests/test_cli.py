@@ -533,7 +533,7 @@ class TestExitCodes:
             ["synth", "--synthetic", "uniform", "--variance", "nan"],
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--phi1", "nan"],
-            # checked before any stage runs: the estimate stage writes clusters.json
+            # select_nodes rejects it in the last stage, and pipeline writes only after every stage
             ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
         ],
     )
@@ -542,6 +542,21 @@ class TestExitCodes:
         code, _, err = run([*argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
         assert code == 1
         assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--sigma-n2", "-1"],
+        ["--sigma-n2", "nan"],
+        # no node lies within reach of this event, so no cluster is scored
+        ["--event", "100,100,100", "--sigma-s2", "0"],
+    ])
+    def test_bad_variance_is_a_one_line_usage_error(self, argv, nodes_arg, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(["estimate", *argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.count("\n") == 1 and "{" not in err
+        assert f"got {float(argv[-1])}" in err
+        assert stdout == ""
         assert not out.exists()
 
     def test_closed_stdout_exits_without_traceback(self, nodes_arg, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wsn3d import data_io
 from wsn3d.clustering import ClusterSet, Deployment, form_clusters
 from wsn3d.errors import DataFormatError
-from wsn3d.estimation import NoiseProfile, SignalModel, cluster_accuracy
+from wsn3d.estimation import cluster_accuracy
 from wsn3d.geometry import CorrelationModel, EventSource
 
 
@@ -209,8 +209,7 @@ class TestClusterReport:
         model = CorrelationModel(theta=30.0)
         cs = form_clusters(deployment, 6.0)
         event = EventSource(position=deployment.centroid(), tau_e=0.85)
-        noise = NoiseProfile.uniform(deployment.node_ids.tolist(), 0.05)
-        reports = cluster_accuracy(deployment, cs, model, SignalModel(), noise, event)
+        reports = cluster_accuracy(deployment, cs, model, event, 1.0, 0.05)
         text = data_io.write_cluster_report(cs, reports)
         assert text.count('"accuracy"') == 7
 

@@ -20,13 +20,13 @@ from wsn3d.clustering import (
     _row_blocks,
     form_clusters,
 )
-from wsn3d.estimation import AccuracyReport, NoiseProfile, SignalModel, _accuracy_terms, cluster_accuracy
+from wsn3d.estimation import AccuracyReport, _accuracy_terms, cluster_accuracy
 from wsn3d.geometry import CorrelationModel, EventSource, correlation, pairwise_distances
 
 MODEL = CorrelationModel(theta=30.0)
 
 
-def reference_cluster_accuracy(dep, cluster, model, sig, noise, event):
+def reference_cluster_accuracy(dep, cluster, model, event, sigma_s2, sigma_n2):
     """One cluster's report from its own positions, rho_event and noise
     variances, as cluster_accuracy computed it one cluster per call."""
     order = (cluster.head, *sorted(cluster.members))
@@ -34,8 +34,8 @@ def reference_cluster_accuracy(dep, cluster, model, sig, noise, event):
     m = len(order)
     rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
     rho_pair = correlation(model, pairwise_distances(pos))
-    nv = noise.for_nodes(order)
-    accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sig.sigma_s2, nv)
+    nv = np.full(m, sigma_n2)
+    accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sigma_s2, nv)
     return AccuracyReport(
         head=cluster.head, m=m, accuracy=accuracy,
         gain_term=gain, redundancy_term=off_sum / (m * m), noise_term=noise_num / (m * m),
@@ -118,29 +118,25 @@ class TestOneCallAccuracy:
         dep, radius = case
         cs = form_clusters(dep, radius, MODEL if dep.event else None)
         event = dep.event or EventSource(position=dep.centroid())
-        # per-node noise, zeros included, so each cluster's slice of the variances matters
-        variances = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 2.0]), min_size=len(dep),
-                                       max_size=len(dep)))
-        noise = NoiseProfile(dict(zip(dep.node_ids.tolist(), variances)))
-        sig = SignalModel(sigma_s2=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
-        got = cluster_accuracy(dep, cs, MODEL, sig, noise, event)
-        want = [reference_cluster_accuracy(dep, c, MODEL, sig, noise, event) for c in cs]
+        sigma_n2 = data.draw(st.sampled_from([0.0, 0.05, 0.3, 2.0]))
+        sigma_s2 = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        got = cluster_accuracy(dep, cs, MODEL, event, sigma_s2, sigma_n2)
+        want = [reference_cluster_accuracy(dep, c, MODEL, event, sigma_s2, sigma_n2) for c in cs]
         assert isinstance(got, list)
         assert [bits(r) for r in got] == [bits(r) for r in want]
         for c, w in zip(cs, want):
-            one = cluster_accuracy(dep, [c], MODEL, sig, noise, event)
+            one = cluster_accuracy(dep, [c], MODEL, event, sigma_s2, sigma_n2)
             assert [bits(r) for r in one] == [bits(w)]
 
     def test_singletons_and_an_empty_set(self):
         event = EventSource(position=(20.0, 0.0, 0.0))
         dep = Deployment([4, 2, 9], [(10.0 * i, 0.0, 0.0) for i in (4, 2, 9)], event)
-        noise = NoiseProfile.uniform(dep.node_ids.tolist(), 0.05)
         cs = form_clusters(dep, 1.0, CorrelationModel(theta=1e6))
         assert [c.size for c in cs] == [1, 1, 1]
-        got = cluster_accuracy(dep, cs, MODEL, SignalModel(), noise, event)
-        want = [reference_cluster_accuracy(dep, c, MODEL, SignalModel(), noise, event) for c in cs]
+        got = cluster_accuracy(dep, cs, MODEL, event, 1.0, 0.05)
+        want = [reference_cluster_accuracy(dep, c, MODEL, event, 1.0, 0.05) for c in cs]
         assert [bits(r) for r in got] == [bits(r) for r in want]
-        assert cluster_accuracy(dep, ClusterSet(clusters=(), radius=1.0), MODEL, SignalModel(), noise, event) == []
+        assert cluster_accuracy(dep, ClusterSet(clusters=(), radius=1.0), MODEL, event, 1.0, 0.05) == []
 
 
 class TestTieDistances:

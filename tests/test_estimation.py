@@ -1,19 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from wsn3d.clustering import Cluster, Deployment
-from wsn3d.errors import ConfigurationError
+from wsn3d.clustering import Cluster, Deployment, form_clusters
 from wsn3d.estimation import (
-    NoiseProfile,
-    SignalModel,
     cluster_accuracy,
     information_accuracy,
     predict_dead,
     prediction_accuracy,
 )
 from wsn3d.geometry import CorrelationModel, EventSource
-
-SIG = SignalModel()
 
 
 class TestInformationAccuracy:
@@ -70,8 +67,14 @@ class TestInformationAccuracy:
             information_accuracy(2, [1.0], np.ones((2, 2)), 1.0, [0.0, 0.0])
 
     def test_bad_signal_variance_rejected(self):
-        with pytest.raises(ValueError):
-            information_accuracy(1, [1.0], [[1.0]], 0.0, [0.0])
+        for sigma_s2 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"sigma_s2 must be positive and finite, got {sigma_s2}"):
+                information_accuracy(1, [1.0], [[1.0]], sigma_s2, [0.0])
+
+    def test_bad_noise_variance_rejected(self):
+        for variance in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match=f"noise variances must be non-negative and finite, got {variance}"):
+                information_accuracy(2, [1.0, 1.0], np.ones((2, 2)), 1.0, [0.0, variance])
 
 
 class TestClusterAccuracy:
@@ -80,8 +83,7 @@ class TestClusterAccuracy:
         dep = Deployment([1], [(2.0, 2.0, 2.0)], event)
         cluster = Cluster(head=1, members=frozenset())
         model = CorrelationModel(theta=30.0)
-        noise = NoiseProfile.uniform([1], 0.0)
-        [rep] = cluster_accuracy(dep, [cluster], model, SIG, noise, event)
+        [rep] = cluster_accuracy(dep, [cluster], model, event, 1.0, 0.0)
         assert rep.accuracy == 1.0
         assert rep.m == 1
 
@@ -93,26 +95,37 @@ class TestClusterAccuracy:
         spread = [(r, 0.0, 0.0), (-r, 0.0, 0.0), (0.0, r, 0.0)]
         model = CorrelationModel(theta=30.0)
         cluster = Cluster(head=1, members=frozenset({2, 3}))
-        noise = NoiseProfile.uniform([1, 2, 3], 0.0)
         acc_clumped = cluster_accuracy(
-            Deployment([1, 2, 3], clumped, event), [cluster], model, SIG, noise, event
+            Deployment([1, 2, 3], clumped, event), [cluster], model, event, 1.0, 0.0
         )[0].accuracy
         acc_spread = cluster_accuracy(
-            Deployment([1, 2, 3], spread, event), [cluster], model, SIG, noise, event
+            Deployment([1, 2, 3], spread, event), [cluster], model, event, 1.0, 0.0
         )[0].accuracy
         assert acc_spread > acc_clumped
 
     def test_terms_recompose(self, deployment):
-        from wsn3d.clustering import form_clusters
-
         model = CorrelationModel(theta=30.0)
         event = EventSource(position=deployment.centroid(), tau_e=0.85)
-        noise = NoiseProfile.uniform(deployment.node_ids.tolist(), 0.05)
-        for rep in cluster_accuracy(deployment, form_clusters(deployment, 6.0), model, SIG, noise, event):
+        for rep in cluster_accuracy(deployment, form_clusters(deployment, 6.0), model, event, 1.0, 0.05):
             assert rep.accuracy == pytest.approx(
                 rep.gain_term - rep.redundancy_term - rep.noise_term, abs=1e-12
             )
             assert 0.0 < rep.accuracy <= 1.0
+
+    @pytest.mark.parametrize("sigma_s2, sigma_n2, message", [
+        (0.0, 0.05, "sigma_s2 must be positive and finite, got 0.0"),
+        (math.nan, 0.05, "sigma_s2 must be positive and finite, got nan"),
+        (math.inf, 0.05, "sigma_s2 must be positive and finite, got inf"),
+        (1.0, math.nan, "sigma_n2 must be non-negative and finite, got nan"),
+        (1.0, math.inf, "sigma_n2 must be non-negative and finite, got inf"),
+        (1.0, -0.1, "sigma_n2 must be non-negative and finite, got -0.1"),
+    ], ids=["sigma_s2-0", "sigma_s2-nan", "sigma_s2-inf", "sigma_n2-nan", "sigma_n2-inf", "sigma_n2-negative"])
+    def test_bad_variances_rejected_before_any_cluster(self, deployment, sigma_s2, sigma_n2, message):
+        model = CorrelationModel(theta=30.0)
+        event = EventSource(position=deployment.centroid(), tau_e=0.85)
+        for clusters in (form_clusters(deployment, 6.0), []):
+            with pytest.raises(ValueError, match=message):
+                cluster_accuracy(deployment, clusters, model, event, sigma_s2, sigma_n2)
 
 
 class TestPredictDead:
@@ -206,13 +219,3 @@ class TestPredictionAccuracy:
     def test_row_width_other_than_rho_pair_rejected(self, rho_dead):
         with pytest.raises(ValueError, match="rho_dead must have shape"):
             prediction_accuracy(3, rho_dead, np.eye(3))
-
-
-class TestNoiseProfile:
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseProfile({1: -0.1})
-
-    def test_missing_node_is_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            NoiseProfile({1: 0.1}).for_nodes([1, 2])

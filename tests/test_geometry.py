@@ -5,7 +5,6 @@ import pytest
 
 from wsn3d.geometry import (
     CorrelationModel,
-    Dodecahedron,
     EventSource,
     correlation,
     correlation_radius,
@@ -41,6 +40,12 @@ class TestCorrelation:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             correlation(MODEL, -0.1)
+
+    def test_nan_distance_rejected_and_infinite_distance_uncorrelated(self):
+        for d in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                correlation(MODEL, d)
+        assert correlation(MODEL, math.inf) == 0.0
 
     def test_strictly_decreasing_and_in_range(self):
         d = np.linspace(0.0, 200.0, 2001)
@@ -99,14 +104,14 @@ class TestEventVolume:
 
 class TestDodecahedron:
     def test_circumradius_unit_edge(self):
-        assert dodeca_circumradius(Dodecahedron(edge=1.0)) == pytest.approx(CIRCUM_CONST, abs=1e-9)
+        assert dodeca_circumradius(1.0) == pytest.approx(CIRCUM_CONST, abs=1e-9)
 
     def test_circumradius_linear_in_edge(self):
-        assert dodeca_circumradius(Dodecahedron(edge=2.0)) == pytest.approx(2 * CIRCUM_CONST, abs=1e-9)
+        assert dodeca_circumradius(2.0) == pytest.approx(2 * CIRCUM_CONST, abs=1e-9)
 
     def test_edge_inverse_round_trip(self):
         for edge in (0.3, 1.0, 4.876):
-            r = dodeca_circumradius(Dodecahedron(edge=edge))
+            r = dodeca_circumradius(edge)
             assert dodeca_edge_from_circumradius(r) == pytest.approx(edge, abs=1e-12)
 
     def test_edge_from_paper_derived_radius(self):
@@ -116,25 +121,28 @@ class TestDodecahedron:
         assert dodeca_edge_from_circumradius(0.0) == 0.0
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            dodeca_edge_from_circumradius(-1.0)
+        for r in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="circumradius must be non-negative and finite"):
+                dodeca_edge_from_circumradius(r)
 
     def test_volume_unit_edge(self):
-        assert dodeca_volume(Dodecahedron(edge=1.0)) == pytest.approx(VOLUME_CONST, abs=1e-9)
+        assert dodeca_volume(1.0) == pytest.approx(VOLUME_CONST, abs=1e-9)
 
     def test_volume_cubic_scaling(self):
-        v1 = dodeca_volume(Dodecahedron(edge=1.0))
-        assert dodeca_volume(Dodecahedron(edge=2.0)) == pytest.approx(8.0 * v1, abs=1e-9)
+        v1 = dodeca_volume(1.0)
+        assert dodeca_volume(2.0) == pytest.approx(8.0 * v1, abs=1e-9)
 
     def test_volume_inside_circumsphere(self):
         for edge in (0.5, 1.0, 3.0):
-            v = dodeca_volume(Dodecahedron(edge=edge))
-            r = dodeca_circumradius(Dodecahedron(edge=edge))
+            v = dodeca_volume(edge)
+            r = dodeca_circumradius(edge)
             assert v < 4.0 / 3.0 * math.pi * r**3
 
     def test_invalid_edge_rejected(self):
-        with pytest.raises(ValueError):
-            Dodecahedron(edge=0.0)
+        for edge in (0.0, -1.0, math.nan, math.inf):
+            for dodeca in (dodeca_circumradius, dodeca_volume, dodeca_vertices):
+                with pytest.raises(ValueError, match=f"edge must be positive and finite, got {edge}"):
+                    dodeca(edge)
 
     def test_vertices_have_requested_edge_and_circumradius(self):
         pts = dodeca_vertices(edge=1.0)
