@@ -13,7 +13,6 @@ import numpy as np
 from wsn3d import (
     CorrelationModel,
     Deployment,
-    EventSource,
     SyntheticScenario,
     cluster_accuracy,
     form_clusters,
@@ -24,7 +23,7 @@ from wsn3d import (
 from wsn3d.clustering import Cluster
 
 dep = load_bundled_deployment()
-event = EventSource(position=dep.centroid(), tau_e=0.85)
+event = dep.centroid()
 model = CorrelationModel(theta=30.0, alpha=1.0)
 sigma_s2 = 1.0
 sigma_n2 = 0.05
@@ -43,7 +42,7 @@ print()
 draws = 20_000
 print(f"closed form against 1 - MSE of the fused mean over {draws} field draws")
 event_id = int(dep.node_ids.max()) + 1
-with_event = Deployment(np.append(dep.node_ids, event_id), np.vstack([dep.positions, event.position]))
+with_event = Deployment(np.append(dep.node_ids, event_id), np.vstack([dep.positions, event]))
 scn = SyntheticScenario(model=model, variance=sigma_s2, epochs=draws, seed=5)
 field = generate_synthetic(scn, with_event).values
 readings = field + np.random.default_rng(5).normal(0.0, math.sqrt(sigma_n2), field.shape)
@@ -55,7 +54,7 @@ for cluster, rep in zip(clusters, reports):
 
 print()
 print("accuracy versus cluster size: nodes joining nearest-to-event first")
-order = dep.node_ids[np.argsort(pairwise_distances(dep.positions, event.position)[:, 0], kind="stable")].tolist()
+order = dep.node_ids[np.argsort(pairwise_distances(dep.positions, event)[:, 0], kind="stable")].tolist()
 for m in (1, 2, 5, 10, 20, 40, 54):
     chosen = order[:m]
     cluster = Cluster(head=chosen[0], members=frozenset(chosen[1:]))

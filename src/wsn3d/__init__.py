@@ -30,7 +30,6 @@ from .estimation import (
 )
 from .geometry import (
     CorrelationModel,
-    EventSource,
     correlation,
     correlation_radius,
     dodeca_circumradius,

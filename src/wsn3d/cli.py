@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 input-data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from . import data_io, estimation, placement
 from .clustering import ClusterSet, Deployment, form_clusters
 from .errors import ConfigurationError, DataFormatError
-from .geometry import CorrelationModel, EventSource, correlation, correlation_radius, pairwise_distances
+from .geometry import CorrelationModel, check_event, correlation, correlation_radius, pairwise_distances
 
 
 class _UsageError(Exception):
@@ -87,7 +86,10 @@ def _add_out_flag(p: _Parser):
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
 
-def _parse_event(text: str) -> tuple[float, float, float]:
+def _parse_event(text: str | None) -> tuple[float, float, float] | None:
+    """The --event point, checked to be finite; None when no event is given."""
+    if not text:
+        return None
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigurationError(f"--event expects X,Y,Z, got {text!r}")
@@ -95,6 +97,7 @@ def _parse_event(text: str) -> tuple[float, float, float]:
         x, y, z = (float(v) for v in parts)
     except ValueError:
         raise ConfigurationError(f"--event expects numbers, got {text!r}") from None
+    check_event((x, y, z))
     return (x, y, z)
 
 
@@ -134,23 +137,15 @@ def _write_outputs(out: Path, texts: dict[str, str]) -> None:
         raise ConfigurationError(f"cannot write --out {out}: {exc}") from None
 
 
-def _load_deployment(args) -> Deployment:
-    """The --nodes deployment, carrying the --event source when one is given."""
-    dep = data_io.parse_nodes(args.nodes)
-    if args.event:
-        event = EventSource(position=_parse_event(args.event), tau_e=args.tau_e)
-        dep = dataclasses.replace(dep, event=event)
-    return dep
-
-
-def _clustering_radius(args, model: CorrelationModel) -> float:
-    if args.derive_radius:
-        return correlation_radius(model, args.tau_n)
-    return args.radius
-
-
-def _cluster(args, model: CorrelationModel, dep: Deployment) -> ClusterSet:
-    return form_clusters(dep, _clustering_radius(args, model), model if dep.event else None)
+def _cluster(args, model: CorrelationModel, dep: Deployment, event) -> ClusterSet:
+    """Cluster the nodes within the --tau-e range of the event, or all of
+    them without one. --tau-n and --tau-e are checked whether or not this
+    run reads them."""
+    for flag, tau in (("--tau-n", args.tau_n), ("--tau-e", args.tau_e)):
+        if not 0.0 < tau <= 1.0:
+            raise ConfigurationError(f"{flag} must lie in (0, 1], got {tau}")
+    radius = correlation_radius(model, args.tau_n) if args.derive_radius else args.radius
+    return form_clusters(dep, radius, event, correlation_radius(model, args.tau_e))
 
 
 def _cluster_table(cs, reports=None) -> list[str]:
@@ -164,12 +159,6 @@ def _cluster_table(cs, reports=None) -> list[str]:
         members = ",".join(str(m) for m in sorted(c.members)) or "-"
         lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {acc}{members}")
     return lines
-
-
-def _event_for_estimation(args, dep: Deployment) -> tuple[EventSource, str]:
-    if dep.event is not None:
-        return dep.event, "user"
-    return EventSource(position=dep.centroid(), tau_e=args.tau_e), "centroid-default"
 
 
 def _readings_matrix(args, dep: Deployment):
@@ -198,7 +187,8 @@ def _readings_matrix(args, dep: Deployment):
 
 def cmd_cluster(args) -> int:
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    cs = _cluster(args, model, _load_deployment(args))
+    dep = data_io.parse_nodes(args.nodes)
+    cs = _cluster(args, model, dep, _parse_event(args.event))
     out = Path(args.out)
     meta = {"theta": args.theta, "alpha": args.alpha, "derived_radius": bool(args.derive_radius)}
     _write_outputs(out, {"clusters.json": data_io.write_cluster_report(cs, metadata=meta)})
@@ -206,26 +196,28 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _estimate(args, dep: Deployment) -> tuple[ClusterSet, str, list[str]]:
-    """Cluster and score every cluster: the partition, the text of clusters.json
-    and the lines to print once it is written."""
+def _estimate(args, dep: Deployment, event) -> tuple[ClusterSet, str, list[str]]:
+    """Cluster and score every cluster at the event, or at the deployment
+    centroid without one: the partition, the text of clusters.json and the
+    lines to print once it is written."""
     model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    cs = _cluster(args, model, dep)
-    event, event_origin = _event_for_estimation(args, dep)
-    reports = estimation.cluster_accuracy(dep, cs, model, event, args.sigma_s2, args.sigma_n2)
+    cs = _cluster(args, model, dep, event)
+    point, event_origin = (event, "user") if event is not None else (dep.centroid(), "centroid-default")
+    reports = estimation.cluster_accuracy(dep, cs, model, point, args.sigma_s2, args.sigma_n2)
     meta = {
         "theta": args.theta, "alpha": args.alpha,
         "sigma_s2": args.sigma_s2, "sigma_n2": args.sigma_n2,
-        "event": list(event.position), "event_origin": event_origin,
+        "event": list(point), "event_origin": event_origin,
     }
-    note = f"note: no --event given; using the deployment centroid {event.position}"
+    note = f"note: no --event given; using the deployment centroid {point}"
     lines = [note] if event_origin == "centroid-default" else []
     lines += [*_cluster_table(cs, reports), f"wrote {Path(args.out) / 'clusters.json'}"]
     return cs, data_io.write_cluster_report(cs, reports, metadata=meta), lines
 
 
 def cmd_estimate(args) -> int:
-    _, report, lines = _estimate(args, _load_deployment(args))
+    dep = data_io.parse_nodes(args.nodes)
+    _, report, lines = _estimate(args, dep, _parse_event(args.event))
     _write_outputs(Path(args.out), {"clusters.json": report})
     print(*lines, sep="\n")
     return 0
@@ -326,10 +318,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    dep = _load_deployment(args)
+    dep = data_io.parse_nodes(args.nodes)
+    event = _parse_event(args.event)
     dead_ids = _dead_ids(args, dep)
     matrix, params = _readings_matrix(args, dep), _placement_params(args)
-    cs, report, lines = _estimate(args, dep)
+    cs, report, lines = _estimate(args, dep, event)
     _, line, texts = _place(args, cs, matrix, params)
     lines.append(line)
     if dead_ids:

@@ -2,7 +2,8 @@
 
 Clusters grow around elected head nodes: the head with the most in-range
 neighbors claims them all, the claimed nodes leave the pool, and the election
-repeats until every node belongs to exactly one cluster.
+repeats until every node belongs to exactly one cluster. Given an event point,
+only the nodes within a given range of it take part.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .geometry import CorrelationModel, EventSource, correlation_radius, pairwise_distances
+from .geometry import check_event, pairwise_distances
 
 
 def _node_problem(node_id, position) -> str | None:
@@ -29,13 +29,12 @@ def _node_problem(node_id, position) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class Deployment:
-    """Sensor nodes as two read-only arrays, plus an optional event: ``node_ids``
-    (int64, unique, from 1 to 2**63 - 1) and ``positions`` ((N, 3) float64,
-    finite), row k of each belonging to the same node."""
+    """Sensor nodes as two read-only arrays: ``node_ids`` (int64, unique, from
+    1 to 2**63 - 1) and ``positions`` ((N, 3) float64, finite), row k of each
+    belonging to the same node."""
 
     node_ids: np.ndarray
     positions: np.ndarray
-    event: EventSource | None = None
 
     def __post_init__(self):
         ids = np.asarray(self.node_ids)
@@ -142,14 +141,6 @@ def _check_radius(radius: float) -> None:
         raise ValueError(f"radius must be positive and finite, got {radius}")
 
 
-def _in_event_range(dep: Deployment, model: CorrelationModel) -> np.ndarray:
-    """Boolean mask over the deployment's rows of the nodes whose correlation
-    with its event source is at least tau_e: those within
-    correlation_radius(model, tau_e) of the event position."""
-    r = correlation_radius(model, dep.event.tau_e)
-    return pairwise_distances(dep.positions, dep.event.position)[:, 0] <= r
-
-
 def _row_blocks(n: int, size: int = _BLOCK_ROWS):
     return (slice(start, start + size) for start in range(0, n, size))
 
@@ -170,7 +161,8 @@ def _adjacency(pos: np.ndarray, radius: float) -> np.ndarray:
 def form_clusters(
     dep: Deployment,
     radius: float,
-    model: CorrelationModel | None = None,
+    event=None,
+    event_radius: float = math.inf,
     trace: list[ElectionRecord] | None = None,
 ) -> ClusterSet:
     """Partition the deployment into clusters by iterative head election.
@@ -178,22 +170,25 @@ def form_clusters(
     Each round, over the nodes not yet assigned: the node with the most
     in-radius neighbors becomes head and absorbs them all. Ties are broken by
     the smallest farthest-neighbor distance, then by smaller distance to the
-    event source when one exists, then by smaller id. Once no remaining node
-    has a neighbor, each leftover becomes a singleton cluster in id order.
+    event when one is given, then by smaller id. Once no remaining node has a
+    neighbor, each leftover becomes a singleton cluster in id order.
 
-    When the deployment carries an event source, only nodes inside its
-    correlation range participate (pass the correlation model used to size
-    that range); otherwise every node participates.
+    Given an ``event`` (a finite 3D point), only the nodes within
+    ``event_radius`` of it take part, such as correlation_radius(model, tau_e)
+    for those whose correlation with the event is at least tau_e; otherwise
+    every node takes part. ``event_radius`` must be non-negative; inf lets
+    every node in.
 
     Pass a list as ``trace`` to capture, per elected head, the candidate set
-    and any residual ties.
+    and the ties left after the farthest-neighbor rule.
     """
     _check_radius(radius)
+    if not event_radius >= 0.0:
+        raise ValueError(f"event_radius must be non-negative, got {event_radius}")
     rows = np.arange(len(dep))
-    if dep.event is not None:
-        if model is None:
-            raise ConfigurationError("event filtering needs a correlation model")
-        rows = rows[_in_event_range(dep, model)]
+    if event is not None:
+        event = check_event(event)
+        rows = rows[pairwise_distances(dep.positions, event)[:, 0] <= event_radius]
 
     # Index k is the k-th smallest participating id, so ascending index order
     # is id order and the first of a tied set is the smallest id.
@@ -223,10 +218,10 @@ def form_clusters(
                 dmax[block] = np.max(pairwise_distances(pos[candidates[block]], pos[cols]), axis=1,
                                      where=near[:, cols], initial=0.0)
             tied = candidates[dmax <= dmax.min() + 1e-12]
-        if len(tied) > 1 and dep.event is not None:
-            dev = pairwise_distances(pos[tied], dep.event.position)[:, 0]
-            tied = tied[dev <= dev.min() + 1e-12]
         head = tied[0]
+        if len(tied) > 1 and event is not None:
+            dev = pairwise_distances(pos[tied], event)[:, 0]
+            head = tied[dev <= dev.min() + 1e-12][0]
         members = adj[head] & alive
         if trace is not None:
             trace.append(ElectionRecord(

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clustering import Cluster, Deployment
-from .geometry import CorrelationModel, EventSource, correlation, pairwise_distances
+from .geometry import CorrelationModel, check_event, correlation, pairwise_distances
 
 _SYMMETRY_TOL = 1e-12
 
@@ -104,26 +104,28 @@ def cluster_accuracy(
     dep: Deployment,
     clusters: Iterable[Cluster],
     model: CorrelationModel,
-    event: EventSource,
+    event,
     sigma_s2: float,
     sigma_n2: float,
 ) -> list[AccuracyReport]:
     """Information accuracy of each cluster, such as those of a ClusterSet, from their geometry.
 
-    Correlations are taken from the exponential model: node-to-event distances
-    give rho_event, pairwise node distances give rho_pair; head and members all
-    count toward m. sigma_s2 is the variance of the signal at the event and
-    must be positive and finite; every node has the noise variance sigma_n2,
-    which must be non-negative and finite. Both are checked before any
-    cluster is scored. The reports come in the clusters' order, each equal to
-    the one the cluster gets alone. rho_event is taken for the nodes of all
-    clusters at once, rho_pair per cluster.
+    Correlations are taken from the exponential model: distances to the event,
+    a finite 3D point, give rho_event, pairwise node distances give rho_pair;
+    head and members all count toward m. sigma_s2 is the variance of the
+    signal at the event and must be positive and finite; every node has the
+    noise variance sigma_n2, which must be non-negative and finite. The event
+    and both variances are checked before any cluster is scored. The reports
+    come in the clusters' order, each equal to the one the cluster gets alone.
+    rho_event is taken for the nodes of all clusters at once, rho_pair per
+    cluster.
     """
+    event = check_event(event)
     _check_variances(sigma_s2, np.asarray(sigma_n2, dtype=float), "sigma_n2")
     orders = [(c.head, *sorted(c.members)) for c in clusters]
     nodes = [i for order in orders for i in order]
     pos = dep.positions[dep.index(nodes)]
-    rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
+    rho_event = correlation(model, pairwise_distances(pos, event)[:, 0])
     nv = np.full(len(nodes), float(sigma_n2))
     reports = []
     start = 0

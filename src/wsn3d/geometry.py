@@ -1,7 +1,8 @@
-"""Exponential spatial correlation and regular-dodecahedron geometry.
+"""Exponential spatial correlation, event points and regular-dodecahedron geometry.
 
 The correlation law exp(-d**alpha / theta) drives every distance-to-correlation
-conversion in the package; the dodecahedron constants size node sensing ranges.
+conversion in the package; check_event is the one check of an event point; the
+dodecahedron constants size node sensing ranges.
 All functions here are pure and safe to call from any thread.
 """
 
@@ -33,18 +34,12 @@ class CorrelationModel:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class EventSource:
-    """Point event at a 3D position with a correlation threshold tau_e in (0, 1]."""
-
-    position: tuple[float, float, float]
-    tau_e: float = 0.85
-
-    def __post_init__(self):
-        if len(self.position) != 3 or not all(math.isfinite(c) for c in self.position):
-            raise ValueError(f"position must be a finite 3D point, got {self.position}")
-        if not (0.0 < self.tau_e <= 1.0):
-            raise ValueError(f"tau_e must lie in (0, 1], got {self.tau_e}")
+def check_event(event) -> np.ndarray:
+    """The event as a (3,) float array; ValueError unless it is a finite 3D point."""
+    point = np.asarray(event, dtype=float)
+    if point.shape != (3,) or not np.isfinite(point).all():
+        raise ValueError(f"event must be a finite 3D point, got {tuple(point.ravel().tolist())}")
+    return point
 
 
 def correlation(model: CorrelationModel, d):

@@ -23,7 +23,6 @@ from wsn3d.estimation import (
 )
 from wsn3d.geometry import (
     CorrelationModel,
-    EventSource,
     correlation,
     correlation_radius,
     dodeca_circumradius,
@@ -162,7 +161,6 @@ def test_c5_cluster_accuracy_matches_simulated_field(deployment):
         clusters = form_clusters(deployment, 6.0)
         event_id = int(deployment.node_ids.max()) + 1
         for position in (deployment.centroid(), (2.0, 2.0, 2.0)):
-            event = EventSource(position=position, tau_e=0.85)
             # the event is one more node of the field, so S is drawn with the readings
             dep = Deployment(np.append(deployment.node_ids, event_id), np.vstack([deployment.positions, position]))
             scn = data_io.SyntheticScenario(model=model, variance=sigma_s2, epochs=draws, seed=5)
@@ -170,7 +168,7 @@ def test_c5_cluster_accuracy_matches_simulated_field(deployment):
             rng = np.random.default_rng(5)
             readings = field.values + rng.normal(0.0, math.sqrt(sigma_n2), field.values.shape)
             s = field.values[dep.index([event_id])[0]]
-            reports = cluster_accuracy(deployment, clusters, model, event, sigma_s2, sigma_n2)
+            reports = cluster_accuracy(deployment, clusters, model, position, sigma_s2, sigma_n2)
             for cluster, report in zip(clusters, reports):
                 rows = dep.index([cluster.head, *cluster.members])
                 err = (s - readings[rows].mean(axis=0)) ** 2 / sigma_s2

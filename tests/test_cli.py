@@ -90,6 +90,16 @@ class TestCluster:
         golden = GOLDEN_DIR / "clusters_derived.json"
         assert (tmp_path / "clusters.json").read_bytes() == golden.read_bytes()
 
+    def test_event_range_golden(self, nodes_arg, tmp_path, capsys):
+        # the 13 nodes within the tau_e = 0.85 range of (2, 2, 2), clustered at
+        # the derived radius, are frozen as a golden file
+        argv = ["cluster", "--nodes", nodes_arg, "--event", "2,2,2", "--derive-radius", "--out", str(tmp_path)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "    1    48    13  " in out
+        golden = GOLDEN_DIR / "clusters_event.json"
+        assert (tmp_path / "clusters.json").read_bytes() == golden.read_bytes()
+
     def test_rerun_is_byte_identical(self, nodes_arg, tmp_path, capsys):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run(["cluster", "--nodes", nodes_arg, "--out", str(a_dir)], capsys)
@@ -535,6 +545,8 @@ class TestExitCodes:
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--phi1", "nan"],
             # select_nodes rejects it in the last stage, and pipeline writes only after every stage
             ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
+            ["estimate", "--event", "1,2,nan"],
+            ["cluster", "--event", "1,2,inf"],
         ],
     )
     def test_non_finite_number_is_usage_error(self, argv, nodes_arg, tmp_path, capsys):
@@ -545,16 +557,24 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["--sigma-n2", "-1"],
-        ["--sigma-n2", "nan"],
+        ["estimate", "--sigma-n2", "-1"],
+        ["estimate", "--sigma-n2", "nan"],
         # no node lies within reach of this event, so no cluster is scored
-        ["--event", "100,100,100", "--sigma-s2", "0"],
+        ["estimate", "--event", "100,100,100", "--sigma-s2", "0"],
+        # each command checks both thresholds, whether or not the run reads them
+        ["cluster", "--tau-e", "0"],
+        ["cluster", "--tau-n", "nan"],
+        ["estimate", "--tau-n", "0"],
+        ["estimate", "--tau-e", "1.5"],
+        ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--tau-e", "nan"],
+        ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--tau-n", "-0.5"],
     ])
     def test_bad_variance_is_a_one_line_usage_error(self, argv, nodes_arg, tmp_path, capsys):
         out = tmp_path / "out"
-        code, stdout, err = run(["estimate", *argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        code, stdout, err = run([*argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
         assert code == 1
         assert err.count("\n") == 1 and "{" not in err
+        assert argv[-2].lstrip("-") in err.replace("_", "-")  # the message names the flag
         assert f"got {float(argv[-1])}" in err
         assert stdout == ""
         assert not out.exists()

@@ -10,18 +10,17 @@ from wsn3d.clustering import (
     Deployment,
     ElectionRecord,
     _adjacency,
-    _in_event_range,
     capture_clusters,
     form_clusters,
 )
-from wsn3d.errors import ConfigurationError
-from wsn3d.geometry import CorrelationModel, EventSource, pairwise_distances
+from wsn3d.geometry import CorrelationModel, correlation_radius, pairwise_distances
 
 MODEL = CorrelationModel(theta=30.0, alpha=1.0)
+RANGE_085 = correlation_radius(MODEL, 0.85)  # about 4.876 m
 
 
-def line_deployment(xs, event=None):
-    return Deployment(np.arange(1, len(xs) + 1), [(float(x), 0.0, 0.0) for x in xs], event)
+def line_deployment(xs):
+    return Deployment(np.arange(1, len(xs) + 1), [(float(x), 0.0, 0.0) for x in xs])
 
 
 def neighbor_ids(dep, radius):
@@ -30,8 +29,10 @@ def neighbor_ids(dep, radius):
     return {i: set(ids[row].tolist()) for i, row in zip(ids.tolist(), _adjacency(dep.positions, radius))}
 
 
-def in_event_range_ids(dep, model):
-    return set(dep.node_ids[_in_event_range(dep, model)].tolist())
+def in_event_range_ids(dep, event, event_radius):
+    """The ids of the nodes within event_radius of the event, by one norm per node."""
+    ev = np.asarray(event, dtype=float)
+    return {i for i, p in zip(dep.node_ids.tolist(), dep.positions) if np.linalg.norm(p - ev) <= event_radius}
 
 
 class TestEuclideanDistance:
@@ -48,20 +49,30 @@ class TestEuclideanDistance:
 
 class TestEventFilter:
     def test_node_at_event_is_kept(self):
-        ev = EventSource(position=(2.0, 0.0, 0.0), tau_e=0.85)
-        dep = line_deployment([0.0, 2.0, 50.0], event=ev)
-        assert 2 in in_event_range_ids(dep, MODEL)
+        dep = line_deployment([0.0, 2.0, 50.0])
+        assert 2 in form_clusters(dep, 6.0, (2.0, 0.0, 0.0), RANGE_085).all_ids()
+        assert form_clusters(dep, 6.0, (2.0, 0.0, 0.0), 0.0).all_ids() == {2}
 
     def test_tau_near_one_excludes_everything_away(self):
-        ev = EventSource(position=(100.0, 0.0, 0.0), tau_e=1.0 - 1e-12)
-        dep = line_deployment([0.0, 2.0, 50.0], event=ev)
-        assert in_event_range_ids(dep, MODEL) == set()
+        dep = line_deployment([0.0, 2.0, 50.0])
+        tiny = correlation_radius(MODEL, 1.0 - 1e-12)
+        assert form_clusters(dep, 6.0, (100.0, 0.0, 0.0), tiny).all_ids() == set()
 
     def test_three_node_line(self):
         # distances 1, 5, 10 from the event; radius ~4.876 keeps only the first
-        ev = EventSource(position=(0.0, 0.0, 0.0), tau_e=0.85)
-        dep = line_deployment([1.0, 5.0, 10.0], event=ev)
-        assert in_event_range_ids(dep, MODEL) == {1}
+        dep = line_deployment([1.0, 5.0, 10.0])
+        assert form_clusters(dep, 6.0, (0.0, 0.0, 0.0), RANGE_085).all_ids() == {1}
+
+    @pytest.mark.parametrize("event, event_radius, message", [
+        pytest.param((0.0, np.nan, 0.0), 1.0, r"event must be a finite 3D point, got \(0.0, nan, 0.0\)", id="nan"),
+        pytest.param((0.0, 0.0, np.inf), 1.0, "event must be a finite 3D point", id="inf"),
+        pytest.param((0.0, 0.0), 1.0, r"event must be a finite 3D point, got \(0.0, 0.0\)", id="2d"),
+        pytest.param((0.0, 0.0, 0.0), np.nan, "event_radius must be non-negative, got nan", id="nan-radius"),
+        pytest.param((0.0, 0.0, 0.0), -1.0, "event_radius must be non-negative, got -1.0", id="negative-radius"),
+    ])
+    def test_bad_event_is_rejected(self, event, event_radius, message):
+        with pytest.raises(ValueError, match=message):
+            form_clusters(line_deployment([0.0, 1.0]), 6.0, event, event_radius)
 
 
 class TestNeighborSets:
@@ -151,34 +162,35 @@ class TestFormClusters:
             remaining -= c.node_ids()
 
     def test_event_restricts_participants(self):
-        ev = EventSource(position=(0.0, 0.0, 0.0), tau_e=0.85)
-        dep = line_deployment([1.0, 2.0, 50.0], event=ev)
-        cs = form_clusters(dep, 6.0, MODEL)
+        dep = line_deployment([1.0, 2.0, 50.0])
+        cs = form_clusters(dep, 6.0, (0.0, 0.0, 0.0), RANGE_085)
         assert cs.all_ids() == {1, 2}
 
-    def test_event_requires_model(self):
-        ev = EventSource(position=(0.0, 0.0, 0.0), tau_e=0.85)
-        dep = line_deployment([1.0, 2.0], event=ev)
-        with pytest.raises(ConfigurationError):
-            form_clusters(dep, 6.0)
-
     def test_empty_participants_no_error(self):
-        ev = EventSource(position=(100.0, 0.0, 0.0), tau_e=1.0 - 1e-12)
-        dep = line_deployment([0.0, 1.0], event=ev)
-        cs = form_clusters(dep, 6.0, MODEL)
+        dep = line_deployment([0.0, 1.0])
+        cs = form_clusters(dep, 6.0, (100.0, 0.0, 0.0), correlation_radius(MODEL, 1.0 - 1e-12))
         assert len(cs) == 0
 
+    @pytest.mark.parametrize("event, head", [((0.0, 0.0, 0.0), 1), ((3.0, 0.0, 0.0), 2), (None, 1)])
+    def test_dmax_ties_are_recorded_before_the_event_rule(self, event, head):
+        # both nodes have one neighbor at 1 m, so the farthest-neighbor rule
+        # leaves both tied; the event distance, or else the id, then decides
+        dep = Deployment([1, 2], [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
+        trace = []
+        assert form_clusters(dep, 6.0, event=event, trace=trace).clusters[0].head == head
+        assert trace == [ElectionRecord(head=head, candidates=[1, 2], dmax_ties=[1, 2])]
 
-def per_pair_form_clusters(dep, radius, model=None, trace=None):
+
+def per_pair_form_clusters(dep, radius, event=None, event_radius=np.inf, trace=None):
     """Reference election: recounts every remaining node's neighbors with one
     np.linalg.norm per pair on every round. form_clusters must match it."""
-    if dep.event is not None:
-        participating = in_event_range_ids(dep, model)
+    if event is not None:
+        participating = in_event_range_ids(dep, event, event_radius)
     else:
         participating = set(dep.node_ids.tolist())
 
     by_id = dict(zip(dep.node_ids.tolist(), dep.positions))
-    ev = np.asarray(dep.event.position, dtype=float) if dep.event is not None else None
+    ev = np.asarray(event, dtype=float) if event is not None else None
 
     def dist(i: int, j: int) -> float:
         return float(np.linalg.norm(by_id[i] - by_id[j]))
@@ -198,11 +210,11 @@ def per_pair_form_clusters(dep, radius, model=None, trace=None):
         dmax = {i: max(dist(i, j) for j in nbrs[i]) for i in candidates}
         low = min(dmax.values())
         tied = [i for i in candidates if dmax[i] <= low + 1e-12]
+        head = min(tied)
         if len(tied) > 1 and ev is not None:
             dev = {i: float(np.linalg.norm(by_id[i] - ev)) for i in tied}
             low_ev = min(dev.values())
-            tied = [i for i in tied if dev[i] <= low_ev + 1e-12]
-        head = min(tied)
+            head = min(i for i in tied if dev[i] <= low_ev + 1e-12)
         if trace is not None:
             trace.append(ElectionRecord(head=head, candidates=candidates, dmax_ties=tied))
         clusters.append(Cluster(head=head, members=frozenset(nbrs[head])))
@@ -215,8 +227,8 @@ GRID = 4  # coordinates are integers in [0, GRID]
 
 @st.composite
 def integer_deployments(draw):
-    """Deployments on an integer grid, with shuffled distinct ids, an optional
-    event, and a radius whose square is an integer.
+    """Deployments on an integer grid, with shuffled distinct ids, a radius
+    whose square is an integer, and an optional event with its range.
 
     Squared distances are then exact integers, so the per-pair norm and the
     array kernel agree bit for bit and pairs sit exactly on the radius. The
@@ -235,28 +247,29 @@ def integer_deployments(draw):
         at = (GRID / 2,) * 3
     else:
         at = draw(st.tuples(*[st.integers(0, GRID).map(float)] * 3))
-    event = draw(st.none() | st.sampled_from([0.8, 0.85, 0.9]).map(lambda tau: EventSource(at, tau)))
+    tau_e = draw(st.none() | st.sampled_from([0.8, 0.85, 0.9]))
     radius = float(np.sqrt(draw(st.integers(1, 3 * GRID * GRID))))
-    return Deployment(ids, np.asarray(coords, dtype=float), event), radius
+    event = (None, np.inf) if tau_e is None else (at, correlation_radius(MODEL, tau_e))
+    return Deployment(ids, np.asarray(coords, dtype=float)), radius, *event
 
 
 class TestElectionProperties:
     @settings(max_examples=300, deadline=None)
     @given(integer_deployments())
     def test_matches_per_pair_reference(self, case):
-        dep, radius = case
+        dep, radius, event, event_radius = case
         got_trace, want_trace = [], []
-        got = form_clusters(dep, radius, MODEL, trace=got_trace)
-        want = per_pair_form_clusters(dep, radius, MODEL, trace=want_trace)
+        got = form_clusters(dep, radius, event, event_radius, trace=got_trace)
+        want = per_pair_form_clusters(dep, radius, event, event_radius, trace=want_trace)
         assert got == want
         assert got_trace == want_trace
 
     @settings(max_examples=150, deadline=None)
     @given(integer_deployments())
     def test_partition_and_neighbor_invariants(self, case):
-        dep, radius = case
-        cs = form_clusters(dep, radius, MODEL)
-        participating = in_event_range_ids(dep, MODEL) if dep.event else set(dep.node_ids.tolist())
+        dep, radius, event, event_radius = case
+        cs = form_clusters(dep, radius, event, event_radius)
+        participating = in_event_range_ids(dep, event, event_radius) if event else set(dep.node_ids.tolist())
         assert sorted(i for c in cs for i in c.node_ids()) == sorted(participating)
         sizes = [len(c.members) for c in cs]
         assert sizes == sorted(sizes, reverse=True)
@@ -266,7 +279,7 @@ class TestElectionProperties:
         for c in cs:
             assert set(c.members) == nbrs[c.head] & remaining
             remaining -= c.node_ids()
-        if dep.event is None:
+        if event is None:
             assert capture_clusters(dep, [c.head for c in cs], radius) == cs
 
 

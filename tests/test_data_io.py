@@ -12,7 +12,7 @@ from wsn3d import data_io
 from wsn3d.clustering import ClusterSet, Deployment, form_clusters
 from wsn3d.errors import DataFormatError
 from wsn3d.estimation import cluster_accuracy
-from wsn3d.geometry import CorrelationModel, EventSource
+from wsn3d.geometry import CorrelationModel
 
 
 class TestParseNodes:
@@ -208,8 +208,7 @@ class TestClusterReport:
     def test_accuracy_fields_serialized(self, deployment):
         model = CorrelationModel(theta=30.0)
         cs = form_clusters(deployment, 6.0)
-        event = EventSource(position=deployment.centroid(), tau_e=0.85)
-        reports = cluster_accuracy(deployment, cs, model, event, 1.0, 0.05)
+        reports = cluster_accuracy(deployment, cs, model, deployment.centroid(), 1.0, 0.05)
         text = data_io.write_cluster_report(cs, reports)
         assert text.count('"accuracy"') == 7
 

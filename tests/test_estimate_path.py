@@ -16,12 +16,11 @@ from wsn3d.clustering import (
     Deployment,
     ElectionRecord,
     _adjacency,
-    _in_event_range,
     _row_blocks,
     form_clusters,
 )
 from wsn3d.estimation import AccuracyReport, _accuracy_terms, cluster_accuracy
-from wsn3d.geometry import CorrelationModel, EventSource, correlation, pairwise_distances
+from wsn3d.geometry import CorrelationModel, correlation, correlation_radius, pairwise_distances
 
 MODEL = CorrelationModel(theta=30.0)
 
@@ -32,7 +31,7 @@ def reference_cluster_accuracy(dep, cluster, model, event, sigma_s2, sigma_n2):
     order = (cluster.head, *sorted(cluster.members))
     pos = dep.positions[dep.index(order)]
     m = len(order)
-    rho_event = correlation(model, pairwise_distances(pos, event.position)[:, 0])
+    rho_event = correlation(model, pairwise_distances(pos, event)[:, 0])
     rho_pair = correlation(model, pairwise_distances(pos))
     nv = np.full(m, sigma_n2)
     accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sigma_s2, nv)
@@ -42,11 +41,13 @@ def reference_cluster_accuracy(dep, cluster, model, event, sigma_s2, sigma_n2):
     )
 
 
-def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
+def blocked_dmax_form_clusters(dep, radius, event=None, event_radius=np.inf, trace=None):
     """form_clusters with the tie-break distance of every candidate, lone or
     not, taken as the maximum over all N columns, 128 candidate rows at a
     time, where the row's unassigned neighbors are."""
-    participating = dep.node_ids[_in_event_range(dep, model)] if dep.event is not None else dep.node_ids
+    participating = dep.node_ids
+    if event is not None:
+        participating = participating[pairwise_distances(dep.positions, event)[:, 0] <= event_radius]
     ids = np.sort(participating)
     pos = dep.positions[dep.index(ids)]
     adj = _adjacency(pos, radius)
@@ -69,10 +70,10 @@ def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
                 pairwise_distances(pos[rows], pos), axis=1, where=adj[rows] & alive, initial=0.0
             )
         tied = candidates[dmax <= dmax.min() + 1e-12]
-        if len(tied) > 1 and dep.event is not None:
-            dev = pairwise_distances(pos[tied], dep.event.position)[:, 0]
-            tied = tied[dev <= dev.min() + 1e-12]
         head = tied[0]
+        if len(tied) > 1 and event is not None:
+            dev = pairwise_distances(pos[tied], event)[:, 0]
+            head = tied[dev <= dev.min() + 1e-12][0]
         members = adj[head] & alive
         if trace is not None:
             trace.append(ElectionRecord(
@@ -87,9 +88,10 @@ def blocked_dmax_form_clusters(dep, radius, model=None, trace=None):
 
 @st.composite
 def deployments(draw):
-    """(deployment, radius): uniform float positions at the bundled fixture's
-    density, or an integer grid where counts and distances tie; shuffled ids
-    up to 2**63 - 1 and an event source half of the time."""
+    """(deployment, radius, event, event_radius): uniform float positions at
+    the bundled fixture's density, or an integer grid where counts and
+    distances tie; shuffled ids up to 2**63 - 1; an event point and its
+    correlation range half of the time, else None and inf."""
     n = draw(st.integers(1, 60))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -100,11 +102,11 @@ def deployments(draw):
         pos = rng.uniform(0.0, 10.0 * (n / 54) ** (1 / 3), (n, 3))
         radius = draw(st.sampled_from([1.5, 3.0, 6.0]))
     ids = draw(st.lists(st.integers(1, 2**63 - 1), min_size=n, max_size=n, unique=True))
-    event = None
+    event, event_radius = None, np.inf
     if draw(st.booleans()):
-        at = tuple(rng.uniform(0.0, 5.0, 3).tolist())
-        event = EventSource(at, draw(st.sampled_from([0.7, 0.85, 0.95])))
-    return Deployment(ids, pos, event), radius
+        event = tuple(rng.uniform(0.0, 5.0, 3).tolist())
+        event_radius = correlation_radius(MODEL, draw(st.sampled_from([0.7, 0.85, 0.95])))
+    return Deployment(ids, pos), radius, event, event_radius
 
 
 def bits(report):
@@ -115,9 +117,9 @@ class TestOneCallAccuracy:
     @settings(max_examples=200, deadline=None)
     @given(deployments(), st.data())
     def test_cluster_set_matches_per_cluster_reports(self, case, data):
-        dep, radius = case
-        cs = form_clusters(dep, radius, MODEL if dep.event else None)
-        event = dep.event or EventSource(position=dep.centroid())
+        dep, radius, event, event_radius = case
+        cs = form_clusters(dep, radius, event, event_radius)
+        event = event or dep.centroid()
         sigma_n2 = data.draw(st.sampled_from([0.0, 0.05, 0.3, 2.0]))
         sigma_s2 = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
         got = cluster_accuracy(dep, cs, MODEL, event, sigma_s2, sigma_n2)
@@ -129,9 +131,9 @@ class TestOneCallAccuracy:
             assert [bits(r) for r in one] == [bits(w)]
 
     def test_singletons_and_an_empty_set(self):
-        event = EventSource(position=(20.0, 0.0, 0.0))
-        dep = Deployment([4, 2, 9], [(10.0 * i, 0.0, 0.0) for i in (4, 2, 9)], event)
-        cs = form_clusters(dep, 1.0, CorrelationModel(theta=1e6))
+        event = (20.0, 0.0, 0.0)
+        dep = Deployment([4, 2, 9], [(10.0 * i, 0.0, 0.0) for i in (4, 2, 9)])
+        cs = form_clusters(dep, 1.0, event)
         assert [c.size for c in cs] == [1, 1, 1]
         got = cluster_accuracy(dep, cs, MODEL, event, 1.0, 0.05)
         want = [reference_cluster_accuracy(dep, c, MODEL, event, 1.0, 0.05) for c in cs]
@@ -143,10 +145,10 @@ class TestTieDistances:
     @settings(max_examples=300, deadline=None)
     @given(deployments())
     def test_records_match_the_blocked_maximum(self, case):
-        dep, radius = case
+        dep, radius, event, event_radius = case
         got_trace, want_trace = [], []
-        got = form_clusters(dep, radius, MODEL, trace=got_trace)
-        want = blocked_dmax_form_clusters(dep, radius, MODEL, trace=want_trace)
+        got = form_clusters(dep, radius, event, event_radius, trace=got_trace)
+        want = blocked_dmax_form_clusters(dep, radius, event, event_radius, trace=want_trace)
         assert got == want
         assert got_trace == want_trace
 

@@ -10,7 +10,7 @@ from wsn3d.estimation import (
     predict_dead,
     prediction_accuracy,
 )
-from wsn3d.geometry import CorrelationModel, EventSource
+from wsn3d.geometry import CorrelationModel
 
 
 class TestInformationAccuracy:
@@ -79,8 +79,8 @@ class TestInformationAccuracy:
 
 class TestClusterAccuracy:
     def test_singleton_at_event_is_perfect(self):
-        event = EventSource(position=(2.0, 2.0, 2.0), tau_e=0.85)
-        dep = Deployment([1], [(2.0, 2.0, 2.0)], event)
+        event = (2.0, 2.0, 2.0)
+        dep = Deployment([1], [event])
         cluster = Cluster(head=1, members=frozenset())
         model = CorrelationModel(theta=30.0)
         [rep] = cluster_accuracy(dep, [cluster], model, event, 1.0, 0.0)
@@ -89,23 +89,23 @@ class TestClusterAccuracy:
 
     def test_spread_cluster_beats_clumped(self):
         # same node-to-event distances, different pairwise spreads
-        event = EventSource(position=(0.0, 0.0, 0.0), tau_e=0.85)
+        event = (0.0, 0.0, 0.0)
         r = 5.0
         clumped = [(r, 0.0, 0.0), (r * np.cos(0.1), r * np.sin(0.1), 0.0), (r * np.cos(0.2), r * np.sin(0.2), 0.0)]
         spread = [(r, 0.0, 0.0), (-r, 0.0, 0.0), (0.0, r, 0.0)]
         model = CorrelationModel(theta=30.0)
         cluster = Cluster(head=1, members=frozenset({2, 3}))
         acc_clumped = cluster_accuracy(
-            Deployment([1, 2, 3], clumped, event), [cluster], model, event, 1.0, 0.0
+            Deployment([1, 2, 3], clumped), [cluster], model, event, 1.0, 0.0
         )[0].accuracy
         acc_spread = cluster_accuracy(
-            Deployment([1, 2, 3], spread, event), [cluster], model, event, 1.0, 0.0
+            Deployment([1, 2, 3], spread), [cluster], model, event, 1.0, 0.0
         )[0].accuracy
         assert acc_spread > acc_clumped
 
     def test_terms_recompose(self, deployment):
         model = CorrelationModel(theta=30.0)
-        event = EventSource(position=deployment.centroid(), tau_e=0.85)
+        event = deployment.centroid()
         for rep in cluster_accuracy(deployment, form_clusters(deployment, 6.0), model, event, 1.0, 0.05):
             assert rep.accuracy == pytest.approx(
                 rep.gain_term - rep.redundancy_term - rep.noise_term, abs=1e-12
@@ -122,10 +122,21 @@ class TestClusterAccuracy:
     ], ids=["sigma_s2-0", "sigma_s2-nan", "sigma_s2-inf", "sigma_n2-nan", "sigma_n2-inf", "sigma_n2-negative"])
     def test_bad_variances_rejected_before_any_cluster(self, deployment, sigma_s2, sigma_n2, message):
         model = CorrelationModel(theta=30.0)
-        event = EventSource(position=deployment.centroid(), tau_e=0.85)
+        event = deployment.centroid()
         for clusters in (form_clusters(deployment, 6.0), []):
             with pytest.raises(ValueError, match=message):
                 cluster_accuracy(deployment, clusters, model, event, sigma_s2, sigma_n2)
+
+    @pytest.mark.parametrize("event, message", [
+        ((0.0, math.nan, 0.0), r"event must be a finite 3D point, got \(0.0, nan, 0.0\)"),
+        ((math.inf, 0.0, 0.0), r"event must be a finite 3D point, got \(inf, 0.0, 0.0\)"),
+        ((0.0, 0.0), r"event must be a finite 3D point, got \(0.0, 0.0\)"),
+    ], ids=["nan", "inf", "2d"])
+    def test_bad_event_rejected_before_any_cluster(self, deployment, event, message):
+        model = CorrelationModel(theta=30.0)
+        for clusters in (form_clusters(deployment, 6.0), []):
+            with pytest.raises(ValueError, match=message):
+                cluster_accuracy(deployment, clusters, model, event, 1.0, 0.05)
 
 
 class TestPredictDead:

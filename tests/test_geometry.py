@@ -5,7 +5,7 @@ import pytest
 
 from wsn3d.geometry import (
     CorrelationModel,
-    EventSource,
+    check_event,
     correlation,
     correlation_radius,
     dodeca_circumradius,
@@ -71,7 +71,7 @@ class TestCorrelationRadius:
     def test_tau_near_one_vanishes(self):
         assert correlation_radius(MODEL, 1.0 - 1e-12) < 1e-5
 
-    @pytest.mark.parametrize("tau", [-0.5, 0.0, 1.5])
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 1.5, math.nan])
     def test_domain_errors(self, tau):
         with pytest.raises(ValueError):
             correlation_radius(MODEL, tau)
@@ -165,8 +165,8 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             CorrelationModel(theta=30.0, alpha=alpha)
 
-    def test_event_source_threshold_range(self):
-        with pytest.raises(ValueError):
-            EventSource(position=(0.0, 0.0, 0.0), tau_e=0.0)
-        with pytest.raises(ValueError):
-            EventSource(position=(0.0, float("nan"), 0.0), tau_e=0.5)
+    def test_event_must_be_a_finite_3d_point(self):
+        assert check_event([1, 2, 3]).tolist() == [1.0, 2.0, 3.0]
+        for event in [(0.0, float("nan"), 0.0), (0.0, 0.0, float("-inf")), (0.0, 0.0), (1.0, 2.0, 3.0, 4.0)]:
+            with pytest.raises(ValueError, match="event must be a finite 3D point"):
+                check_event(event)
