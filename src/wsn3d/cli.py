@@ -87,8 +87,8 @@ def _add_out_flag(p: _Parser):
 
 
 def _parse_event(text: str | None) -> tuple[float, float, float] | None:
-    """The --event point, checked to be finite; None when no event is given."""
-    if not text:
+    """The --event point, checked to be finite; None when the flag is absent."""
+    if text is None:
         return None
     parts = text.split(",")
     if len(parts) != 3:
@@ -110,19 +110,20 @@ def _add_synth_flags(p: _Parser):
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The CLI's argument parser; every subcommand is listed in it.
+    """The CLI's argument parser.
 
-    Only the subcommand named ``command`` gets its flags, -h included, or
-    every subcommand when ``command`` is None: each add_argument call sizes a
-    help formatter to the terminal, so a run builds the flags of the one
-    subcommand it runs.
+    When ``command`` names a subcommand, the parser holds that subcommand
+    alone, with all its flags: each add_argument call sizes a help formatter
+    to the terminal, so a run builds only the subcommand it runs. Otherwise
+    (None, --help or an unknown name) it holds every subcommand, so the
+    top-level help and the invalid-choice error list them all.
     """
     parser = _Parser(prog="wsn3d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flag_adders) in _SUBCOMMANDS.items():
-        built = command is None or command == name
-        p = sub.add_parser(name, help=help_text, add_help=built)
-        for add_flags in flag_adders if built else ():
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        _, help_text, flag_adders = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add_flags in flag_adders:
             add_flags(p)
     return parser
 

@@ -68,20 +68,30 @@ def _check_variances(sigma_s2: float, noise: np.ndarray, noise_name: str) -> Non
         raise ValueError(f"{noise_name} must be non-negative and finite, got {bad[0]}")
 
 
-def _off_diagonal_sum(n: int, rho_pair) -> float:
-    """The sum of the off-diagonal entries of rho_pair, once it is checked to
-    be a symmetric (n, n) matrix."""
+def _checked_pair_matrix(n: int, rho_pair) -> np.ndarray:
+    """rho_pair as a float array, once it is checked to be a symmetric (n, n) matrix."""
     rp = np.asarray(rho_pair, dtype=float)
     if rp.shape != (n, n):
         raise ValueError(f"rho_pair must have shape ({n}, {n}), got {rp.shape}")
     if np.max(np.abs(rp - rp.T), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must be symmetric")
+    return rp
+
+
+def _off_diagonal_sum(rp: np.ndarray) -> float:
     return float(np.sum(rp)) - float(np.sum(np.diag(rp)))
 
 
 def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
     """(accuracy, gain, off-diagonal sum, noise numerator) of an m-node cluster
-    whose variances the caller has checked."""
+    whose variances the caller has checked.
+
+    Checks the node count and the shapes of the three arrays, and that rho_pair
+    is symmetric with a unit diagonal, before _accuracy_formula. It serves
+    information_accuracy, whose arrays come from outside; cluster_accuracy
+    builds its arrays from the correlation model and calls _accuracy_formula
+    directly.
+    """
     if m < 1:
         raise ValueError(f"node count must be at least 1, got {m}")
     nv = np.asarray(noise_variances, dtype=float)
@@ -90,9 +100,15 @@ def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
     rho_e = np.asarray(rho_event, dtype=float)
     if rho_e.shape != (m,):
         raise ValueError(f"rho_event must have shape ({m},), got {rho_e.shape}")
-    off_sum = _off_diagonal_sum(m, rho_pair)
-    if np.max(np.abs(np.diag(np.asarray(rho_pair, dtype=float)) - 1.0), initial=0.0) > _SYMMETRY_TOL:
+    rp = _checked_pair_matrix(m, rho_pair)
+    if np.max(np.abs(np.diag(rp) - 1.0), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must have a unit diagonal")
+    return _accuracy_formula(m, rho_e, rp, sigma_s2, nv)
+
+
+def _accuracy_formula(m: int, rho_e: np.ndarray, rp: np.ndarray, sigma_s2: float, nv: np.ndarray):
+    """_accuracy_terms' arithmetic on float arrays of shapes (m,), (m, m) and (m,)."""
+    off_sum = _off_diagonal_sum(rp)
     gain = 2.0 * float(np.sum(rho_e)) / m
     noise_num = (m * sigma_s2 + float(np.sum(nv))) / sigma_s2
     # combine the two 1/m**2 terms before dividing so the perfect-correlation
@@ -134,7 +150,9 @@ def cluster_accuracy(
         part = slice(start, start + m)
         start += m
         rho_pair = correlation(model, pairwise_distances(pos[part]))
-        accuracy, gain, off_sum, noise_num = _accuracy_terms(
+        # the kernel's rho_pair is symmetric with a unit diagonal, so the
+        # checks of _accuracy_terms are skipped
+        accuracy, gain, off_sum, noise_num = _accuracy_formula(
             m, rho_event[part], rho_pair, sigma_s2, nv[part])
         reports.append(AccuracyReport(
             head=order[0],
@@ -180,7 +198,7 @@ def prediction_accuracy(o_total: int, rho_dead, rho_pair, live_divisor: bool = F
     rows = np.asarray(rho_dead, dtype=float, order="C")
     if rows.shape[-1:] != (o_total,) or rows.ndim > 2:
         raise ValueError(f"rho_dead must have shape ({o_total},) or (k, {o_total}), got {rows.shape}")
-    off_sum = _off_diagonal_sum(o_total, rho_pair)
+    off_sum = _off_diagonal_sum(_checked_pair_matrix(o_total, rho_pair))
     dead_sums = np.sum(rows, axis=-1)
     d = o_total - dead_sums.size if live_divisor else o_total
     if d < 1:

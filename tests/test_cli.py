@@ -40,9 +40,11 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code], env=subprocess_env(), timeout=120).returncode == 0
 
 
-def subcommands():
-    """The argparse parser of each subcommand, by name."""
-    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+def subcommands(parser=None):
+    """The argparse parser of each subcommand in ``parser``, by name; by
+    default in the parser of every subcommand."""
+    parser = build_parser() if parser is None else parser
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return dict(sub.choices)
 
 
@@ -579,6 +581,20 @@ class TestExitCodes:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster"],
+        ["estimate"],
+        ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2"],
+    ])
+    def test_empty_event_is_usage_error(self, argv, nodes_arg, tmp_path, capsys):
+        # an empty --event is malformed, not absent: no centroid default
+        out = tmp_path / "out"
+        code, stdout, err = run([*argv, "--event", "", "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert code == 1
+        assert err == "error: --event expects X,Y,Z, got ''\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_closed_stdout_exits_without_traceback(self, nodes_arg, tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-m", "wsn3d", "cluster", "--nodes", nodes_arg, "--out", str(tmp_path)],
@@ -636,22 +652,36 @@ C9_ARGVS = [
 
 
 class TestSubcommandParser:
-    """build_parser(name) gives only that subcommand its flags, and parses and
-    documents it as the parser of every subcommand does."""
+    """build_parser(name) holds only the subcommand it names, and parses and
+    documents it as the parser of every subcommand does; without a known
+    name it holds every subcommand."""
 
     def test_help_and_namespace_match_the_full_parser(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
         full = subcommands()
         for argv in C9_ARGVS:
             name = argv[0]
-            one = build_parser(name)
-            (sub,) = (a for a in one._actions if isinstance(a, argparse._SubParsersAction))
-            assert sub.choices[name].format_help() == full[name].format_help()
+            one = subcommands(build_parser(name))
+            assert set(one) == {name}
+            assert one[name].format_help() == full[name].format_help()
             argv = [*argv, "--nodes", "nodes.csv", "--out", "out"]
-            assert one.parse_args(argv) == build_parser().parse_args(argv)
-            for other, parser in sub.choices.items():
-                assert (other == name) == bool(parser._actions), f"{other} built for {name}"
+            assert build_parser(name).parse_args(argv) == build_parser().parse_args(argv)
         assert {argv[0] for argv in C9_ARGVS} == set(full)
+
+    @pytest.mark.parametrize("command", ["bogus", "--help", "-h", "Cluster"])
+    def test_no_known_name_builds_every_subcommand(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        want = {name: p.format_help() for name, p in subcommands().items()}
+        assert set(want) == {argv[0] for argv in C9_ARGVS}
+        assert {name: p.format_help() for name, p in subcommands(build_parser(command)).items()} == want
+
+    def test_unknown_subcommand_names_every_subcommand(self, capsys):
+        code, out, err = run(["bogus"], capsys)
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert "'bogus'" in err
+        for argv in C9_ARGVS:
+            assert argv[0] in err
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         code, out, _ = run(["--help"], capsys)

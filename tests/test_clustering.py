@@ -92,6 +92,25 @@ class TestNeighborSets:
             for j in s:
                 assert i in nbrs[j]
 
+    @pytest.mark.parametrize("kind", ["uniform", "lattice"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_relation_matches_the_distance_matrix(self, n, kind):
+        # up to three blocks of rows, each mirrored into the columns below it.
+        # The lattice is 7 x 7 x 7 at unit spacing, shuffled, at radius sqrt(2),
+        # so that face diagonals lie exactly on the radius.
+        rng = np.random.default_rng(n)
+        if kind == "uniform":
+            pos, radius = rng.uniform(0.0, 10.0 * (n / 54) ** (1 / 3), (n, 3)), 6.0
+        else:
+            pts = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+            pos, radius = rng.permutation(pts)[:n], float(np.sqrt(2.0))
+        d = pairwise_distances(pos)
+        want = d <= radius
+        np.fill_diagonal(want, False)
+        assert np.array_equal(_adjacency(pos, radius), want)
+        if kind == "lattice" and n > 1:
+            assert (d == radius).any()
+
     def test_fixture_node47_superset(self, deployment):
         # brute-force oracle over the full 54-node set
         pos = dict(zip(deployment.node_ids.tolist(), deployment.positions))

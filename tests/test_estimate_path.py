@@ -1,12 +1,15 @@
 """The estimate path's array forms against reference copies of the loops they
-replaced, bit for bit: cluster_accuracy over a whole ClusterSet against one
-per-cluster call each, and the tie-break distances taken over each
-candidate's unassigned neighbors against the blocked maximum over every
-column."""
+replaced, bit for bit: cluster_accuracy over a whole ClusterSet, which skips
+the matrix checks, against one checked per-cluster call each, and the
+election on the mirrored block relation, with tie-break distances taken over
+each candidate's unassigned neighbors, against the full distance matrix and
+the blocked maximum over every column. Fixed 300-node cases cross the
+128-row block boundaries."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,6 @@ from wsn3d.clustering import (
     ClusterSet,
     Deployment,
     ElectionRecord,
-    _adjacency,
     _row_blocks,
     form_clusters,
 )
@@ -42,15 +44,17 @@ def reference_cluster_accuracy(dep, cluster, model, event, sigma_s2, sigma_n2):
 
 
 def blocked_dmax_form_clusters(dep, radius, event=None, event_radius=np.inf, trace=None):
-    """form_clusters with the tie-break distance of every candidate, lone or
-    not, taken as the maximum over all N columns, 128 candidate rows at a
-    time, where the row's unassigned neighbors are."""
+    """form_clusters with the in-radius relation read off the full distance
+    matrix, and the tie-break distance of every candidate, lone or not,
+    taken as the maximum over all N columns, 128 candidate rows at a time,
+    where the row's unassigned neighbors are."""
     participating = dep.node_ids
     if event is not None:
         participating = participating[pairwise_distances(dep.positions, event)[:, 0] <= event_radius]
     ids = np.sort(participating)
     pos = dep.positions[dep.index(ids)]
-    adj = _adjacency(pos, radius)
+    adj = pairwise_distances(pos) <= radius
+    np.fill_diagonal(adj, False)
     counts = adj.sum(axis=1)
     alive = np.ones(len(ids), dtype=bool)
     clusters = []
@@ -109,6 +113,23 @@ def deployments(draw):
     return Deployment(ids, pos), radius, event, event_radius
 
 
+def large_deployments():
+    """Fixed 300-node cases, three blocks of rows: uniform at the fixture's
+    density, and a shuffled integer grid whose counts and distances tie; each
+    with shuffled ids, without and with an event and its range."""
+    rng = np.random.default_rng(300)
+    ids = rng.permutation(np.arange(1, 301)) * 7919
+    uniform = Deployment(ids, rng.uniform(0.0, 10.0 * (300 / 54) ** (1 / 3), (300, 3)))
+    grid = Deployment(ids, rng.integers(0, 8, (300, 3)).astype(float))
+    event, event_radius = (9.0, 9.0, 3.5), correlation_radius(MODEL, 0.7)  # about 10.7 m
+    return [
+        pytest.param(uniform, 6.0, None, np.inf, id="uniform"),
+        pytest.param(uniform, 6.0, event, event_radius, id="uniform-event"),
+        pytest.param(grid, float(np.sqrt(3.0)), None, np.inf, id="grid"),
+        pytest.param(grid, float(np.sqrt(3.0)), event, event_radius, id="grid-event"),
+    ]
+
+
 def bits(report):
     return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
 
@@ -130,6 +151,15 @@ class TestOneCallAccuracy:
             one = cluster_accuracy(dep, [c], MODEL, event, sigma_s2, sigma_n2)
             assert [bits(r) for r in one] == [bits(w)]
 
+    @pytest.mark.parametrize("dep, radius, event, event_radius", large_deployments())
+    def test_large_cluster_set_matches_per_cluster_reports(self, dep, radius, event, event_radius):
+        cs = form_clusters(dep, radius, event, event_radius)
+        assert max(c.size for c in cs) > 1
+        event = event or dep.centroid()
+        got = cluster_accuracy(dep, cs, MODEL, event, 1.0, 0.05)
+        want = [reference_cluster_accuracy(dep, c, MODEL, event, 1.0, 0.05) for c in cs]
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+
     def test_singletons_and_an_empty_set(self):
         event = (20.0, 0.0, 0.0)
         dep = Deployment([4, 2, 9], [(10.0 * i, 0.0, 0.0) for i in (4, 2, 9)])
@@ -146,6 +176,14 @@ class TestTieDistances:
     @given(deployments())
     def test_records_match_the_blocked_maximum(self, case):
         dep, radius, event, event_radius = case
+        got_trace, want_trace = [], []
+        got = form_clusters(dep, radius, event, event_radius, trace=got_trace)
+        want = blocked_dmax_form_clusters(dep, radius, event, event_radius, trace=want_trace)
+        assert got == want
+        assert got_trace == want_trace
+
+    @pytest.mark.parametrize("dep, radius, event, event_radius", large_deployments())
+    def test_large_records_match_the_blocked_maximum(self, dep, radius, event, event_radius):
         got_trace, want_trace = [], []
         got = form_clusters(dep, radius, event, event_radius, trace=got_trace)
         want = blocked_dmax_form_clusters(dep, radius, event, event_radius, trace=want_trace)
