@@ -1,7 +1,8 @@
 """Command-line front end: cluster, estimate, predict, place, synth, pipeline.
 
 Human-readable tables go to stdout; machine artifacts are always files under
---out, so repeated runs with identical flags produce byte-identical outputs.
+--out, written only once every stage has succeeded, so a failed run writes
+none and repeated runs with identical flags produce byte-identical outputs.
 Exit codes: 0 success, 1 usage or configuration error, 2 input-data error.
 """
 
@@ -162,14 +163,13 @@ def _cluster_table(cs, reports=None) -> list[str]:
     return lines
 
 
-def _readings_matrix(args, dep: Deployment):
+def _readings_matrix(args, dep: Deployment, model: CorrelationModel):
     readings = getattr(args, "readings", None)
     if readings and args.synthetic:
         raise ConfigurationError("pass either --readings or --synthetic, not both")
     if readings:
         return data_io.parse_readings(readings, deployment=dep)
     if args.synthetic:
-        model = CorrelationModel(theta=args.theta, alpha=args.alpha)
         variance = getattr(args, "variance", None)
         if args.synthetic == "sun-shade":
             if variance is not None:
@@ -186,22 +186,17 @@ def _readings_matrix(args, dep: Deployment):
     raise ConfigurationError("readings required: pass --readings PATH or --synthetic NAME")
 
 
-def cmd_cluster(args) -> int:
-    model = CorrelationModel(theta=args.theta, alpha=args.alpha)
-    dep = data_io.parse_nodes(args.nodes)
+def cmd_cluster(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[str, str], list[str]]:
     cs = _cluster(args, model, dep, _parse_event(args.event))
-    out = Path(args.out)
     meta = {"theta": args.theta, "alpha": args.alpha, "derived_radius": bool(args.derive_radius)}
-    _write_outputs(out, {"clusters.json": data_io.write_cluster_report(cs, metadata=meta)})
-    print(*_cluster_table(cs), f"wrote {out / 'clusters.json'}", sep="\n")
-    return 0
+    texts = {"clusters.json": data_io.write_cluster_report(cs, metadata=meta)}
+    return texts, [*_cluster_table(cs), f"wrote {Path(args.out) / 'clusters.json'}"]
 
 
-def _estimate(args, dep: Deployment, event) -> tuple[ClusterSet, str, list[str]]:
+def _estimate(args, dep: Deployment, model: CorrelationModel, event) -> tuple[ClusterSet, dict[str, str], list[str]]:
     """Cluster and score every cluster at the event, or at the deployment
-    centroid without one: the partition, the text of clusters.json and the
-    lines to print once it is written."""
-    model = CorrelationModel(theta=args.theta, alpha=args.alpha)
+    centroid without one: the partition, the clusters.json text by file name
+    and the lines to print once it is written."""
     cs = _cluster(args, model, dep, event)
     point, event_origin = (event, "user") if event is not None else (dep.centroid(), "centroid-default")
     reports = estimation.cluster_accuracy(dep, cs, model, point, args.sigma_s2, args.sigma_n2)
@@ -213,15 +208,12 @@ def _estimate(args, dep: Deployment, event) -> tuple[ClusterSet, str, list[str]]
     note = f"note: no --event given; using the deployment centroid {point}"
     lines = [note] if event_origin == "centroid-default" else []
     lines += [*_cluster_table(cs, reports), f"wrote {Path(args.out) / 'clusters.json'}"]
-    return cs, data_io.write_cluster_report(cs, reports, metadata=meta), lines
+    return cs, {"clusters.json": data_io.write_cluster_report(cs, reports, metadata=meta)}, lines
 
 
-def cmd_estimate(args) -> int:
-    dep = data_io.parse_nodes(args.nodes)
-    _, report, lines = _estimate(args, dep, _parse_event(args.event))
-    _write_outputs(Path(args.out), {"clusters.json": report})
-    print(*lines, sep="\n")
-    return 0
+def cmd_estimate(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[str, str], list[str]]:
+    _, texts, lines = _estimate(args, dep, model, _parse_event(args.event))
+    return texts, lines
 
 
 def _dead_ids(args, dep: Deployment) -> list[int]:
@@ -242,9 +234,8 @@ def _dead_ids(args, dep: Deployment) -> list[int]:
     return dead_ids
 
 
-def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> list[str]:
+def _predict(args, dep: Deployment, model: CorrelationModel, matrix, dead_ids: list[int]) -> list[str]:
     """The table of each dead node's predicted reading and its quality, as lines."""
-    model = CorrelationModel(theta=args.theta, alpha=args.alpha)
     all_ids = np.sort(dep.node_ids)
     live_ids = all_ids[~np.isin(all_ids, dead_ids)]
     ids = np.asarray(matrix.node_ids)
@@ -265,23 +256,17 @@ def _predict(args, dep: Deployment, matrix, dead_ids: list[int]) -> list[str]:
             *(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}" for d, quality in zip(dead_ids, qualities))]
 
 
-def cmd_predict(args) -> int:
-    dep = data_io.parse_nodes(args.nodes)
+def cmd_predict(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[str, str], list[str]]:
     dead_ids = _dead_ids(args, dep)
-    if dead_ids:
-        print(*_predict(args, dep, _readings_matrix(args, dep), dead_ids), sep="\n")
-    else:
-        print("no dead nodes given; nothing to predict")
-    return 0
+    if not dead_ids:
+        return {}, ["no dead nodes given; nothing to predict"]
+    return {}, _predict(args, dep, model, _readings_matrix(args, dep, model), dead_ids)
 
 
-def _placement_params(args) -> placement.PlacementParams:
-    return placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
-
-
-def _place(args, cs: ClusterSet, matrix, params: placement.PlacementParams) -> tuple[set[int], str, dict[str, str]]:
+def _place(args, cs: ClusterSet, matrix) -> tuple[set[int], str, dict[str, str]]:
     """Run the placement search on the partition ``cs``: the selected ids, the
     line to print and the texts of curve.csv and nodes.csv."""
+    params = placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
     if not cs.clusters:
         raise ConfigurationError("no node was clustered; nothing to place")
     clustered = np.asarray(sorted(cs.all_ids()))
@@ -296,47 +281,36 @@ def _place(args, cs: ClusterSet, matrix, params: placement.PlacementParams) -> t
     return selected, line, {"curve.csv": curve, "nodes.csv": nodes}
 
 
-def cmd_place(args) -> int:
-    dep = data_io.parse_nodes(args.nodes)
+def cmd_place(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[str, str], list[str]]:
     cs = form_clusters(dep, args.radius)
-    selected, line, texts = _place(args, cs, _readings_matrix(args, dep), _placement_params(args))
+    selected, line, texts = _place(args, cs, _readings_matrix(args, dep, model))
+    chosen = ["selected: " + ",".join(str(i) for i in sorted(selected))] if selected else []
     out = Path(args.out)
-    _write_outputs(out, texts)
-    print(line)
-    if selected:
-        print("selected:", ",".join(str(i) for i in sorted(selected)))
-    print(f"wrote {out / 'curve.csv'} and {out / 'nodes.csv'}")
-    return 0
+    return texts, [line, *chosen, f"wrote {out / 'curve.csv'} and {out / 'nodes.csv'}"]
 
 
-def cmd_synth(args) -> int:
-    dep = data_io.parse_nodes(args.nodes)
-    matrix = _readings_matrix(args, dep)
-    out = Path(args.out)
-    _write_outputs(out, {"readings.csv": data_io.write_readings(matrix)})
-    print(f"wrote {out / 'readings.csv'} ({len(matrix.node_ids)} nodes x {len(matrix.epochs)} epochs)")
-    return 0
+def cmd_synth(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[str, str], list[str]]:
+    matrix = _readings_matrix(args, dep, model)
+    line = f"wrote {Path(args.out) / 'readings.csv'} ({len(matrix.node_ids)} nodes x {len(matrix.epochs)} epochs)"
+    return {"readings.csv": data_io.write_readings(matrix)}, [line]
 
 
-def cmd_pipeline(args) -> int:
-    dep = data_io.parse_nodes(args.nodes)
+def cmd_pipeline(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[str, str], list[str]]:
     event = _parse_event(args.event)
     dead_ids = _dead_ids(args, dep)
-    matrix, params = _readings_matrix(args, dep), _placement_params(args)
-    cs, report, lines = _estimate(args, dep, event)
-    _, line, texts = _place(args, cs, matrix, params)
+    matrix = _readings_matrix(args, dep, model)
+    cs, texts, lines = _estimate(args, dep, model, event)
+    _, line, place_texts = _place(args, cs, matrix)
     lines.append(line)
     if dead_ids:
-        lines += _predict(args, dep, matrix, dead_ids)
+        lines += _predict(args, dep, model, matrix, dead_ids)
     elif args.dead:
         lines.append("no dead nodes given; nothing to predict")
-    # every stage has run, so a failing one leaves no artifact behind
-    _write_outputs(Path(args.out), {"clusters.json": report, **texts})
-    print(*lines, sep="\n")
-    return 0
+    return {**texts, **place_texts}, lines
 
 
-# subcommand -> (handler, help line, flag adders in --help order)
+# subcommand -> (handler, help line, flag adders in --help order); a handler maps
+# (args, deployment, model) to its artifact texts by file name and its stdout lines
 _SUBCOMMANDS = {
     "cluster": (cmd_cluster, "form clusters and write clusters.json",
                 (_add_cluster_flags, _add_model_flags, _add_out_flag)),
@@ -366,7 +340,13 @@ def _run(argv) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return _SUBCOMMANDS[args.command][0](args)
+        dep = data_io.parse_nodes(args.nodes)
+        model = CorrelationModel(theta=args.theta, alpha=args.alpha)
+        texts, lines = _SUBCOMMANDS[args.command][0](args, dep, model)
+        if texts:  # every stage has run; predict writes nothing and makes no --out
+            _write_outputs(Path(args.out), texts)
+        print(*lines, sep="\n")
+        return 0
     except BrokenPipeError:
         raise  # stdout is gone; main() exits 1 without a message
     except (DataFormatError, OSError) as exc:

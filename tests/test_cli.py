@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import wsn3d
 from wsn3d import data_io
-from wsn3d.cli import build_parser, main
+from wsn3d.cli import _SUBCOMMANDS, build_parser, main
 from wsn3d.clustering import Cluster, ClusterSet
 from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
 from wsn3d.placement import cluster_costs
@@ -470,15 +471,26 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("input error: ") and "codec can't decode" in err
 
-    @pytest.mark.parametrize("command", ["cluster", "estimate", "synth"])
+    @pytest.mark.parametrize("command", ["cluster", "estimate", "synth", "place", "pipeline"])
     def test_unwritable_out_is_usage_error(self, command, nodes_arg, tmp_path, capsys):
         # an --out below a plain file cannot be made; no input is at fault
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
         out = blocker / "out"
-        code, _, err = run([command, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        argv = [command, "--nodes", nodes_arg, "--out", str(out)]
+        if command in ("place", "pipeline"):
+            argv += ["--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2"]
+        code, stdout, err = run(argv, capsys)
         assert code == 1
         assert err.startswith(f"error: cannot write --out {out}: ") and "Traceback" not in err
+        assert stdout == ""
+
+    def test_predict_makes_no_out(self, nodes_arg, tmp_path, capsys):
+        # predict has no artifact, so it leaves a missing --out uncreated
+        out = tmp_path / "out"
+        argv = ["predict", "--synthetic", "uniform", "--nodes", nodes_arg, "--out", str(out)]
+        assert run(argv, capsys) == (0, "no dead nodes given; nothing to predict\n", "")
+        assert not out.exists()
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -530,10 +542,22 @@ class TestExitCodes:
         assert "line 3" in err and "Traceback" not in err
 
     def test_bad_parameter_is_usage_error(self, nodes_arg, tmp_path, capsys):
-        code, _, _ = run(
-            ["cluster", "--nodes", nodes_arg, "--alpha", "9", "--out", str(tmp_path)], capsys
-        )
-        assert code == 1
+        # every run builds the correlation model, whether or not it reads it
+        trace = tmp_path / "readings.csv"
+        rows = [f"{e},{i},{e + i / 10}" for e in range(3) for i in range(1, 55)]
+        trace.write_text("\n".join(["epoch,node_id,value", *rows]) + "\n", encoding="utf-8")
+        place = ["place", "--readings", str(trace), "--rounds", "2"]
+        for argv, message in [
+            (["cluster", "--alpha", "9"], "alpha must lie in (0, 2], got 9.0"),
+            (["predict", "--synthetic", "uniform", "--theta", "-1"], "theta must be positive and finite, got -1.0"),
+            (["predict", "--synthetic", "uniform", "--alpha", "0"], "alpha must lie in (0, 2], got 0.0"),
+            ([*place, "--theta", "-1"], "theta must be positive and finite, got -1.0"),
+            ([*place, "--alpha", "2.5"], "alpha must lie in (0, 2], got 2.5"),
+        ]:
+            out = tmp_path / "out"
+            code, stdout, err = run([*argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
+            assert (code, stdout, err) == (1, "", f"error: {message}\n"), argv
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -638,6 +662,13 @@ class TestExitCodes:
         assert code == 0
         for token in ("--phi1", "--rounds", "--threshold", "default 300", "default 5"):
             assert token in out
+
+
+def test_handlers_neither_print_nor_write():
+    # _run writes a run's artifacts once and then prints its lines
+    for name, (handler, _, _) in _SUBCOMMANDS.items():
+        source = inspect.getsource(handler)
+        assert "print(" not in source and "_write_outputs(" not in source, name
 
 
 # the argvs of the C9 acceptance criterion, one per subcommand

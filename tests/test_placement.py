@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from wsn3d import data_io
 from wsn3d.clustering import Cluster, ClusterSet, form_clusters
+from wsn3d.estimation import cluster_accuracy
+from wsn3d.geometry import CorrelationModel
 from wsn3d.placement import (
     PlacementParams,
     PlacementState,
@@ -490,6 +492,30 @@ class TestSelectNodes:
         dep, _, _, _, costs, _ = sun_shade_run
         sun, _ = data_io.sun_shade_groups(dep)
         assert select_nodes(costs, 5.0) == sun
+
+    def test_selected_nodes_score_at_most_their_whole_cluster(self, sun_shade_run):
+        """The threshold-5 selection scored by the accuracy `estimate` prints:
+        the event at the centroid, theta 30, sigma_s2 1 and sigma_n2 0.05. A
+        cluster's selected nodes are scored as a cluster of their own. Wherever
+        the threshold drops nodes from a cluster, its accuracy goes down."""
+        dep, _, clusters, _, costs, _ = sun_shade_run
+        selected = select_nodes(costs, 5.0)
+        assert len(selected) == 24
+        model, centroid = CorrelationModel(theta=30.0), dep.centroid()
+
+        def accuracy(cluster):
+            return cluster_accuracy(dep, [cluster], model, centroid, 1.0, 0.05)[0].accuracy
+
+        kept = {c.head: sorted(c.node_ids() & selected) for c in clusters}
+        assert kept[10] == kept[51] == []
+        # head -> (whole cluster, selected nodes, number selected)
+        want = {34: (0.9056, 0.8688, 17), 49: (0.7144, 0.6941, 3), 27: (0.5664, 0.5664, 2),
+                29: (0.6211, 0.5440, 1), 16: (0.4839, 0.4839, 1)}
+        for c in clusters:
+            if c.head in want:
+                ids = kept[c.head]
+                got = (accuracy(c), accuracy(Cluster(ids[0], frozenset(ids[1:]))), len(ids))
+                assert got == pytest.approx(want[c.head], abs=5e-5), c.head
 
 
 class TestParams:
