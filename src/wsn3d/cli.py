@@ -110,6 +110,15 @@ def _add_synth_flags(p: _Parser):
                    help="field variance of --synthetic uniform (default 1); sun-shade fixes it at 1")
 
 
+# the top-level --help text, kept apart from the module docstring so that
+# editing the documentation leaves the CLI's output as it is
+_DESCRIPTION = (
+    "Cluster a 3D sensor deployment, score each cluster's information "
+    "accuracy, predict dead nodes' readings and search node placement. "
+    "Exit codes: 0 success, 1 usage or configuration error, 2 input-data error."
+)
+
+
 def build_parser(command: str | None = None) -> _Parser:
     """The CLI's argument parser.
 
@@ -119,7 +128,7 @@ def build_parser(command: str | None = None) -> _Parser:
     (None, --help or an unknown name) it holds every subcommand, so the
     top-level help and the invalid-choice error list them all.
     """
-    parser = _Parser(prog="wsn3d", description=__doc__)
+    parser = _Parser(prog="wsn3d", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
         _, help_text, flag_adders = _SUBCOMMANDS[name]
@@ -130,11 +139,12 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def _write_outputs(out: Path, texts: dict[str, str]) -> None:
-    """Write each text to its file name under the --out directory, made if missing."""
+    """Write each text to its file name under the --out directory, made if
+    missing, as UTF-8 bytes: LF stays LF on every platform."""
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
-            (out / name).write_text(text, encoding="utf-8")
+            (out / name).write_bytes(text.encode("utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot write --out {out}: {exc}") from None
 

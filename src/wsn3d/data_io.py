@@ -20,7 +20,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .clustering import ClusterSet, Deployment, _node_problem
+from .clustering import ClusterSet, Deployment, _node_problem, _row_blocks
 from .errors import DataFormatError
 from .estimation import AccuracyReport
 from .geometry import CorrelationModel, correlation, pairwise_distances
@@ -37,6 +37,10 @@ _CANONICAL_LINE = 512
 # the array reader's row of each schema; its field names are the header
 _NODE_ROW = np.dtype([("node_id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
 _READING_ROW = np.dtype([("epoch", np.int64), ("node_id", np.int64), ("value", np.float64)])
+# epochs whose rows write_readings formats and joins at a time: enough rows to
+# spread numpy's per-call cost, few enough (9600 rows at 150 nodes) that the
+# cell strings of a whole trace are never held at once
+_WRITE_EPOCHS = 64
 
 
 @dataclass
@@ -87,19 +91,26 @@ class SyntheticScenario:
             raise ValueError(f"scales must be positive: {bad}")
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
-    """All text of a path, decoded as UTF-8, or of a stream (left open), read once.
+def _read_source(source: str | Path | IO[str]) -> bytes | str:
+    """The bytes of a path, or all text of a stream (left open), read once."""
+    if isinstance(source, (str, Path)):
+        return Path(source).read_bytes()
+    return source.read()
 
-    A path that is not UTF-8 fails as DataFormatError naming the file and the
-    line of the first undecodable byte.
+
+def _text_stream(data: bytes | str, source: str | Path | IO[str]) -> IO[str]:
+    """The data as a text stream for the row reader, which sees every line end.
+
+    Bytes, read from a path, are decoded as UTF-8; a file that is not UTF-8
+    fails as DataFormatError naming the file and the line of the first
+    undecodable byte.
     """
-    if not isinstance(source, (str, Path)):
-        return source.read()
-    data = Path(source).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{source}: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{source}: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
+    return io.StringIO(data, newline="")
 
 
 def _plain(text: str) -> bool:
@@ -146,14 +157,14 @@ def parse_nodes(source: str | Path | IO[str]) -> Deployment:
     rejects, goes to the row reader, which accepts the same values and names
     the first bad line.
     """
-    text = _read_text(source)
-    rows = _canonical_rows(text, _NODE_ROW)
+    data = _read_source(source)
+    rows = _canonical_rows(data, _NODE_ROW)
     if rows is not None:
         try:
             return Deployment(rows["node_id"], np.stack([rows["x"], rows["y"], rows["z"]], axis=1))
         except ValueError:
             pass
-    return _parse_node_rows(io.StringIO(text, newline=""))
+    return _parse_node_rows(_text_stream(data, source))
 
 
 def _parse_node_rows(fh: IO[str]) -> Deployment:
@@ -186,31 +197,40 @@ def parse_readings(
     When a deployment is supplied, readings for unknown nodes are rejected.
     Epochs and node ids must fit in int64.
 
-    The source is read once. A trace in canonical form, the form
-    write_readings emits, is parsed in one array pass; any other text, and
-    any trace that pass rejects, goes to the row reader, which accepts the
-    same values and names the first bad line. Canonical text is the header
-    line, then only the bytes of _CANONICAL_BYTES in LF-ended lines of at
-    most _CANONICAL_LINE bytes.
+    The source is read once: a path as bytes, a stream as text. A trace in
+    canonical form, the form write_readings emits, is parsed in one array
+    pass; any other trace, and any trace that pass rejects, goes to the row
+    reader, which accepts the same values and names the first bad line; only
+    then is a file's text decoded. Canonical form is the header line, then
+    only the bytes of _CANONICAL_BYTES in LF-ended lines of at most
+    _CANONICAL_LINE bytes.
     """
-    text = _read_text(source)
-    rows = _canonical_rows(text, _READING_ROW)
+    data = _read_source(source)
+    rows = _canonical_rows(data, _READING_ROW)
     if rows is not None and np.isfinite(rows["value"]).all():
         matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
         no_duplicate = matrix.values.size - np.count_nonzero(matrix.missing) == rows.size
         if no_duplicate and (deployment is None or np.isin(matrix.node_ids, deployment.node_ids).all()):
             return matrix
-    return _parse_reading_rows(io.StringIO(text, newline=""), deployment)
+    return _parse_reading_rows(_text_stream(data, source), deployment)
 
 
-def _canonical_rows(text: str, row: np.dtype) -> np.ndarray | None:
-    """The rows of a canonical CSV text whose header is the field names of
-    ``row``, read in one np.loadtxt, or None when the text needs the row
-    reader. The array is never empty."""
-    header = ",".join(row.names) + "\n"
-    if not text.startswith(header) or not text.isascii():
+def _canonical_rows(data: bytes | str, row: np.dtype) -> np.ndarray | None:
+    """The rows of a canonical CSV file or text whose header is the field
+    names of ``row``, read in one np.loadtxt, or None when it needs the row
+    reader. The array is never empty.
+
+    A file is checked as bytes, so a canonical one is never decoded: the
+    check admits only ASCII bytes, on which UTF-8 decoding cannot fail.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    header = ",".join(row.names).encode("ascii") + b"\n"
+    if not data.startswith(header):
         return None
-    body = text[len(header):].encode("ascii")
+    body = data[len(header):]
     if body.translate(None, _CANONICAL_BYTES):
         return None
     ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
@@ -322,14 +342,28 @@ def sun_shade_scenario(
 
 
 def write_readings(matrix: ReadingMatrix) -> str:
-    """Serialize a reading matrix to the epoch,node_id,value CSV schema."""
-    values = np.asarray(matrix.values, dtype=float).T.tolist()
-    present = (~matrix.missing.T).tolist()
-    # one join per epoch: a single join over all cells would hold every cell string at once
-    return "epoch,node_id,value\n" + "".join(
-        "".join([f"{epoch},{nid},{v!r}\n" for nid, v, keep in zip(matrix.node_ids, row, mask) if keep])
-        for epoch, row, mask in zip(matrix.epochs, values, present)
-    )
+    """Serialize a reading matrix to the epoch,node_id,value CSV schema.
+
+    Rows come epoch by epoch, each epoch's present cells in node order. The
+    epoch and node strings are formatted once; each block of _WRITE_EPOCHS
+    epochs gathers them to its present cells, formats its values with repr
+    and is joined once, so only one block's cell strings are held at a time.
+    """
+    values = np.asarray(matrix.values, dtype=float).T  # (epochs, nodes)
+    present = ~matrix.missing.T
+    epoch_text = np.array([str(epoch) for epoch in matrix.epochs], dtype=object)
+    node_text = np.array([f",{nid}," for nid in matrix.node_ids], dtype=object)
+    parts = ["epoch,node_id,value\n"]
+    for block in _row_blocks(len(epoch_text), _WRITE_EPOCHS):
+        mask = present[block]
+        rows, cols = np.nonzero(mask)
+        cells = np.empty((len(rows), 4), dtype=object)  # epoch, ",nid,", value, LF
+        cells[:, 0] = epoch_text[block][rows]
+        cells[:, 1] = node_text[cols]
+        cells[:, 2] = list(map(repr, values[block][mask].tolist()))
+        cells[:, 3] = "\n"
+        parts.append("".join(cells.ravel().tolist()))
+    return "".join(parts)
 
 
 def write_cluster_report(

@@ -13,7 +13,7 @@ import pytest
 
 import wsn3d
 from wsn3d import data_io
-from wsn3d.cli import _SUBCOMMANDS, build_parser, main
+from wsn3d.cli import _SUBCOMMANDS, _write_outputs, build_parser, main
 from wsn3d.clustering import Cluster, ClusterSet
 from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
 from wsn3d.placement import cluster_costs
@@ -485,6 +485,22 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write --out {out}: ") and "Traceback" not in err
         assert stdout == ""
 
+    def test_artifacts_are_lf_bytes_where_text_writes_use_crlf(self, nodes_arg, tmp_path, capsys, monkeypatch):
+        # a text-mode write turns each LF into CRLF on Windows; mimic that here
+        write_text = Path.write_text
+
+        def crlf_write_text(self, data, encoding=None, errors=None, newline=None):
+            return write_text(self, data, encoding, errors, "\r\n" if newline is None else newline)
+
+        monkeypatch.setattr(Path, "write_text", crlf_write_text)
+        texts = {"a.csv": "x,y\n1,2\n", "b.json": '{"\u00e9": 1}\n'}
+        _write_outputs(tmp_path / "direct", texts)
+        for name, text in texts.items():
+            assert (tmp_path / "direct" / name).read_bytes() == text.encode("utf-8")
+        argv = ["synth", "--synthetic", "uniform", "--epochs", "20", "--nodes", nodes_arg, "--out", str(tmp_path)]
+        assert run(argv, capsys)[0] == 0
+        assert b"\r" not in (tmp_path / "readings.csv").read_bytes()
+
     def test_predict_makes_no_out(self, nodes_arg, tmp_path, capsys):
         # predict has no artifact, so it leaves a missing --out uncreated
         out = tmp_path / "out"
@@ -713,6 +729,12 @@ class TestSubcommandParser:
         assert "'bogus'" in err
         for argv in C9_ARGVS:
             assert argv[0] in err
+
+    def test_top_level_help_does_not_show_the_module_docstring(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        want = build_parser().format_help()
+        monkeypatch.setattr(wsn3d.cli, "__doc__", "An edited module docstring.")
+        assert build_parser().format_help() == want
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         code, out, _ = run(["--help"], capsys)

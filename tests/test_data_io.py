@@ -267,6 +267,47 @@ class TestReadingsRoundTrip:
         assert text == "epoch,node_id,value\n0,2,3.0\n0,1,5.0\n1,2,4.0\n1,1,6.0\n"
         assert text == reference_write_readings(matrix)
 
+    # write_readings joins its rows 64 epochs at a time
+    @staticmethod
+    def block_matrix(epochs, seed=0):
+        """Readings of five nodes over the epochs, a fifth of them missing, with
+        signed zero, the smallest subnormal and the largest double among them."""
+        rng = np.random.default_rng(seed)
+        values = rng.normal(20.0, 3.0, (5, len(epochs)))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        values[1, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+        return data_io.ReadingMatrix(node_ids=(-(2**63), -3, 0, 7, 2**63 - 1), epochs=tuple(epochs), values=values)
+
+    @staticmethod
+    def assert_writes_like_the_reference(matrix):
+        text = data_io.write_readings(matrix)
+        assert text == reference_write_readings(matrix)
+        assert_bit_identical(data_io.parse_readings(io.StringIO(text)), trimmed(matrix))
+
+    @pytest.mark.parametrize("t", [63, 64, 65, 129])
+    def test_epoch_counts_around_a_block(self, t):
+        self.assert_writes_like_the_reference(self.block_matrix(range(t), seed=t))
+
+    def test_sparse_negative_epochs_across_blocks(self):
+        rng = np.random.default_rng(5)
+        inner = rng.choice(np.arange(-10**6, 10**6), 127, replace=False).tolist()
+        epochs = sorted([-(2**63), *inner, 2**63 - 1])
+        self.assert_writes_like_the_reference(self.block_matrix(epochs))
+
+    @pytest.mark.parametrize("empty", [[63], [64], [63, 64], [127, 128], [0, 63, 64, 127, 128]])
+    def test_all_missing_epoch_at_a_block_edge(self, empty):
+        matrix = self.block_matrix(range(129))
+        matrix.values[:, empty] = np.nan
+        self.assert_writes_like_the_reference(matrix)
+
+    @pytest.mark.parametrize("block, cell", [(0, (4, 0)), (1, (0, 64)), (1, (2, 100)), (2, (3, 128))])
+    def test_block_with_one_present_cell(self, block, cell):
+        matrix = self.block_matrix(range(129))
+        kept = matrix.values[cell]
+        matrix.values[:, 64 * block:64 * (block + 1)] = np.nan
+        matrix.values[cell] = 1.5 if np.isnan(kept) else kept
+        self.assert_writes_like_the_reference(matrix)
+
 
 class TestReadingMatrix:
     def test_nan_is_the_only_missing_mark(self):
@@ -377,10 +418,11 @@ def quote_fields(row, flags):
     return ",".join(f'"{f}"' if q else f for f, q in zip(row.split(","), flags)) if row else row
 
 
-def outcome(parse, text, deployment=None):
-    """The parsed matrix, or the (type, message, line) of the error raised."""
+def outcome(parse, source, deployment=None):
+    """The matrix parsed from a text, read as a stream, or from a path, or
+    the (type, message, line) of the error raised."""
     try:
-        return parse(io.StringIO(text), deployment)
+        return parse(io.StringIO(source) if isinstance(source, str) else source, deployment)
     except DataFormatError as exc:
         return type(exc), str(exc), exc.line
 
@@ -484,33 +526,62 @@ ROUTED = {
 }
 
 
+@pytest.fixture(scope="module")
+def dropped_trace():
+    """A canonical 150-node, 1500-epoch trace with 5% of its rows dropped:
+    (text, nodes, epochs, rows kept)."""
+    rng = np.random.default_rng(7)
+    n, t = 150, 1500
+    matrix = data_io.ReadingMatrix(
+        node_ids=tuple(range(1, n + 1)), epochs=tuple(range(t)),
+        values=rng.normal(20.0, 3.0, (n, t)),
+    )
+    header, *rows = data_io.write_readings(matrix).splitlines()
+    kept = rng.permutation(len(rows))[: round(0.95 * len(rows))]
+    return "\n".join([header, *(rows[k] for k in kept)]) + "\n", n, t, len(kept)
+
+
 class TestReadingsRouting:
     """Traces in write_readings' form take the array path; every other text, and
     every trace that path rejects, is read row by row, with the reference's outcome."""
 
-    def test_canonical_trace_skips_the_row_reader(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        n, t = 150, 1500
-        matrix = data_io.ReadingMatrix(
-            node_ids=tuple(range(1, n + 1)), epochs=tuple(range(t)),
-            values=rng.normal(20.0, 3.0, (n, t)),
-        )
-        header, *rows = data_io.write_readings(matrix).splitlines()
-        kept = rng.permutation(len(rows))[: round(0.95 * len(rows))]
-        text = "\n".join([header, *(rows[k] for k in kept)]) + "\n"
+    def test_canonical_trace_skips_the_row_reader(self, dropped_trace, tmp_path, monkeypatch):
+        text, n, t, kept = dropped_trace
         want = reference_parse_readings(io.StringIO(text))
+        path = tmp_path / "readings.csv"
+        path.write_bytes(text.encode("utf-8"))
 
         def no_row_reader(*args):
             raise AssertionError("the row reader ran")
 
         monkeypatch.setattr(data_io, "_checked_rows", no_row_reader)
         assert_bit_identical(data_io.parse_readings(io.StringIO(text)), want)
-        assert want.missing.sum() == n * t - len(kept) > 0
+        assert_bit_identical(data_io.parse_readings(path), want)
+        assert want.missing.sum() == n * t - kept > 0
 
     @pytest.mark.parametrize("text", ROUTED.values(), ids=ROUTED.keys())
-    def test_outcome_matches_the_reference(self, text):
+    def test_outcome_matches_the_reference(self, text, tmp_path):
         want = outcome(reference_parse_readings, text, ROUTED_DEPLOYMENT)
         assert_same_outcome(outcome(data_io.parse_readings, text, ROUTED_DEPLOYMENT), want)
+        path = tmp_path / "readings.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(outcome(data_io.parse_readings, path, ROUTED_DEPLOYMENT), want)
+
+    def test_undecodable_byte_deep_in_a_canonical_trace(self, dropped_trace, tmp_path):
+        # the byte check sends the file to the row reader, which decodes it and
+        # names the line of the byte as a decode of the whole file does
+        text, _, _, _ = dropped_trace
+        data = bytearray(text.encode("utf-8"))
+        at = data.index(b"\n", len(data) // 2) - 1  # the last digit of a line's value
+        data[at] = 0xFF
+        path = tmp_path / "readings.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as exc:
+            bytes(data).decode("utf-8")
+        line = text.count("\n", 0, at) + 1
+        want = (DataFormatError, f"line {line}: {path}: {exc.value}", line)
+        assert outcome(data_io.parse_readings, path) == want
+        assert exc.value.start == at and line > 100_000
 
     def test_file_with_cr_line_ends(self, tmp_path):
         # a file opens with newline="", where a lone CR ends a row; the row reader
@@ -543,10 +614,11 @@ def canonical_node_files(draw):
     return "node_id,x,y,z\n" + "\n".join(rows) + "\n"
 
 
-def node_outcome(parse, text):
-    """The nodes' ids and position bits, or the DataFormatError message."""
+def node_outcome(parse, source):
+    """The ids and position bits of the nodes parsed from a text, read as a
+    stream, or from a path, or the DataFormatError message."""
     try:
-        dep = parse(io.StringIO(text, newline=""))
+        dep = parse(io.StringIO(source, newline="") if isinstance(source, str) else source)
     except DataFormatError as exc:
         return str(exc)
     return node_bits(dep)
@@ -596,8 +668,12 @@ class TestNodesRouting:
             assert node_outcome(data_io.parse_nodes, text) == want
 
     @pytest.mark.parametrize("text", ROUTED_NODES.values(), ids=ROUTED_NODES.keys())
-    def test_outcome_matches_the_row_reader(self, text):
-        assert node_outcome(data_io.parse_nodes, text) == node_outcome(data_io._parse_node_rows, text)
+    def test_outcome_matches_the_row_reader(self, text, tmp_path):
+        want = node_outcome(data_io._parse_node_rows, text)
+        assert node_outcome(data_io.parse_nodes, text) == want
+        path = tmp_path / "nodes.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert node_outcome(data_io.parse_nodes, path) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789+-.eE,\n", max_size=80))
