@@ -99,7 +99,7 @@ def _read_source(source: str | Path | IO[str]) -> bytes | str:
 
 
 def _text_stream(data: bytes | str, source: str | Path | IO[str]) -> IO[str]:
-    """The data as a text stream for the row reader, which sees every line end.
+    """The data as a text stream for the row reader, with its line ends as they are.
 
     Bytes, read from a path, are decoded as UTF-8; a file that is not UTF-8
     fails as DataFormatError naming the file and the line of the first
