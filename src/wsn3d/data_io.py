@@ -41,6 +41,8 @@ _READING_ROW = np.dtype([("epoch", np.int64), ("node_id", np.int64), ("value", n
 # spread numpy's per-call cost, few enough (9600 rows at 150 nodes) that the
 # cell strings of a whole trace are never held at once
 _WRITE_EPOCHS = 64
+# elevation (m) at and above which sun_shade_groups puts a node in the sunlit group
+_SUN_Z = 4.6
 
 
 @dataclass
@@ -57,6 +59,11 @@ class ReadingMatrix:
             raise ValueError(f"values must have shape {shape}")
         if np.isinf(self.values).any():
             raise ValueError("present cells must hold finite values")
+        for name in ("node_ids", "epochs"):
+            ordered = np.sort(np.asarray(getattr(self, name)))  # not np.unique, as in Deployment
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if repeated.size:
+                raise ValueError(f"repeated {name}: {sorted(set(repeated.tolist()))}")
 
     @property
     def missing(self) -> np.ndarray:
@@ -91,26 +98,16 @@ class SyntheticScenario:
             raise ValueError(f"scales must be positive: {bad}")
 
 
-def _read_source(source: str | Path | IO[str]) -> bytes | str:
-    """The bytes of a path, or all text of a stream (left open), read once."""
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
-
-
-def _text_stream(data: bytes | str, source: str | Path | IO[str]) -> IO[str]:
-    """The data as a text stream for the row reader, with its line ends as they are.
-
-    Bytes, read from a path, are decoded as UTF-8; a file that is not UTF-8
-    fails as DataFormatError naming the file and the line of the first
-    undecodable byte.
+def _text_stream(data: bytes, path: str | Path) -> IO[str]:
+    """The file's bytes decoded as UTF-8, as a text stream for the row reader
+    with its line ends as they are. A file that is not UTF-8 fails as
+    DataFormatError naming the file and the line of the first undecodable byte.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{source}: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
-    return io.StringIO(data, newline="")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
+    return io.StringIO(text, newline="")
 
 
 def _plain(text: str) -> bool:
@@ -149,22 +146,22 @@ def _checked_rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, l
         yield lineno, row
 
 
-def parse_nodes(source: str | Path | IO[str]) -> Deployment:
-    """Read a deployment from CSV with header node_id,x,y,z.
+def parse_nodes(path: str | Path) -> Deployment:
+    """Read a deployment from the CSV file at ``path``, with header node_id,x,y,z.
 
-    The source is read once. A file in canonical form (see parse_readings)
-    is parsed in one array pass; any other text, and any file that pass
-    rejects, goes to the row reader, which accepts the same values and names
-    the first bad line.
+    The file is read once. A file in canonical form (see parse_readings) is
+    parsed in one array pass; any other file, and any file that pass rejects,
+    goes to the row reader, which accepts the same values and names the first
+    bad line.
     """
-    data = _read_source(source)
+    data = Path(path).read_bytes()
     rows = _canonical_rows(data, _NODE_ROW)
     if rows is not None:
         try:
             return Deployment(rows["node_id"], np.stack([rows["x"], rows["y"], rows["z"]], axis=1))
         except ValueError:
             pass
-    return _parse_node_rows(_text_stream(data, source))
+    return _parse_node_rows(_text_stream(data, path))
 
 
 def _parse_node_rows(fh: IO[str]) -> Deployment:
@@ -187,46 +184,39 @@ def _parse_node_rows(fh: IO[str]) -> Deployment:
     return Deployment(list(nodes), list(nodes.values()))
 
 
-def parse_readings(
-    source: str | Path | IO[str], deployment: Deployment | None = None
-) -> ReadingMatrix:
-    """Read a reading trace from CSV with header epoch,node_id,value.
+def parse_readings(path: str | Path, deployment: Deployment | None = None) -> ReadingMatrix:
+    """Read a reading trace from the CSV file at ``path``, with header epoch,node_id,value.
 
     Epochs need not be dense; cells absent from the file are NaN, the mark of
     a missing cell.
     When a deployment is supplied, readings for unknown nodes are rejected.
     Epochs and node ids must fit in int64.
 
-    The source is read once: a path as bytes, a stream as text. A trace in
-    canonical form, the form write_readings emits, is parsed in one array
-    pass; any other trace, and any trace that pass rejects, goes to the row
-    reader, which accepts the same values and names the first bad line; only
-    then is a file's text decoded. Canonical form is the header line, then
-    only the bytes of _CANONICAL_BYTES in LF-ended lines of at most
-    _CANONICAL_LINE bytes.
+    The file is read once, as bytes. A trace in canonical form, the form
+    write_readings emits, is parsed in one array pass; any other trace, and
+    any trace that pass rejects, goes to the row reader, which accepts the
+    same values and names the first bad line; only then is the file decoded.
+    Canonical form is the header line, then only the bytes of
+    _CANONICAL_BYTES in LF-ended lines of at most _CANONICAL_LINE bytes.
     """
-    data = _read_source(source)
+    data = Path(path).read_bytes()
     rows = _canonical_rows(data, _READING_ROW)
     if rows is not None and np.isfinite(rows["value"]).all():
         matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
         no_duplicate = matrix.values.size - np.count_nonzero(matrix.missing) == rows.size
         if no_duplicate and (deployment is None or np.isin(matrix.node_ids, deployment.node_ids).all()):
             return matrix
-    return _parse_reading_rows(_text_stream(data, source), deployment)
+    return _parse_reading_rows(_text_stream(data, path), deployment)
 
 
-def _canonical_rows(data: bytes | str, row: np.dtype) -> np.ndarray | None:
-    """The rows of a canonical CSV file or text whose header is the field
-    names of ``row``, read in one np.loadtxt, or None when it needs the row
-    reader. The array is never empty.
+def _canonical_rows(data: bytes, row: np.dtype) -> np.ndarray | None:
+    """The rows of a canonical CSV file whose header is the field names of
+    ``row``, read in one np.loadtxt, or None when it needs the row reader.
+    The array is never empty.
 
-    A file is checked as bytes, so a canonical one is never decoded: the
+    The file is checked as bytes, so a canonical one is never decoded: the
     check admits only ASCII bytes, on which UTF-8 decoding cannot fail.
     """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
     header = ",".join(row.names).encode("ascii") + b"\n"
     if not data.startswith(header):
         return None
@@ -316,9 +306,9 @@ def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix
     return ReadingMatrix(node_ids=tuple(ids), epochs=tuple(range(scn.epochs)), values=values)
 
 
-def sun_shade_groups(dep: Deployment, z_split: float = 4.6) -> tuple[set[int], set[int]]:
-    """Split nodes by elevation: ids at or above z_split ("sun") and below ("shade")."""
-    high = dep.positions[:, 2] >= z_split
+def sun_shade_groups(dep: Deployment) -> tuple[set[int], set[int]]:
+    """Split nodes by elevation: ids at or above _SUN_Z ("sun") and below ("shade")."""
+    high = dep.positions[:, 2] >= _SUN_Z
     return set(dep.node_ids[high].tolist()), set(dep.node_ids[~high].tolist())
 
 

@@ -355,6 +355,14 @@ class TestSynth:
         matrix = data_io.parse_readings(tmp_path / "readings.csv")
         assert matrix.values.shape == (54, 40)
 
+    def test_rows_follow_the_node_file_order(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("node_id,x,y,z\n3,0,0,0\n1,1,0,0\n2,0,1,0\n", encoding="utf-8")
+        argv = ["synth", "--nodes", str(nodes), "--synthetic", "uniform", "--epochs", "2", "--out", str(tmp_path)]
+        assert run(argv, capsys)[0] == 0
+        rows = (tmp_path / "readings.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[epoch, nid] for epoch in "01" for nid in "312"]
+
     @pytest.mark.parametrize("variance", ["4", "nan"])
     def test_variance_with_sun_shade_is_usage_error(self, nodes_arg, tmp_path, capsys, variance):
         out = tmp_path / "out"

@@ -15,27 +15,42 @@ from wsn3d.estimation import cluster_accuracy
 from wsn3d.geometry import CorrelationModel
 
 
+@pytest.fixture(scope="session")
+def csv_file(tmp_path_factory):
+    """Write a text (as UTF-8) or bytes to a file of one session directory and
+    return its path; the parsers read files only. Session scope lets the
+    hypothesis tests take it."""
+    directory = tmp_path_factory.mktemp("csv")
+
+    def write(data, name="data.csv"):
+        path = directory / name
+        path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        return path
+
+    return write
+
+
 class TestParseNodes:
     def test_bundled_fixture(self, deployment):
         assert len(deployment) == 54
         assert deployment.positions[deployment.index([1, 47])].tolist() == [[1.807, 6.525, 8.785],
                                                                             [3.756, 5.074, 7.998]]
 
-    def test_empty_body_rejected(self):
+    def test_empty_body_rejected(self, csv_file):
         with pytest.raises(DataFormatError, match="no nodes"):
-            data_io.parse_nodes(io.StringIO("node_id,x,y,z\n"))
+            data_io.parse_nodes(csv_file("node_id,x,y,z\n"))
 
-    def test_single_row(self):
-        dep = data_io.parse_nodes(io.StringIO("node_id,x,y,z\n47,3.756,5.074,7.998\n"))
+    def test_single_row(self, csv_file):
+        dep = data_io.parse_nodes(csv_file("node_id,x,y,z\n47,3.756,5.074,7.998\n"))
         assert dep.node_ids.tolist() == [47] and dep.positions.tolist() == [[3.756, 5.074, 7.998]]
 
-    def test_duplicate_id_reports_line(self):
-        src = io.StringIO("node_id,x,y,z\n1,0,0,0\n1,1,1,1\n")
+    def test_duplicate_id_reports_line(self, csv_file):
+        src = csv_file("node_id,x,y,z\n1,0,0,0\n1,1,1,1\n")
         with pytest.raises(DataFormatError, match="line 3"):
             data_io.parse_nodes(src)
 
-    def test_malformed_number_reports_line(self):
-        src = io.StringIO("node_id,x,y,z\n1,0,zero,0\n")
+    def test_malformed_number_reports_line(self, csv_file):
+        src = csv_file("node_id,x,y,z\n1,0,zero,0\n")
         with pytest.raises(DataFormatError, match="line 2"):
             data_io.parse_nodes(src)
 
@@ -43,63 +58,62 @@ class TestParseNodes:
         ("1_2,0,0,0", "node_id"), ("1,1_0,0,0", "x"), (" 1,0,0,0", "node_id"),
         ("1,0,0\t,0", "y"), ("1,0,0,1e3 ", "z"), ("1,0,\u0663,0", "y"), ("1,0,0,\u00a01", "z"),
     ])
-    def test_number_grammar(self, row, field):
+    def test_number_grammar(self, row, field, csv_file):
         # int() and float() would read each of these fields
-        src = io.StringIO(f"node_id,x,y,z\n9,0,0,0\n{row}\n")
+        src = csv_file(f"node_id,x,y,z\n9,0,0,0\n{row}\n")
         with pytest.raises(DataFormatError, match=f"line 3: field {field} "):
             data_io.parse_nodes(src)
 
-    def test_missing_column_rejected(self):
-        src = io.StringIO("node_id,x,y,z\n1,0,0\n")
+    def test_missing_column_rejected(self, csv_file):
+        src = csv_file("node_id,x,y,z\n1,0,0\n")
         with pytest.raises(DataFormatError):
             data_io.parse_nodes(src)
 
-    def test_wrong_header_rejected(self):
+    def test_wrong_header_rejected(self, csv_file):
         with pytest.raises(DataFormatError, match="header"):
-            data_io.parse_nodes(io.StringIO("id,x,y,z\n1,0,0,0\n"))
+            data_io.parse_nodes(csv_file("id,x,y,z\n1,0,0,0\n"))
 
-    def test_row_order_preserved(self):
-        src = io.StringIO("node_id,x,y,z\n5,0,0,0\n2,1,1,1\n")
+    def test_row_order_preserved(self, csv_file):
+        src = csv_file("node_id,x,y,z\n5,0,0,0\n2,1,1,1\n")
         dep = data_io.parse_nodes(src)
         assert dep.node_ids.tolist() == [5, 2]
 
-    def test_field_over_the_csv_limit_reports_line(self):
-        src = io.StringIO(f'node_id,x,y,z\n1,0,0,0\n2,0,0,"{"1" * (csv.field_size_limit() + 1)}"\n')
+    def test_field_over_the_csv_limit_reports_line(self, csv_file):
+        src = csv_file(f'node_id,x,y,z\n1,0,0,0\n2,0,0,"{"1" * (csv.field_size_limit() + 1)}"\n')
         with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
             data_io.parse_nodes(src)
 
-    def test_undecodable_byte_names_file_and_line(self, tmp_path):
-        path = tmp_path / "nodes.csv"
-        path.write_bytes("node_id,x,y,z\n1,0,0,0\n2,1,1,1 # café\n".encode("latin-1"))
+    def test_undecodable_byte_names_file_and_line(self, csv_file):
+        path = csv_file("node_id,x,y,z\n1,0,0,0\n2,1,1,1 # café\n".encode("latin-1"), "nodes.csv")
         with pytest.raises(DataFormatError, match=r"^line 3: .*nodes\.csv: 'utf-8' codec can't decode byte 0xe9"):
             data_io.parse_nodes(path)
 
 
 class TestParseReadings:
-    def test_three_rows_one_node(self):
-        src = io.StringIO("epoch,node_id,value\n0,7,1.5\n1,7,2.5\n2,7,3.5\n")
+    def test_three_rows_one_node(self, csv_file):
+        src = csv_file("epoch,node_id,value\n0,7,1.5\n1,7,2.5\n2,7,3.5\n")
         m = data_io.parse_readings(src)
         assert m.node_ids == (7,) and m.epochs == (0, 1, 2)
         assert np.array_equal(m.values, [[1.5, 2.5, 3.5]])
 
-    def test_sparse_epochs_marked_missing(self):
-        src = io.StringIO("epoch,node_id,value\n0,1,1.0\n5,1,2.0\n5,2,3.0\n")
+    def test_sparse_epochs_marked_missing(self, csv_file):
+        src = csv_file("epoch,node_id,value\n0,1,1.0\n5,1,2.0\n5,2,3.0\n")
         m = data_io.parse_readings(src)
         assert m.epochs == (0, 5)
         assert m.missing[m.node_ids.index(2), 0]
 
-    def test_duplicate_cell_rejected(self):
-        src = io.StringIO("epoch,node_id,value\n0,1,1.0\n0,1,2.0\n")
+    def test_duplicate_cell_rejected(self, csv_file):
+        src = csv_file("epoch,node_id,value\n0,1,1.0\n0,1,2.0\n")
         with pytest.raises(DataFormatError, match="duplicate cell"):
             data_io.parse_readings(src)
 
-    def test_unknown_node_rejected_with_deployment(self, deployment):
-        src = io.StringIO("epoch,node_id,value\n0,999,1.0\n")
+    def test_unknown_node_rejected_with_deployment(self, deployment, csv_file):
+        src = csv_file("epoch,node_id,value\n0,999,1.0\n")
         with pytest.raises(DataFormatError, match="unknown node"):
             data_io.parse_readings(src, deployment=deployment)
 
-    def test_non_numeric_value_rejected(self):
-        src = io.StringIO("epoch,node_id,value\n0,1,warm\n")
+    def test_non_numeric_value_rejected(self, csv_file):
+        src = csv_file("epoch,node_id,value\n0,1,warm\n")
         with pytest.raises(DataFormatError, match="line 2"):
             data_io.parse_readings(src)
 
@@ -107,42 +121,49 @@ class TestParseReadings:
         ("1_0,7,2.5", "epoch"), ("1, 7 ,2.5", "node_id"), ("1,7,2_5", "value"), ("1,7,\t2.5", "value"),
         ("1,7,\u0663", "value"), ("\uff11,7,2.5", "epoch"), ('1,7,"2.5\n"', "value"),
     ])
-    def test_number_grammar(self, row, field):
+    def test_number_grammar(self, row, field, csv_file):
         # int() and float() would read each of these fields
-        src = io.StringIO(f"epoch,node_id,value\n0,7,1.0\n{row}\n")
+        src = csv_file(f"epoch,node_id,value\n0,7,1.0\n{row}\n")
         with pytest.raises(DataFormatError, match=f"line 3: field {field} "):
             data_io.parse_readings(src)
 
     @pytest.mark.parametrize("row", [f"{2**63},1,1.0", f"{-(2**63) - 1},1,1.0", f"0,{2**63},1.0"])
-    def test_beyond_int64_rejected(self, row):
+    def test_beyond_int64_rejected(self, row, csv_file):
         # np.unique would turn such ids into float64 and lose digits
-        src = io.StringIO(f"epoch,node_id,value\n{-(2**63)},{2**63 - 1},1.0\n{row}\n")
+        src = csv_file(f"epoch,node_id,value\n{-(2**63)},{2**63 - 1},1.0\n{row}\n")
         with pytest.raises(DataFormatError, match="line 3: .*does not fit in int64"):
             data_io.parse_readings(src)
 
-    def test_field_over_the_csv_limit_reports_line(self):
+    def test_field_over_the_csv_limit_reports_line(self, csv_file):
         # a line over 512 bytes goes to the row reader, where csv.reader fails
-        src = io.StringIO(f'epoch,node_id,value\n0,1,1.0\n1,1,"{"1" * (csv.field_size_limit() + 1)}"\n')
+        src = csv_file(f'epoch,node_id,value\n0,1,1.0\n1,1,"{"1" * (csv.field_size_limit() + 1)}"\n')
         with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
             data_io.parse_readings(src)
 
-    def test_undecodable_byte_names_file_and_line(self, tmp_path):
-        path = tmp_path / "readings.csv"
-        path.write_bytes(b"epoch,node_id,value\n0,1,1.0\n1,1,2.0\n2,1,\xff\n")
+    def test_undecodable_byte_names_file_and_line(self, csv_file):
+        path = csv_file(b"epoch,node_id,value\n0,1,1.0\n1,1,2.0\n2,1,\xff\n", "readings.csv")
         with pytest.raises(DataFormatError, match=r"^line 4: .*readings\.csv: 'utf-8' codec can't decode byte 0xff"):
             data_io.parse_readings(path)
 
-    def test_full_scale_parse_under_a_second(self, deployment):
+    def test_full_scale_parse_under_a_second(self, deployment, csv_file):
         scn = data_io.SyntheticScenario(
             model=CorrelationModel(theta=30.0), epochs=800, seed=0
         )
         matrix = data_io.generate_synthetic(scn, deployment)
-        text = data_io.write_readings(matrix)
+        path = csv_file(data_io.write_readings(matrix))
         start = time.perf_counter()
-        parsed = data_io.parse_readings(io.StringIO(text))
+        parsed = data_io.parse_readings(path)
         elapsed = time.perf_counter() - start
         assert parsed.values.shape == (54, 800)
         assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("parse, text", [
+    (data_io.parse_nodes, "node_id,x,y,z\n1,0,0,0\n"), (data_io.parse_readings, "epoch,node_id,value\n0,1,1.0\n"),
+], ids=["nodes", "readings"])
+def test_parsers_read_paths_not_streams(parse, text):
+    with pytest.raises(TypeError):
+        parse(io.StringIO(text))
 
 
 class TestGenerateSynthetic:
@@ -252,12 +273,12 @@ class TestCostCurves:
 
 
 class TestReadingsRoundTrip:
-    def test_write_then_parse_preserves_values(self, deployment):
+    def test_write_then_parse_preserves_values(self, deployment, csv_file):
         scn = data_io.SyntheticScenario(
             model=CorrelationModel(theta=30.0), epochs=20, seed=4
         )
         matrix = data_io.generate_synthetic(scn, deployment)
-        back = data_io.parse_readings(io.StringIO(data_io.write_readings(matrix)))
+        back = data_io.parse_readings(csv_file(data_io.write_readings(matrix)))
         assert back.node_ids == tuple(sorted(matrix.node_ids))
         assert np.array_equal(back.values, matrix.values[np.argsort(matrix.node_ids)])
 
@@ -279,34 +300,34 @@ class TestReadingsRoundTrip:
         return data_io.ReadingMatrix(node_ids=(-(2**63), -3, 0, 7, 2**63 - 1), epochs=tuple(epochs), values=values)
 
     @staticmethod
-    def assert_writes_like_the_reference(matrix):
+    def assert_writes_like_the_reference(matrix, csv_file):
         text = data_io.write_readings(matrix)
         assert text == reference_write_readings(matrix)
-        assert_bit_identical(data_io.parse_readings(io.StringIO(text)), trimmed(matrix))
+        assert_bit_identical(data_io.parse_readings(csv_file(text)), trimmed(matrix))
 
     @pytest.mark.parametrize("t", [63, 64, 65, 129])
-    def test_epoch_counts_around_a_block(self, t):
-        self.assert_writes_like_the_reference(self.block_matrix(range(t), seed=t))
+    def test_epoch_counts_around_a_block(self, t, csv_file):
+        self.assert_writes_like_the_reference(self.block_matrix(range(t), seed=t), csv_file)
 
-    def test_sparse_negative_epochs_across_blocks(self):
+    def test_sparse_negative_epochs_across_blocks(self, csv_file):
         rng = np.random.default_rng(5)
         inner = rng.choice(np.arange(-10**6, 10**6), 127, replace=False).tolist()
         epochs = sorted([-(2**63), *inner, 2**63 - 1])
-        self.assert_writes_like_the_reference(self.block_matrix(epochs))
+        self.assert_writes_like_the_reference(self.block_matrix(epochs), csv_file)
 
     @pytest.mark.parametrize("empty", [[63], [64], [63, 64], [127, 128], [0, 63, 64, 127, 128]])
-    def test_all_missing_epoch_at_a_block_edge(self, empty):
+    def test_all_missing_epoch_at_a_block_edge(self, empty, csv_file):
         matrix = self.block_matrix(range(129))
         matrix.values[:, empty] = np.nan
-        self.assert_writes_like_the_reference(matrix)
+        self.assert_writes_like_the_reference(matrix, csv_file)
 
     @pytest.mark.parametrize("block, cell", [(0, (4, 0)), (1, (0, 64)), (1, (2, 100)), (2, (3, 128))])
-    def test_block_with_one_present_cell(self, block, cell):
+    def test_block_with_one_present_cell(self, block, cell, csv_file):
         matrix = self.block_matrix(range(129))
         kept = matrix.values[cell]
         matrix.values[:, 64 * block:64 * (block + 1)] = np.nan
         matrix.values[cell] = 1.5 if np.isnan(kept) else kept
-        self.assert_writes_like_the_reference(matrix)
+        self.assert_writes_like_the_reference(matrix, csv_file)
 
 
 class TestReadingMatrix:
@@ -320,6 +341,18 @@ class TestReadingMatrix:
         for bad in (np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 data_io.ReadingMatrix(node_ids=(4, 9), epochs=(0, 3, 8), values=np.where(m.missing, bad, values))
+
+    @pytest.mark.parametrize("node_ids, epochs, message", [
+        ((1, 1, 2), (0, 1, 2), r"repeated node_ids: \[1\]"),
+        ((1, 2, 3), (0, 0, 2), r"repeated epochs: \[0\]"),
+        ((7, 3, 7), (2**63 - 1, -(2**63), 2**63 - 1), r"repeated node_ids: \[7\]"),
+        ((1, 2, 3), (5, 4, 5, 4, 5), r"repeated epochs: \[4, 5\]"),
+    ], ids=["node id", "epoch", "node ids named first", "two epochs"])
+    def test_repeated_ids_and_epochs_rejected(self, node_ids, epochs, message):
+        # a repeat would give one cell two rows, which write_readings would emit
+        # as a trace parse_readings rejects
+        with pytest.raises(ValueError, match=message):
+            data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=np.ones((len(node_ids), len(epochs))))
 
 
 def reference_parse_readings(fh, deployment=None):
@@ -419,10 +452,10 @@ def quote_fields(row, flags):
 
 
 def outcome(parse, source, deployment=None):
-    """The matrix parsed from a text, read as a stream, or from a path, or
-    the (type, message, line) of the error raised."""
+    """The matrix parsed from the source (a path, or a stream for the
+    reference), or the (type, message, line) of the error raised."""
     try:
-        return parse(io.StringIO(source) if isinstance(source, str) else source, deployment)
+        return parse(source, deployment)
     except DataFormatError as exc:
         return type(exc), str(exc), exc.line
 
@@ -430,21 +463,21 @@ def outcome(parse, source, deployment=None):
 class TestReadingsProperties:
     @settings(max_examples=200, deadline=None)
     @given(reading_matrices())
-    def test_write_then_parse_is_bit_identical(self, matrix):
+    def test_write_then_parse_is_bit_identical(self, csv_file, matrix):
         text = data_io.write_readings(matrix)
         assert text == reference_write_readings(matrix)
-        assert_bit_identical(data_io.parse_readings(io.StringIO(text)), trimmed(matrix))
+        assert_bit_identical(data_io.parse_readings(csv_file(text)), trimmed(matrix))
 
     @settings(max_examples=200, deadline=None)
     @given(reading_matrices(), st.data())
-    def test_shuffled_rows_parse_like_the_reference(self, matrix, data):
+    def test_shuffled_rows_parse_like_the_reference(self, csv_file, matrix, data):
         header, *rows = data_io.write_readings(matrix).splitlines()
         rows = data.draw(st.permutations(rows + [""] * data.draw(st.integers(0, 2))))
         quoted = data.draw(st.lists(st.booleans(), min_size=3 * len(rows), max_size=3 * len(rows)))
         rows = [quote_fields(row, quoted[3 * k:3 * k + 3]) for k, row in enumerate(rows)]
         eol = data.draw(st.sampled_from(["\n", "\r\n"]))  # CRLF or quotes send the text to the row reader
         text = eol.join([header, *rows]) + eol
-        got = data_io.parse_readings(io.StringIO(text))
+        got = data_io.parse_readings(csv_file(text))
         assert_bit_identical(got, reference_parse_readings(io.StringIO(text)))
         assert_bit_identical(got, trimmed(matrix))
 
@@ -468,7 +501,7 @@ class TestReadingsProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(reading_matrices(ids=POSITIVE_IDS), st.data())
-    def test_malformed_rows_fail_like_the_reference(self, matrix, data):
+    def test_malformed_rows_fail_like_the_reference(self, csv_file, matrix, data):
         """One or two faulty rows, each inserted anywhere: both parsers stop at
         the first with the same error."""
         header, *clean = data_io.write_readings(matrix).splitlines()
@@ -478,8 +511,8 @@ class TestReadingsProperties:
             row = self.faulty_row(fault, data.draw(st.sampled_from(clean)), set(matrix.node_ids), data)
             rows.insert(data.draw(st.integers(0, len(rows))), row)
         text = "\n".join([header, *rows]) + "\n"
-        want = outcome(reference_parse_readings, text, dep)
-        got = outcome(data_io.parse_readings, text, dep)
+        want = outcome(reference_parse_readings, io.StringIO(text), dep)
+        got = outcome(data_io.parse_readings, csv_file(text), dep)
         assert isinstance(want, tuple), "every injected fault is an error"
         assert got == want
 
@@ -490,19 +523,6 @@ def assert_same_outcome(got, want):
     else:
         assert not isinstance(got, tuple), got
         assert_bit_identical(got, want)
-
-
-class OneShot:
-    """A stream whose first read returns all of its text and whose second read fails."""
-
-    def __init__(self, text):
-        self.text = text
-
-    def read(self, size=-1):
-        if self.text is None:
-            raise OSError("the stream was read before")
-        text, self.text = self.text, None
-        return text
 
 
 ROUTED_DEPLOYMENT = Deployment([1, 2, 7], np.zeros((3, 3)))
@@ -545,37 +565,31 @@ class TestReadingsRouting:
     """Traces in write_readings' form take the array path; every other text, and
     every trace that path rejects, is read row by row, with the reference's outcome."""
 
-    def test_canonical_trace_skips_the_row_reader(self, dropped_trace, tmp_path, monkeypatch):
+    def test_canonical_trace_skips_the_row_reader(self, dropped_trace, csv_file, monkeypatch):
         text, n, t, kept = dropped_trace
         want = reference_parse_readings(io.StringIO(text))
-        path = tmp_path / "readings.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path = csv_file(text)
 
         def no_row_reader(*args):
             raise AssertionError("the row reader ran")
 
         monkeypatch.setattr(data_io, "_checked_rows", no_row_reader)
-        assert_bit_identical(data_io.parse_readings(io.StringIO(text)), want)
         assert_bit_identical(data_io.parse_readings(path), want)
         assert want.missing.sum() == n * t - kept > 0
 
     @pytest.mark.parametrize("text", ROUTED.values(), ids=ROUTED.keys())
-    def test_outcome_matches_the_reference(self, text, tmp_path):
-        want = outcome(reference_parse_readings, text, ROUTED_DEPLOYMENT)
-        assert_same_outcome(outcome(data_io.parse_readings, text, ROUTED_DEPLOYMENT), want)
-        path = tmp_path / "readings.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert_same_outcome(outcome(data_io.parse_readings, path, ROUTED_DEPLOYMENT), want)
+    def test_outcome_matches_the_reference(self, text, csv_file):
+        want = outcome(reference_parse_readings, io.StringIO(text), ROUTED_DEPLOYMENT)
+        assert_same_outcome(outcome(data_io.parse_readings, csv_file(text), ROUTED_DEPLOYMENT), want)
 
-    def test_undecodable_byte_deep_in_a_canonical_trace(self, dropped_trace, tmp_path):
+    def test_undecodable_byte_deep_in_a_canonical_trace(self, dropped_trace, csv_file):
         # the byte check sends the file to the row reader, which decodes it and
         # names the line of the byte as a decode of the whole file does
         text, _, _, _ = dropped_trace
         data = bytearray(text.encode("utf-8"))
         at = data.index(b"\n", len(data) // 2) - 1  # the last digit of a line's value
         data[at] = 0xFF
-        path = tmp_path / "readings.csv"
-        path.write_bytes(data)
+        path = csv_file(bytes(data))
         with pytest.raises(UnicodeDecodeError) as exc:
             bytes(data).decode("utf-8")
         line = text.count("\n", 0, at) + 1
@@ -583,19 +597,13 @@ class TestReadingsRouting:
         assert outcome(data_io.parse_readings, path) == want
         assert exc.value.start == at and line > 100_000
 
-    def test_file_with_cr_line_ends(self, tmp_path):
+    def test_file_with_cr_line_ends(self, csv_file):
         # a file opens with newline="", where a lone CR ends a row; the row reader
         # must keep that on the text read from it
-        path = tmp_path / "readings.csv"
-        path.write_bytes(b"epoch,node_id,value\r0,1,1.5\r1,1,2.5\r")
+        path = csv_file(b"epoch,node_id,value\r0,1,1.5\r1,1,2.5\r")
         with open(path, encoding="utf-8", newline="") as fh:
             want = reference_parse_readings(fh)
         assert_bit_identical(data_io.parse_readings(path), want)
-
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-    def test_one_shot_stream_is_read_once(self, eol):
-        text = eol.join(["epoch,node_id,value", "0,1,1.5", "1,1,2.5", "1,2,-3.0"]) + eol
-        assert_bit_identical(data_io.parse_readings(OneShot(text)), reference_parse_readings(io.StringIO(text)))
 
 
 # coordinate texts in the canonical alphabet: shortest round-trip repr (up to 17
@@ -615,10 +623,10 @@ def canonical_node_files(draw):
 
 
 def node_outcome(parse, source):
-    """The ids and position bits of the nodes parsed from a text, read as a
-    stream, or from a path, or the DataFormatError message."""
+    """The ids and position bits of the nodes parsed from the source (a path,
+    or a stream for the row reader), or the DataFormatError message."""
     try:
-        dep = parse(io.StringIO(source, newline="") if isinstance(source, str) else source)
+        dep = parse(source)
     except DataFormatError as exc:
         return str(exc)
     return node_bits(dep)
@@ -657,32 +665,32 @@ class TestNodesRouting:
 
     @settings(max_examples=300, deadline=None)
     @given(canonical_node_files())
-    def test_array_path_matches_the_row_reader(self, text):
-        want = node_outcome(data_io._parse_node_rows, text)
+    def test_array_path_matches_the_row_reader(self, csv_file, text):
+        want = node_outcome(data_io._parse_node_rows, io.StringIO(text, newline=""))
+        path = csv_file(text)
 
         def no_row_reader(*args):
             raise AssertionError("the row reader ran")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data_io, "_checked_rows", no_row_reader)
-            assert node_outcome(data_io.parse_nodes, text) == want
+            assert node_outcome(data_io.parse_nodes, path) == want
 
     @pytest.mark.parametrize("text", ROUTED_NODES.values(), ids=ROUTED_NODES.keys())
-    def test_outcome_matches_the_row_reader(self, text, tmp_path):
-        want = node_outcome(data_io._parse_node_rows, text)
-        assert node_outcome(data_io.parse_nodes, text) == want
-        path = tmp_path / "nodes.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert node_outcome(data_io.parse_nodes, path) == want
+    def test_outcome_matches_the_row_reader(self, text, csv_file):
+        want = node_outcome(data_io._parse_node_rows, io.StringIO(text, newline=""))
+        assert node_outcome(data_io.parse_nodes, csv_file(text)) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789+-.eE,\n", max_size=80))
-    def test_canonical_alphabet_fuzz(self, body):
+    def test_canonical_alphabet_fuzz(self, csv_file, body):
         text = "node_id,x,y,z\n" + body
-        assert node_outcome(data_io.parse_nodes, text) == node_outcome(data_io._parse_node_rows, text)
+        want = node_outcome(data_io._parse_node_rows, io.StringIO(text, newline=""))
+        assert node_outcome(data_io.parse_nodes, csv_file(text)) == want
 
     def test_generated_deployment_skips_the_row_reader(self, fixture_path, monkeypatch):
-        want = node_outcome(data_io._parse_node_rows, fixture_path.read_text(encoding="utf-8"))
+        with fixture_path.open(encoding="utf-8", newline="") as fh:
+            want = node_outcome(data_io._parse_node_rows, fh)
         monkeypatch.setattr(data_io, "_checked_rows", None)
         dep = data_io.parse_nodes(fixture_path)
         assert node_bits(dep) == want
