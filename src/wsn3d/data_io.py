@@ -45,6 +45,11 @@ _WRITE_EPOCHS = 64
 _SUN_Z = 4.6
 
 
+def _int64(value) -> bool:
+    """True for an integer that int64 holds, given as an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+
+
 @dataclass
 class ReadingMatrix:
     """Per-node, per-epoch readings; NaN marks a missing cell, and only NaN."""
@@ -60,6 +65,10 @@ class ReadingMatrix:
         if np.isinf(self.values).any():
             raise ValueError("present cells must hold finite values")
         for name in ("node_ids", "epochs"):
+            # checked one by one: np.asarray would read (1, True) as int64 and (2**70,) as objects
+            bad = [v for v in getattr(self, name) if not _int64(v)]
+            if bad:
+                raise ValueError(f"{name} must be int64 integers, got {bad[0]!r}")
             ordered = np.sort(np.asarray(getattr(self, name)))  # not np.unique, as in Deployment
             repeated = ordered[1:][ordered[1:] == ordered[:-1]]
             if repeated.size:
@@ -149,13 +158,13 @@ def _checked_rows(fh: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, l
 def parse_nodes(path: str | Path) -> Deployment:
     """Read a deployment from the CSV file at ``path``, with header node_id,x,y,z.
 
-    The file is read once. A file in canonical form (see parse_readings) is
-    parsed in one array pass; any other file, and any file that pass rejects,
-    goes to the row reader, which accepts the same values and names the first
-    bad line.
+    The file is read as bytes. A file in canonical form (see parse_readings) is
+    then parsed from its path in one array pass; any other file, and any file
+    that pass rejects, goes to the row reader, which parses the bytes already
+    read, accepts the same values and names the first bad line.
     """
     data = Path(path).read_bytes()
-    rows = _canonical_rows(data, _NODE_ROW)
+    rows = _canonical_rows(path, data, _NODE_ROW)
     if rows is not None:
         try:
             return Deployment(rows["node_id"], np.stack([rows["x"], rows["y"], rows["z"]], axis=1))
@@ -192,15 +201,17 @@ def parse_readings(path: str | Path, deployment: Deployment | None = None) -> Re
     When a deployment is supplied, readings for unknown nodes are rejected.
     Epochs and node ids must fit in int64.
 
-    The file is read once, as bytes. A trace in canonical form, the form
-    write_readings emits, is parsed in one array pass; any other trace, and
-    any trace that pass rejects, goes to the row reader, which accepts the
-    same values and names the first bad line; only then is the file decoded.
-    Canonical form is the header line, then only the bytes of
-    _CANONICAL_BYTES in LF-ended lines of at most _CANONICAL_LINE bytes.
+    The file is read as bytes and checked. A trace in canonical form, the
+    form write_readings emits, is then parsed from its path in one array
+    pass, kept only if it holds a row for each non-blank line of the checked
+    bytes; any other trace, and any trace that pass rejects, goes to the row
+    reader, which parses the bytes already read, accepts the same values and
+    names the first bad line; only then are the bytes decoded. Canonical form
+    is the header line, then only the bytes of _CANONICAL_BYTES in LF-ended
+    lines of at most _CANONICAL_LINE bytes.
     """
     data = Path(path).read_bytes()
-    rows = _canonical_rows(data, _READING_ROW)
+    rows = _canonical_rows(path, data, _READING_ROW)
     if rows is not None and np.isfinite(rows["value"]).all():
         matrix = _reading_matrix(rows["epoch"], rows["node_id"], rows["value"])
         no_duplicate = matrix.values.size - np.count_nonzero(matrix.missing) == rows.size
@@ -209,13 +220,20 @@ def parse_readings(path: str | Path, deployment: Deployment | None = None) -> Re
     return _parse_reading_rows(_text_stream(data, path), deployment)
 
 
-def _canonical_rows(data: bytes, row: np.dtype) -> np.ndarray | None:
-    """The rows of a canonical CSV file whose header is the field names of
-    ``row``, read in one np.loadtxt, or None when it needs the row reader.
-    The array is never empty.
+def _canonical_rows(path: str | Path, data: bytes, row: np.dtype) -> np.ndarray | None:
+    """The rows of the canonical CSV file at ``path``, whose bytes are ``data``
+    and whose header is the field names of ``row``, or None when it needs the
+    row reader. The array is never empty.
 
-    The file is checked as bytes, so a canonical one is never decoded: the
-    check admits only ASCII bytes, on which UTF-8 decoding cannot fail.
+    The bytes are checked first, so a canonical file is never decoded: the
+    check admits only ASCII bytes, on which UTF-8 decoding cannot fail. Then
+    np.loadtxt reads the file again from its path, in chunks (it reads a
+    stream line by line). Any failure of that read sends the file to the row
+    reader: numpy picks a decompressor by the name's suffix, so a plain
+    canonical file named t.csv.gz fails there. So does a row count other than
+    the checked bytes' non-blank lines, as the file may change between reads.
+    The path goes to numpy as a Path, which collapses '//', so numpy never
+    takes it for a URL.
     """
     header = ",".join(row.names).encode("ascii") + b"\n"
     if not data.startswith(header):
@@ -224,17 +242,20 @@ def _canonical_rows(data: bytes, row: np.dtype) -> np.ndarray | None:
     if body.translate(None, _CANONICAL_BYTES):
         return None
     ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    if np.diff(ends, prepend=-1, append=len(body)).max() > _CANONICAL_LINE:  # a line and its LF
+    lengths = np.diff(ends, prepend=-1, append=len(body))  # each line with its LF; 1 for a blank line
+    if lengths.max() > _CANONICAL_LINE:
         return None
     try:
         with warnings.catch_warnings():
             # a body without rows draws a UserWarning, and some numpy releases read
             # '1.0' into an int64 column with only a DeprecationWarning
             warnings.simplefilter("error")
-            return np.loadtxt(io.BytesIO(body), dtype=row, delimiter=",", comments=None, ndmin=1,
+            # comments=None: with comments numpy goes back to reading line by line
+            rows = np.loadtxt(Path(path), dtype=row, delimiter=",", comments=None, ndmin=1, skiprows=1,
                               encoding="ascii")
-    except (ValueError, Warning):
+    except Exception:  # the warnings above, or a decompressor's error (lzma's is no OSError)
         return None
+    return rows if rows.size == np.count_nonzero(lengths > 1) else None
 
 
 def _parse_reading_rows(fh: IO[str], deployment: Deployment | None) -> ReadingMatrix:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -355,6 +356,20 @@ class TestReadingMatrix:
             data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=np.ones((len(node_ids), len(epochs))))
 
 
+    @pytest.mark.parametrize("node_ids, epochs, message", [
+        ((1.5, True), (0, 2.0), "node_ids must be int64 integers, got 1.5"),
+        ((1, True), (0, 1), "node_ids must be int64 integers, got True"),
+        ((2**70,), (0,), f"node_ids must be int64 integers, got {2**70}"),
+        ((1, 2), (0, 2.0), "epochs must be int64 integers, got 2.0"),
+        ((1,), (-(2**63) - 1,), f"epochs must be int64 integers, got {-(2**63) - 1}"),
+        ((1,), ("0",), "epochs must be int64 integers, got '0'"),
+    ], ids=["float and bool", "bool among ints", "beyond int64", "float epoch", "below int64", "text epoch"])
+    def test_ids_and_epochs_must_be_int64_integers(self, node_ids, epochs, message):
+        # write_readings would write such a matrix as a trace parse_readings rejects
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=np.ones((len(node_ids), len(epochs))))
+
+
 def reference_parse_readings(fh, deployment=None):
     """The per-cell parser that parse_readings replaced, kept as its oracle."""
     reader = csv.reader(fh)
@@ -694,3 +709,59 @@ class TestNodesRouting:
         monkeypatch.setattr(data_io, "_checked_rows", None)
         dep = data_io.parse_nodes(fixture_path)
         assert node_bits(dep) == want
+
+
+FALLBACK_READINGS = "epoch,node_id,value\n0,1,1.5\n0,2,-0.0\n3,1,2.5e-3\n"
+FALLBACK_NODES = "node_id,x,y,z\n1,0.5,1.0,2.0\n7,-3.25,1e-3,4.0\n"
+
+
+class TestPathReadFallbacks:
+    """A canonical file is checked as bytes, then read again by np.loadtxt from
+    its path; where that read fails or could go astray, both parsers give the
+    row reader's result."""
+
+    @staticmethod
+    def assert_row_reader_results(readings, nodes, readings_text, nodes_text, monkeypatch=None):
+        """Parse the files at the two paths; with monkeypatch, also require that
+        the row reader never runs."""
+        want_readings = reference_parse_readings(io.StringIO(readings_text))
+        want_nodes = node_outcome(data_io._parse_node_rows, io.StringIO(nodes_text, newline=""))
+        if monkeypatch is not None:
+            monkeypatch.setattr(data_io, "_checked_rows", None)
+        assert_bit_identical(data_io.parse_readings(readings), want_readings)
+        assert node_outcome(data_io.parse_nodes, nodes) == want_nodes
+
+    @pytest.mark.parametrize("suffix", [".gz", ".xz", ".bz2"])
+    def test_plain_file_with_a_compression_suffix(self, suffix, csv_file):
+        # numpy opens such a name with a decompressor, which fails on plain bytes
+        self.assert_row_reader_results(csv_file(FALLBACK_READINGS, f"r.csv{suffix}"),
+                                       csv_file(FALLBACK_NODES, f"n.csv{suffix}"),
+                                       FALLBACK_READINGS, FALLBACK_NODES)
+
+    def test_blank_lf_lines_take_the_array_path(self, csv_file, monkeypatch):
+        # blank LF lines are canonical bytes; np.loadtxt skips them, and the row
+        # count guard counts only the non-blank lines
+        readings = FALLBACK_READINGS.replace("\n", "\n\n")
+        nodes = "node_id,x,y,z\n\n" + FALLBACK_NODES.split("\n", 1)[1].replace("\n", "\n\n\n")
+        self.assert_row_reader_results(csv_file(readings, "r.csv"), csv_file(nodes, "n.csv"),
+                                       readings, nodes, monkeypatch)
+
+    def test_url_like_name_is_read_as_a_local_file(self, tmp_path, monkeypatch):
+        fetched = []
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: fetched.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "r.csv").write_text(FALLBACK_READINGS)
+        (tmp_path / "http:" / "host" / "n.csv").write_text(FALLBACK_NODES)
+        self.assert_row_reader_results("http://host/r.csv", "http://host/n.csv",
+                                       FALLBACK_READINGS, FALLBACK_NODES, monkeypatch)
+        assert fetched == []
+
+    def test_row_count_guard(self, csv_file):
+        # the file is read twice, so an array with another row count than the
+        # checked bytes' non-blank lines is not kept
+        path = csv_file(FALLBACK_READINGS, "r.csv")
+        data = FALLBACK_READINGS.encode("ascii")
+        assert data_io._canonical_rows(path, data + b"\n\n", data_io._READING_ROW).size == 3
+        assert data_io._canonical_rows(path, data + b"4,1,1.0\n", data_io._READING_ROW) is None
+        assert data_io._canonical_rows(path, data[:-len(b"3,1,2.5e-3\n")], data_io._READING_ROW) is None
