@@ -88,13 +88,16 @@ def _add_out_flag(p: _Parser):
 
 
 def _parse_event(text: str | None) -> tuple[float, float, float] | None:
-    """The --event point, checked to be finite; None when the flag is absent."""
+    """The --event point, three numbers in the input files' plain grammar (spaces
+    around each allowed) checked to be finite; None when the flag is absent."""
     if text is None:
         return None
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigurationError(f"--event expects X,Y,Z, got {text!r}")
     try:
+        if not all(data_io._plain(v.strip()) for v in parts):
+            raise ValueError
         x, y, z = (float(v) for v in parts)
     except ValueError:
         raise ConfigurationError(f"--event expects numbers, got {text!r}") from None
@@ -227,9 +230,14 @@ def cmd_estimate(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[s
 
 
 def _dead_ids(args, dep: Deployment) -> list[int]:
-    """The --dead ids, checked against the deployment: each at most once, none unknown, not all."""
+    """The --dead ids, integers in the node file's plain grammar (spaces around
+    each allowed), checked against the deployment: each at most once, none
+    unknown, not all."""
+    items = [v for v in map(str.strip, args.dead.split(",")) if v]
     try:
-        dead_ids = [int(v) for v in args.dead.split(",") if v.strip()]
+        if not all(map(data_io._plain, items)):
+            raise ValueError
+        dead_ids = [int(v) for v in items]
     except ValueError:
         raise ConfigurationError(f"--dead expects comma-separated node ids, got {args.dead!r}") from None
     repeated = sorted({i for i in dead_ids if dead_ids.count(i) > 1})

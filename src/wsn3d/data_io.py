@@ -323,7 +323,8 @@ def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix
     ids = dep.node_ids.tolist()
     offsets = np.asarray([scn.offsets.get(i, 0.0) for i in ids])
     scales = np.asarray([scn.scales.get(i, 1.0) for i in ids])
-    values = (offsets[:, None] + scales[:, None] * draws.T).astype(float)
+    values = scales[:, None] * draws.T
+    values += offsets[:, None]  # in place: one (nodes, epochs) array, float64 like draws
     return ReadingMatrix(node_ids=tuple(ids), epochs=tuple(range(scn.epochs)), values=values)
 
 

@@ -99,13 +99,19 @@ class PrefixMoments:
         if rows.size < len(ids):
             raise ValueError(f"readings missing for nodes {sorted(set(ids) - set(matrix.node_ids))}")
         self.epoch_count = len(matrix.epochs)
-        values = matrix.values[rows[np.argsort(np.take(matrix.node_ids, rows))]]  # rows in id order
-        present = ~np.isnan(values)
-        values = np.where(present, values, 0.0)
+        values = matrix.values[rows[np.argsort(np.take(matrix.node_ids, rows))]]  # a copy, rows in id order
+        missing = np.isnan(values)
+        present = ~missing
+        values[missing] = 0.0
         # shift each node by the mean of its present readings (0 with none): costs stay, sums keep their digits
         values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
-        self._present, self._values = present.astype(float), np.where(present, values, 0.0)
-        self._nodes = np.cumsum([self._present, self._values, self._values**2], axis=2)  # n, sx, sx2: (3, N, T)
+        values[missing] = 0.0
+        self._present, self._values = present, values
+        # n, sx, sx2: (3, N, T), summed in place (np.cumsum of a list would stack a copy and then allocate)
+        self._nodes = nodes = np.empty((3, *values.shape))
+        nodes[0], nodes[1] = present, values
+        np.square(values, out=nodes[2])
+        np.cumsum(nodes, axis=2, out=nodes)
         # positions in node_ids of the members of each cluster of 2 or more
         self._members = [np.searchsorted(ids, sorted(c.node_ids())) for c in clusters if c.members]
 
@@ -123,7 +129,9 @@ class PrefixMoments:
         z[:t, :m], z[:t, m:] = self._present[members].T, self._values[members].T
         blocks = z.reshape(-1, b, 2 * m)  # (K + 1, b, 2m)
         prefix = np.zeros((len(blocks), 2 * m, 2 * m))  # prefix[k]: the Gram of the first k blocks
-        np.cumsum(blocks[:-1].transpose(0, 2, 1) @ blocks[:-1], axis=0, out=prefix[1:])
+        np.matmul(blocks[:-1].transpose(0, 2, 1), blocks[:-1], out=prefix[1:])
+        for k in range(2, len(prefix)):
+            prefix[k] += prefix[k - 1]
         for chunk in _row_blocks(ends.size, max(1, _GRAM_CELLS // (2 * m) ** 2)):
             full, rest = np.divmod(ends[chunk], b)
             tail = blocks[full]
@@ -165,9 +173,11 @@ class PrefixMoments:
         out = _variance(*self._nodes[:, :, at]).T
         for members in self._members:
             if self._present[members].all():
-                x = self._values[members]
+                x = self._values[members]  # a copy
                 o = x.sum(axis=0) - x  # (m, T): each member's neighbor sum
-                so, sxo = np.cumsum([o, x * o], axis=2)[:, :, at]
+                x *= o
+                so = np.cumsum(o, axis=1, out=o)[:, at]
+                sxo = np.cumsum(x, axis=1, out=x)[:, at]
                 sx = self._nodes[1, members[:, None], at]
                 out[:, members] += (_covariance(at + 1, sx, so, sxo) / (members.size - 1)).T
             else:

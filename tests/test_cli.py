@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,11 @@ class TestPipeline:
                      id="3,999-not in deployment: [999]"),
         pytest.param([*SUN_SHADE, "--dead", "3,x"], 1, "--dead expects comma-separated node ids, got '3,x'",
                      id="3,x-not an id"),
+        # int() reads both as 11, but the node file's grammar allows neither
+        pytest.param([*SUN_SHADE, "--dead", "1_1"], 1, "--dead expects comma-separated node ids, got '1_1'",
+                     id="1_1-underscore"),
+        pytest.param([*SUN_SHADE, "--dead", "\uff11\uff11"], 1, "--dead expects comma-separated node ids, got",
+                     id="fullwidth-digits"),
         pytest.param([*SUN_SHADE, "--rounds", "0"], 1, "rounds must be at least 1", id="rounds-0"),
         pytest.param([*SUN_SHADE, "--phi1", "-1"], 1, "adaptation factors", id="negative-phi1"),
         pytest.param([*SUN_SHADE, "--epochs", "1"], 1, "at least 2 epochs", id="one-epoch"),
@@ -642,6 +648,29 @@ class TestExitCodes:
         assert err == "error: --event expects X,Y,Z, got ''\n"
         assert stdout == ""
         assert not out.exists()
+
+    # float() reads "1_0" as 10 and the Arabic-Indic digit five as 5
+    @pytest.mark.parametrize("event", ["1_0,2,3", "\u0665,5,5"])
+    def test_event_outside_the_plain_number_grammar_is_usage_error(self, event, nodes_arg, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(["estimate", "--event", event, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: --event expects numbers, got {event!r}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_spaces_around_event_and_dead_items_are_allowed(self, nodes_arg, tmp_path, capsys):
+        def outputs(event, dead):
+            out = tmp_path / "out"
+            argv = ["pipeline", "--nodes", nodes_arg, "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2",
+                    "--event", event, "--dead", dead, "--out", str(out)]
+            code, stdout, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return stdout, files
+
+        assert outputs(" 2 , 2 ,2 ", " 3 , 7 ") == outputs("2,2,2", "3,7")
 
     def test_closed_stdout_exits_without_traceback(self, nodes_arg, tmp_path):
         proc = subprocess.Popen(

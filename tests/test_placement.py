@@ -435,6 +435,46 @@ class TestCovariance:
             PrefixMoments(matrix, clusters).covariance(i, j, 5)
 
 
+def sun_shade_readings(matrix, gapped):
+    """The bundled sun-shade readings, or a copy with a seeded 5% of cells missing."""
+    if not gapped:
+        return matrix
+    values = matrix.values.copy()
+    values[np.random.default_rng(27).random(values.shape) < 0.05] = np.nan
+    return data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, values)
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["gap-free", "gapped"])
+class TestMomentsBuild:
+    def test_node_sums_are_the_stacked_cumsum(self, sun_shade_run, gapped):
+        """The node prefix sums hold the bits of one np.cumsum over the stacked
+        presence, shifted values and their squares."""
+        _, matrix, clusters, *_ = sun_shade_run
+        matrix = sun_shade_readings(matrix, gapped)
+        moments = PrefixMoments(matrix, clusters)
+        assert moments.node_ids == sorted(matrix.node_ids)
+        values = matrix.values[np.argsort(matrix.node_ids)]
+        present = ~np.isnan(values)
+        values = np.where(present, values, 0.0)
+        values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
+        values = np.where(present, values, 0.0)
+        want = np.cumsum(np.stack([present.astype(float), values, values**2]), axis=2)
+        assert moments._nodes.dtype == want.dtype and moments._nodes.tobytes() == want.tobytes()
+
+    def test_build_holds_no_second_copy_of_the_sums(self, sun_shade_run, gapped):
+        """The sums are accumulated in the array that keeps them: building them
+        peaks below twice that array (a stacked list and its cumsum took 3.4x)."""
+        _, matrix, clusters, *_ = sun_shade_run
+        matrix = sun_shade_readings(matrix, gapped)
+        tracemalloc.start()
+        try:
+            moments = PrefixMoments(matrix, clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * moments._nodes.nbytes, f"peak {peak} B against {moments._nodes.nbytes} B of sums"
+
+
 def placement_peak(rounds):
     """(peak traced bytes, pair block bytes) of a run_placement over one
     40-node cluster and 1000 epochs; the block is that cluster's (4, P, T)
