@@ -13,7 +13,6 @@ import numpy as np
 from wsn3d import (
     CorrelationModel,
     Deployment,
-    SyntheticScenario,
     cluster_accuracy,
     form_clusters,
     generate_synthetic,
@@ -43,8 +42,7 @@ draws = 20_000
 print(f"closed form against 1 - MSE of the fused mean over {draws} field draws")
 event_id = int(dep.node_ids.max()) + 1
 with_event = Deployment(np.append(dep.node_ids, event_id), np.vstack([dep.positions, event]))
-scn = SyntheticScenario(model=model, variance=sigma_s2, epochs=draws, seed=5)
-field = generate_synthetic(scn, with_event).values
+field = generate_synthetic(with_event, model, sigma_s2, draws, seed=5).values
 readings = field + np.random.default_rng(5).normal(0.0, math.sqrt(sigma_n2), field.shape)
 s = field[with_event.index([event_id])[0]]
 for cluster, rep in zip(clusters, reports):

@@ -8,19 +8,18 @@ exactly the sunlit (high-variance) group.
 from wsn3d import (
     PlacementParams,
     form_clusters,
-    generate_synthetic,
     load_bundled_deployment,
     run_placement,
     select_nodes,
     sun_shade_groups,
-    sun_shade_scenario,
+    sun_shade_readings,
 )
 
 dep = load_bundled_deployment()
 sun, shade = sun_shade_groups(dep)
 print(f"deployment split: {len(sun)} sunlit nodes, {len(shade)} shaded nodes")
 
-matrix = generate_synthetic(sun_shade_scenario(dep, seed=42), dep)
+matrix = sun_shade_readings(dep, seed=42)
 clusters = form_clusters(dep, 6.0)
 params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
 threshold = 5.0

@@ -10,13 +10,12 @@ from .clustering import (
 )
 from .data_io import (
     ReadingMatrix,
-    SyntheticScenario,
     generate_synthetic,
     load_bundled_deployment,
     parse_nodes,
     parse_readings,
     sun_shade_groups,
-    sun_shade_scenario,
+    sun_shade_readings,
     write_cluster_report,
     write_cost_curves,
 )

@@ -186,16 +186,9 @@ def _readings_matrix(args, dep: Deployment, model: CorrelationModel):
         variance = getattr(args, "variance", None)
         if args.synthetic == "sun-shade":
             if variance is not None:
-                raise ConfigurationError(
-                    "--variance applies to --synthetic uniform only; sun-shade fixes it at 1"
-                )
-            scn = data_io.sun_shade_scenario(dep, model=model, epochs=args.epochs, seed=args.seed)
-        else:
-            scn = data_io.SyntheticScenario(
-                model=model, variance=1.0 if variance is None else variance,
-                epochs=args.epochs, seed=args.seed,
-            )
-        return data_io.generate_synthetic(scn, dep)
+                raise ConfigurationError("--variance applies to --synthetic uniform only; sun-shade fixes it at 1")
+            return data_io.sun_shade_readings(dep, model, args.epochs, args.seed)
+        return data_io.generate_synthetic(dep, model, 1.0 if variance is None else variance, args.epochs, args.seed)
     raise ConfigurationError("readings required: pass --readings PATH or --synthetic NAME")
 
 

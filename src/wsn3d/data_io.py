@@ -1,5 +1,7 @@
-"""File ingestion, synthetic reading generation, and report serialization.
+"""File ingestion, synthetic readings and report serialization.
 
+Synthetic readings come from two functions: generate_synthetic draws a
+zero-mean correlated field, and sun_shade_readings scales and shifts one.
 All CSV traffic uses one dialect: comma separated, '.' decimal, LF line
 endings, mandatory header, UTF-8. Parsers also read CRLF line endings, quoted
 fields and blank rows, and reject malformed input with the offending line
@@ -13,7 +15,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterator, Mapping
@@ -78,33 +80,6 @@ class ReadingMatrix:
     def missing(self) -> np.ndarray:
         """The missing cells, np.isnan(values)."""
         return np.isnan(self.values)
-
-
-@dataclass(frozen=True)
-class SyntheticScenario:
-    """Recipe for a spatially correlated reading set.
-
-    The base field is a zero-mean Gaussian process over node positions with
-    covariance variance * correlation(distance). Per-node scales multiply the
-    field and offsets shift it, so groups of nodes can differ in variability
-    the way a sunlit group differs from a shaded one.
-    """
-
-    model: CorrelationModel
-    variance: float = 1.0
-    epochs: int = 800
-    seed: int = 42
-    offsets: Mapping[int, float] = field(default_factory=dict)
-    scales: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0.0 < self.variance < math.inf):
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
-        if self.epochs < 2:
-            raise ValueError(f"need at least 2 epochs, got {self.epochs}")
-        bad = {i: s for i, s in self.scales.items() if s <= 0.0}
-        if bad:
-            raise ValueError(f"scales must be positive: {bad}")
 
 
 def _text_stream(data: bytes, path: str | Path) -> IO[str]:
@@ -298,18 +273,24 @@ def _reading_matrix(epochs, nids, values) -> ReadingMatrix:
     return ReadingMatrix(node_ids=tuple(node_ids.tolist()), epochs=tuple(epoch_ids.tolist()), values=grid)
 
 
-def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix:
-    """Draw a reading matrix from the scenario's Gaussian field over the deployment.
+def generate_synthetic(dep: Deployment, model: CorrelationModel, variance: float = 1.0, epochs: int = 800,
+                       seed: int = 42) -> ReadingMatrix:
+    """Draw ``epochs`` readings per node from the zero-mean Gaussian field
+    over the deployment with covariance variance * correlation(distance).
 
     The covariance matrix is Cholesky-factored; if coincident nodes make it
     numerically singular, a diagonal jitter of 1e-10 * variance is added once
     before giving up.
     """
-    cov = scn.variance * correlation(scn.model, pairwise_distances(dep.positions))
+    if not (0.0 < variance < math.inf):
+        raise ValueError(f"variance must be positive and finite, got {variance}")
+    if epochs < 2:
+        raise ValueError(f"need at least 2 epochs, got {epochs}")
+    cov = variance * correlation(model, pairwise_distances(dep.positions))
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        jittered = cov + _JITTER_FRACTION * scn.variance * np.eye(len(dep))
+        jittered = cov + _JITTER_FRACTION * variance * np.eye(len(dep))
         try:
             chol = np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
@@ -318,39 +299,34 @@ def generate_synthetic(scn: SyntheticScenario, dep: Deployment) -> ReadingMatrix
                 f"covariance matrix is not positive definite even after jitter "
                 f"(smallest eigenvalue {smallest:.3e})"
             ) from None
-    rng = np.random.default_rng(scn.seed)
-    draws = rng.standard_normal((scn.epochs, len(dep))) @ chol.T  # (epochs, nodes)
-    ids = dep.node_ids.tolist()
-    offsets = np.asarray([scn.offsets.get(i, 0.0) for i in ids])
-    scales = np.asarray([scn.scales.get(i, 1.0) for i in ids])
-    values = scales[:, None] * draws.T
-    values += offsets[:, None]  # in place: one (nodes, epochs) array, float64 like draws
-    return ReadingMatrix(node_ids=tuple(ids), epochs=tuple(range(scn.epochs)), values=values)
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((epochs, len(dep))) @ chol.T  # (epochs, nodes)
+    # the one (nodes, epochs) array, C-ordered; sun_shade_readings works in it in place
+    return ReadingMatrix(node_ids=tuple(dep.node_ids.tolist()), epochs=tuple(range(epochs)), values=draws.T.copy())
+
+
+def _sunlit(dep: Deployment) -> np.ndarray:
+    """Mask of the nodes at or above _SUN_Z, the sunlit group of the sun-shade trace."""
+    return dep.positions[:, 2] >= _SUN_Z
 
 
 def sun_shade_groups(dep: Deployment) -> tuple[set[int], set[int]]:
     """Split nodes by elevation: ids at or above _SUN_Z ("sun") and below ("shade")."""
-    high = dep.positions[:, 2] >= _SUN_Z
+    high = _sunlit(dep)
     return set(dep.node_ids[high].tolist()), set(dep.node_ids[~high].tolist())
 
 
-def sun_shade_scenario(
-    dep: Deployment,
-    model: CorrelationModel | None = None,
-    epochs: int = 800,
-    seed: int = 42,
-) -> SyntheticScenario:
-    """Bundled two-population scenario: a high-variance sunlit group (scale 3,
-    offset 25) and a low-variance shaded group (scale 0.5, offset 18)."""
-    sun, shade = sun_shade_groups(dep)
-    return SyntheticScenario(
-        model=model or CorrelationModel(theta=30.0, alpha=1.0),
-        variance=1.0,
-        epochs=epochs,
-        seed=seed,
-        offsets={**{i: 25.0 for i in sun}, **{i: 18.0 for i in shade}},
-        scales={**{i: 3.0 for i in sun}, **{i: 0.5 for i in shade}},
-    )
+def sun_shade_readings(dep: Deployment, model: CorrelationModel | None = None, epochs: int = 800,
+                       seed: int = 42) -> ReadingMatrix:
+    """The bundled two-population trace: generate_synthetic's unit-variance
+    field, scaled by 3 and shifted by 25 on the sunlit nodes (high variance)
+    and scaled by 0.5 and shifted by 18 on the shaded ones (see
+    sun_shade_groups)."""
+    matrix = generate_synthetic(dep, model or CorrelationModel(theta=30.0, alpha=1.0), 1.0, epochs, seed)
+    high = _sunlit(dep)[:, None]
+    matrix.values *= np.where(high, 3.0, 0.5)
+    matrix.values += np.where(high, 25.0, 18.0)
+    return matrix
 
 
 def write_readings(matrix: ReadingMatrix) -> str:

@@ -75,22 +75,31 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base**exponent for base >= 0, or inf where that overflows a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def correlation_radius(model: CorrelationModel, tau: float) -> float:
     """Distance at which the correlation drops to tau: (theta * ln(1/tau))**(1/alpha).
 
-    Inverse of :func:`correlation` for tau in (0, 1); tau = 1 maps to 0.
+    Inverse of :func:`correlation` for tau in (0, 1); tau = 1 maps to 0. A
+    radius beyond the largest float, as a small alpha gives, is inf.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if tau == 1.0:
         return 0.0
-    return (model.theta * math.log(1.0 / tau)) ** (1.0 / model.alpha)
+    return _power(model.theta * math.log(1.0 / tau), 1.0 / model.alpha)
 
 
 def event_volume(model: CorrelationModel, tau_e: float) -> float:
-    """Volume of the sphere inside which correlation with the event stays >= tau_e."""
+    """Volume of the sphere inside which correlation with the event stays >= tau_e; inf past the largest float."""
     r = correlation_radius(model, tau_e)
-    return 4.0 / 3.0 * math.pi * r**3
+    return 4.0 / 3.0 * math.pi * _power(r, 3)
 
 
 def _check_edge(edge: float) -> None:
@@ -112,9 +121,9 @@ def dodeca_edge_from_circumradius(r: float) -> float:
 
 
 def dodeca_volume(edge: float) -> float:
-    """Volume edge**3 * (15 + 7*sqrt(5)) / 4 of the regular dodecahedron."""
+    """Volume edge**3 * (15 + 7*sqrt(5)) / 4 of the regular dodecahedron; inf past the largest float."""
     _check_edge(edge)
-    return VOLUME_PER_EDGE_CUBED * edge**3
+    return VOLUME_PER_EDGE_CUBED * _power(edge, 3)
 
 
 def dodeca_vertices(edge: float = 1.0) -> np.ndarray:

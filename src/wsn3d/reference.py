@@ -2,8 +2,7 @@
 
 These values were published for this exact coordinate set and are bundled as
 comparison metadata. They are not regeneration targets: the accuracy figures
-depend on unpublished signal/noise variances and event position, and the
-selection below came from reading traces that are not redistributed.
+depend on unpublished signal/noise variances and event position.
 """
 
 from __future__ import annotations
@@ -36,8 +35,3 @@ REPORTED_ACCURACY: dict[int, dict[str, float]] = {
     16: {"this": 0.9244, "baseline_a": 0.9176, "baseline_b": 0.9176, "baseline_c": 0.9121, "baseline_d": 0.9176},
     11: {"this": 0.9460, "baseline_a": 0.9427, "baseline_b": 0.9427, "baseline_c": 0.9376, "baseline_d": 0.9427},
 }
-
-# Reported placement outcome at cost threshold 5: ids 1..23 and 33..47.
-# The prose count was 37 although the id ranges enumerate 38; both are kept.
-REPORTED_SELECTED_IDS: frozenset[int] = frozenset(range(1, 24)) | frozenset(range(33, 48))
-REPORTED_SELECTED_COUNT: int = 37

@@ -163,8 +163,7 @@ def test_c5_cluster_accuracy_matches_simulated_field(deployment):
         for position in (deployment.centroid(), (2.0, 2.0, 2.0)):
             # the event is one more node of the field, so S is drawn with the readings
             dep = Deployment(np.append(deployment.node_ids, event_id), np.vstack([deployment.positions, position]))
-            scn = data_io.SyntheticScenario(model=model, variance=sigma_s2, epochs=draws, seed=5)
-            field = data_io.generate_synthetic(scn, dep)
+            field = data_io.generate_synthetic(dep, model, sigma_s2, draws, seed=5)
             rng = np.random.default_rng(5)
             readings = field.values + rng.normal(0.0, math.sqrt(sigma_n2), field.values.shape)
             s = field.values[dep.index([event_id])[0]]
@@ -202,8 +201,7 @@ def test_c6_dead_node_predictor():
 def test_c7_placement_properties(deployment):
     with criterion("C7", "placement saturation and sun-group selection"):
         start = time.perf_counter()
-        scn = data_io.sun_shade_scenario(deployment, seed=42)
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.sun_shade_readings(deployment, seed=42)
         clusters = form_clusters(deployment, 6.0)
         params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
         threshold = 5.0
@@ -232,8 +230,7 @@ def test_c7_placement_properties(deployment):
 def test_c8_synthetic_field_fidelity(deployment):
     with criterion("C8", "synthetic field correlation fidelity and reproducibility"):
         model = CorrelationModel(theta=30.0, alpha=1.0)
-        scn = data_io.SyntheticScenario(model=model, variance=1.0, epochs=800, seed=42)
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.generate_synthetic(deployment, model, 1.0, 800, 42)
         pos = deployment.positions
         diff = pos[:, None, :] - pos[None, :, :]
         want = np.exp(-np.sqrt((diff**2).sum(axis=2)) / 30.0)
@@ -241,7 +238,7 @@ def test_c8_synthetic_field_fidelity(deployment):
         err = np.abs(emp - want)
         np.fill_diagonal(err, 0.0)
         assert err.max() <= 0.05
-        again = data_io.generate_synthetic(scn, deployment)
+        again = data_io.generate_synthetic(deployment, model, 1.0, 800, 42)
         assert np.array_equal(matrix.values, again.values)
 
 

@@ -1,6 +1,6 @@
 """The benchmark's traced run wraps wsn3d functions by name; check that every
-name it wraps exists, that a CLI run reaches the placement and prediction
-wrappers, and that restoring puts each original back.
+name it wraps exists, that a CLI run reaches the synthetic draw, placement
+and prediction wrappers, and that restoring puts each original back.
 
 A refactor that renames a wrapped function, or calls one past the name the
 trace wraps, fails here instead of reading 0 in a traced benchmark run.
@@ -48,8 +48,8 @@ def test_pipeline_reaches_every_placement_span(tmp_path):
     finally:
         rec.restore()
     totals = rec.layer_totals(rec.pass_id)
-    for name in ("placement.moments_build", "placement.window_costs",
-                 "placement.placement_step", "placement.run_placement", "estimation.predict"):
+    for name in ("placement.moments_build", "placement.window_costs", "placement.placement_step",
+                 "placement.run_placement", "estimation.predict", "data_io.generate_synthetic"):
         assert totals.get(name, {}).get("calls", 0) >= 1, f"{name} recorded no call"
     # one predict_dead and one prediction_accuracy call, whatever the number of dead nodes
     assert totals["estimation.predict"]["calls"] == 2

@@ -401,8 +401,7 @@ class TestPipeline:
         with (tmp_path / "nodes.csv").open(newline="") as f:
             written = {int(r["node_id"]): float(r["cost"]) for r in csv.DictReader(f)}
         assert set(written) == cs.all_ids()
-        scn = data_io.sun_shade_scenario(deployment, epochs=60, seed=42)
-        assert written == cluster_costs(data_io.generate_synthetic(scn, deployment), cs)
+        assert written == cluster_costs(data_io.sun_shade_readings(deployment, epochs=60, seed=42), cs)
 
 
     def test_artifacts_do_not_depend_on_the_blas_thread_count(self, nodes_arg, tmp_path):
@@ -588,6 +587,22 @@ class TestExitCodes:
             code, stdout, err = run([*argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
             assert (code, stdout, err) == (1, "", f"error: {message}\n"), argv
             assert not out.exists()
+
+    def test_small_alpha_gives_an_infinite_event_range(self, nodes_arg, tmp_path, capsys):
+        """At --alpha 0.001 every correlation radius is past the largest float:
+        the --tau-e range lets every node in, and a derived radius is rejected."""
+        default = tmp_path / "default"
+        assert run(["cluster", "--nodes", nodes_arg, "--out", str(default)], capsys)[0] == 0
+        for argv in (["cluster"], ["estimate", "--event", "5,5,5"]):
+            out = tmp_path / argv[0]
+            code, _, err = run([*argv, "--alpha", "0.001", "--nodes", nodes_arg, "--out", str(out)], capsys)
+            assert (code, err) == (0, ""), argv
+            doc = json.loads((out / "clusters.json").read_text())
+            assert sum(1 + len(e["members"]) for e in doc["clusters"]) == 54
+        clusters = json.loads((default / "clusters.json").read_text())["clusters"]
+        assert json.loads((tmp_path / "cluster" / "clusters.json").read_text())["clusters"] == clusters
+        argv = ["cluster", "--alpha", "0.001", "--derive-radius", "--nodes", nodes_arg, "--out", str(tmp_path / "d")]
+        assert run(argv, capsys) == (1, "", "error: radius must be positive and finite, got inf\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import re
 import time
 import urllib.request
 
@@ -147,10 +149,7 @@ class TestParseReadings:
             data_io.parse_readings(path)
 
     def test_full_scale_parse_under_a_second(self, deployment, csv_file):
-        scn = data_io.SyntheticScenario(
-            model=CorrelationModel(theta=30.0), epochs=800, seed=0
-        )
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.generate_synthetic(deployment, CorrelationModel(theta=30.0), epochs=800, seed=0)
         path = csv_file(data_io.write_readings(matrix))
         start = time.perf_counter()
         parsed = data_io.parse_readings(path)
@@ -171,38 +170,50 @@ class TestGenerateSynthetic:
     MODEL = CorrelationModel(theta=30.0, alpha=1.0)
 
     def test_coincident_nodes_move_together(self):
-        scn = data_io.SyntheticScenario(model=self.MODEL, epochs=100, seed=0)
-        m = data_io.generate_synthetic(scn, Deployment([1, 2], np.ones((2, 3))))
+        m = data_io.generate_synthetic(Deployment([1, 2], np.ones((2, 3))), self.MODEL, epochs=100, seed=0)
         # duplicate covariance rows force the jitter path; fields stay equal
         # up to the jitter scale
         assert np.max(np.abs(m.values[0] - m.values[1])) < 1e-3
 
     def test_tiny_theta_decorrelates(self, deployment):
-        scn = data_io.SyntheticScenario(
-            model=CorrelationModel(theta=0.01), epochs=2000, seed=1
-        )
-        m = data_io.generate_synthetic(scn, deployment)
+        m = data_io.generate_synthetic(deployment, CorrelationModel(theta=0.01), epochs=2000, seed=1)
         emp = np.corrcoef(m.values)
         np.fill_diagonal(emp, 0.0)
         assert np.max(np.abs(emp)) < 0.1
 
     def test_fixture_pair_matches_model(self, deployment):
-        scn = data_io.SyntheticScenario(model=self.MODEL, epochs=800, seed=42)
-        m = data_io.generate_synthetic(scn, deployment)
+        m = data_io.generate_synthetic(deployment, self.MODEL, epochs=800, seed=42)
         emp = np.corrcoef(m.values)
         i, j = m.node_ids.index(47), m.node_ids.index(5)
         assert emp[i, j] == pytest.approx(0.9454738349063720, abs=0.05)
 
     def test_bitwise_reproducible(self, deployment):
-        scn = data_io.SyntheticScenario(model=self.MODEL, epochs=100, seed=9)
-        a = data_io.generate_synthetic(scn, deployment)
-        b = data_io.generate_synthetic(scn, deployment)
+        a = data_io.generate_synthetic(deployment, self.MODEL, epochs=100, seed=9)
+        b = data_io.generate_synthetic(deployment, self.MODEL, epochs=100, seed=9)
         assert np.array_equal(a.values, b.values)
+
+    def test_sun_shade_is_the_field_scaled_then_shifted(self, deployment):
+        high = (deployment.positions[:, 2] >= 4.6)[:, None]
+        m = data_io.sun_shade_readings(deployment, epochs=60, seed=42)
+        field = data_io.generate_synthetic(deployment, self.MODEL, 1.0, 60, 42)
+        want = np.where(high, 3.0, 0.5) * field.values + np.where(high, 25.0, 18.0)
+        assert m.values.tobytes() == want.tobytes()
+        assert (m.node_ids, m.epochs) == (field.node_ids, field.epochs)
+        assert m.node_ids == tuple(deployment.node_ids.tolist()) and m.epochs == tuple(range(60))
+
+    @pytest.mark.parametrize("variance, epochs, message", [
+        (0.0, 10, "variance must be positive and finite, got 0.0"),
+        (math.inf, 10, "variance must be positive and finite, got inf"),
+        (math.nan, 1, "variance must be positive and finite, got nan"),
+        (1.0, 1, "need at least 2 epochs, got 1"),
+    ])
+    def test_bad_variance_or_epochs_rejected(self, deployment, variance, epochs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            data_io.generate_synthetic(deployment, self.MODEL, variance, epochs)
 
     def test_offsets_and_scales_apply(self, deployment):
         sun, shade = data_io.sun_shade_groups(deployment)
-        scn = data_io.sun_shade_scenario(deployment, epochs=800)
-        m = data_io.generate_synthetic(scn, deployment)
+        m = data_io.sun_shade_readings(deployment, epochs=800)
         sun_row, shade_row = (m.values[m.node_ids.index(min(group))] for group in (sun, shade))
         assert sun_row.mean() == pytest.approx(25.0, abs=1.0)
         assert shade_row.mean() == pytest.approx(18.0, abs=1.0)
@@ -263,8 +274,7 @@ class TestCostCurves:
     def test_selected_column_count(self, deployment):
         from wsn3d.placement import PlacementParams, run_placement, select_nodes
 
-        scn = data_io.sun_shade_scenario(deployment, epochs=60)
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.sun_shade_readings(deployment, epochs=60)
         clusters = form_clusters(deployment, 6.0)
         state, costs = run_placement(matrix, clusters, PlacementParams(rounds=20))
         selected = select_nodes(costs, 5.0)
@@ -275,10 +285,7 @@ class TestCostCurves:
 
 class TestReadingsRoundTrip:
     def test_write_then_parse_preserves_values(self, deployment, csv_file):
-        scn = data_io.SyntheticScenario(
-            model=CorrelationModel(theta=30.0), epochs=20, seed=4
-        )
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.generate_synthetic(deployment, CorrelationModel(theta=30.0), epochs=20, seed=4)
         back = data_io.parse_readings(csv_file(data_io.write_readings(matrix)))
         assert back.node_ids == tuple(sorted(matrix.node_ids))
         assert np.array_equal(back.values, matrix.values[np.argsort(matrix.node_ids)])

@@ -76,6 +76,10 @@ class TestCorrelationRadius:
         with pytest.raises(ValueError):
             correlation_radius(MODEL, tau)
 
+    def test_radius_past_the_largest_float_is_inf(self):
+        # (30 ln(1/0.85))**1000 is about 1e688
+        assert correlation_radius(CorrelationModel(theta=30.0, alpha=0.001), 0.85) == math.inf
+
     def test_round_trip_with_correlation(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -100,6 +104,11 @@ class TestEventVolume:
 
     def test_vanishes_as_tau_approaches_one(self):
         assert event_volume(MODEL, 1.0 - 1e-12) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.004])
+    def test_volume_past_the_largest_float_is_inf(self, alpha):
+        # at alpha 0.004 the radius is finite (about 1e172) and only its cube overflows
+        assert event_volume(CorrelationModel(theta=30.0, alpha=alpha), 0.85) == math.inf
 
 
 class TestDodecahedron:
@@ -131,6 +140,9 @@ class TestDodecahedron:
     def test_volume_cubic_scaling(self):
         v1 = dodeca_volume(1.0)
         assert dodeca_volume(2.0) == pytest.approx(8.0 * v1, abs=1e-9)
+
+    def test_volume_past_the_largest_float_is_inf(self):
+        assert dodeca_volume(1e200) == math.inf
 
     def test_volume_inside_circumsphere(self):
         for edge in (0.5, 1.0, 3.0):

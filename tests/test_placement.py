@@ -272,8 +272,7 @@ class TestPlacementStep:
 
 @pytest.fixture(scope="module")
 def sun_shade_run(deployment):
-    scn = data_io.sun_shade_scenario(deployment)
-    matrix = data_io.generate_synthetic(scn, deployment)
+    matrix = data_io.sun_shade_readings(deployment)
     clusters = form_clusters(deployment, 6.0)
     params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
     record = []
@@ -283,8 +282,7 @@ def sun_shade_run(deployment):
 
 class TestRunPlacement:
     def test_single_round_history(self, deployment):
-        scn = data_io.sun_shade_scenario(deployment, epochs=50)
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.sun_shade_readings(deployment, epochs=50)
         clusters = form_clusters(deployment, 6.0)
         state, _ = run_placement(matrix, clusters, PlacementParams(rounds=1))
         assert len(state.cost_history) == 1
@@ -321,8 +319,7 @@ class TestRunPlacement:
         assert (tail.max() - tail.min()) / abs(tail.mean()) < 0.01
 
     def test_determinism_bitwise(self, deployment):
-        scn = data_io.sun_shade_scenario(deployment, epochs=60)
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.sun_shade_readings(deployment, epochs=60)
         clusters = form_clusters(deployment, 6.0)
         params = PlacementParams(rounds=40)
         a, costs_a = run_placement(matrix, clusters, params)
@@ -361,8 +358,7 @@ class TestRunPlacement:
         assert worst <= bound, f"relative error {worst:.3g} at offset {offset:g}"
 
     def test_missing_readings_rejected(self, deployment):
-        scn = data_io.sun_shade_scenario(deployment, epochs=50)
-        matrix = data_io.generate_synthetic(scn, deployment)
+        matrix = data_io.sun_shade_readings(deployment, epochs=50)
         short = data_io.ReadingMatrix(
             node_ids=matrix.node_ids[:-1],
             epochs=matrix.epochs,
