@@ -41,7 +41,6 @@ from .geometry import (
 from .placement import (
     PlacementParams,
     PlacementState,
-    cluster_costs,
     placement_step,
     run_placement,
     select_nodes,

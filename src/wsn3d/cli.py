@@ -278,13 +278,6 @@ def _place(args, cs: ClusterSet, matrix) -> tuple[set[int], str, dict[str, str]]
     """Run the placement search on the partition ``cs``: the selected ids, the
     line to print and the texts of curve.csv and nodes.csv."""
     params = placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
-    if not cs.clusters:
-        raise ConfigurationError("no node was clustered; nothing to place")
-    clustered = np.asarray(sorted(cs.all_ids()))
-    counted = np.asarray(matrix.node_ids)[np.count_nonzero(~matrix.missing, axis=1) >= 2]
-    short = clustered[~np.isin(clustered, counted)]  # a node absent from the readings has 0
-    if short.size:
-        raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short.tolist()}")
     state, costs = placement.run_placement(matrix, cs, params)
     selected = placement.select_nodes(costs, args.threshold)
     curve, nodes = data_io.write_cost_curves(state, costs, selected)

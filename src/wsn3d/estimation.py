@@ -51,11 +51,22 @@ def information_accuracy(
 
     rho_event holds each node's correlation with the source, rho_pair the
     symmetric unit-diagonal matrix of pairwise node correlations. sigma_s2
-    must be positive and finite, each noise variance non-negative and finite.
+    must be positive and finite, each noise variance non-negative and finite,
+    and together they must keep the noise term finite.
     """
     nv = np.asarray(noise_variances, dtype=float)
     _check_variances(sigma_s2, nv, "noise variances")
-    return _accuracy_terms(m, rho_event, rho_pair, sigma_s2, nv)[0]
+    if m < 1:
+        raise ValueError(f"node count must be at least 1, got {m}")
+    if nv.shape != (m,):
+        raise ValueError(f"noise_variances must have shape ({m},), got {nv.shape}")
+    rho_e = np.asarray(rho_event, dtype=float)
+    if rho_e.shape != (m,):
+        raise ValueError(f"rho_event must have shape ({m},), got {rho_e.shape}")
+    rp = _checked_pair_matrix(m, rho_pair)
+    if np.max(np.abs(np.diag(rp) - 1.0), initial=0.0) > _SYMMETRY_TOL:
+        raise ValueError("rho_pair must have a unit diagonal")
+    return _accuracy_formula(m, rho_e, rp, sigma_s2, nv)[0]
 
 
 def _check_variances(sigma_s2: float, noise: np.ndarray, noise_name: str) -> None:
@@ -82,35 +93,17 @@ def _off_diagonal_sum(rp: np.ndarray) -> float:
     return float(np.sum(rp)) - float(np.sum(np.diag(rp)))
 
 
-def _accuracy_terms(m, rho_event, rho_pair, sigma_s2, noise_variances):
-    """(accuracy, gain, off-diagonal sum, noise numerator) of an m-node cluster
-    whose variances the caller has checked.
-
-    Checks the node count and the shapes of the three arrays, and that rho_pair
-    is symmetric with a unit diagonal, before _accuracy_formula. It serves
-    information_accuracy, whose arrays come from outside; cluster_accuracy
-    builds its arrays from the correlation model and calls _accuracy_formula
-    directly.
-    """
-    if m < 1:
-        raise ValueError(f"node count must be at least 1, got {m}")
-    nv = np.asarray(noise_variances, dtype=float)
-    if nv.shape != (m,):
-        raise ValueError(f"noise_variances must have shape ({m},), got {nv.shape}")
-    rho_e = np.asarray(rho_event, dtype=float)
-    if rho_e.shape != (m,):
-        raise ValueError(f"rho_event must have shape ({m},), got {rho_e.shape}")
-    rp = _checked_pair_matrix(m, rho_pair)
-    if np.max(np.abs(np.diag(rp) - 1.0), initial=0.0) > _SYMMETRY_TOL:
-        raise ValueError("rho_pair must have a unit diagonal")
-    return _accuracy_formula(m, rho_e, rp, sigma_s2, nv)
-
-
 def _accuracy_formula(m: int, rho_e: np.ndarray, rp: np.ndarray, sigma_s2: float, nv: np.ndarray):
-    """_accuracy_terms' arithmetic on float arrays of shapes (m,), (m, m) and (m,)."""
+    """(accuracy, gain, off-diagonal sum, noise numerator) of an m-node cluster
+    from checked float arrays of shapes (m,), (m, m) and (m,) and checked
+    variances. Raises ValueError when the variances overflow the noise term.
+    """
     off_sum = _off_diagonal_sum(rp)
     gain = 2.0 * float(np.sum(rho_e)) / m
-    noise_num = (m * sigma_s2 + float(np.sum(nv))) / sigma_s2
+    with np.errstate(over="ignore"):
+        noise_num = (m * sigma_s2 + float(np.sum(nv))) / sigma_s2
+    if not math.isfinite(noise_num):
+        raise ValueError(f"sigma_s2 {sigma_s2} and sigma_n2 overflow the noise term of a {m}-node cluster")
     # combine the two 1/m**2 terms before dividing so the perfect-correlation
     # zero-noise case yields exactly 1.0
     return gain - (off_sum + noise_num) / (m * m), gain, off_sum, noise_num
@@ -131,7 +124,8 @@ def cluster_accuracy(
     head and members all count toward m. sigma_s2 is the variance of the
     signal at the event and must be positive and finite; every node has the
     noise variance sigma_n2, which must be non-negative and finite. The event
-    and both variances are checked before any cluster is scored. The reports
+    and both variances are checked before any cluster is scored; a cluster
+    whose noise term they overflow raises ValueError. The reports
     come in the clusters' order, each equal to the one the cluster gets alone.
     rho_event is taken for the nodes of all clusters at once, rho_pair per
     cluster.
@@ -151,7 +145,7 @@ def cluster_accuracy(
         start += m
         rho_pair = correlation(model, pairwise_distances(pos[part]))
         # the kernel's rho_pair is symmetric with a unit diagonal, so the
-        # checks of _accuracy_terms are skipped
+        # checks of information_accuracy are skipped
         accuracy, gain, off_sum, noise_num = _accuracy_formula(
             m, rho_event[part], rho_pair, sigma_s2, nv[part])
         reports.append(AccuracyReport(

@@ -25,6 +25,7 @@ import numpy as np
 
 from .clustering import ClusterSet, _row_blocks
 from .data_io import ReadingMatrix
+from .errors import ConfigurationError, DataFormatError
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class PlacementParams:
 
 @dataclass(frozen=True, eq=False)
 class PlacementState:
-    """Search state after ``round`` rounds.
+    """Search state after ``len(cost_history)`` rounds.
 
     Entry k of each (N,) array belongs to node ``node_ids[k]``; the ids are
     ascending. Compare two states field by field with ``np.array_equal``.
@@ -56,7 +57,6 @@ class PlacementState:
     best_cost: np.ndarray  # highest cost seen so far (-inf before the first round)
     i_a: np.ndarray  # accumulated variance increment
     sigma_gb2: float = 0.0
-    round: int = 0
     cost_history: tuple[float, ...] = ()
 
 
@@ -190,12 +190,6 @@ class PrefixMoments:
         return out[rows]
 
 
-def cluster_costs(matrix: ReadingMatrix, clusters: ClusterSet) -> dict[int, float]:
-    """Full-series cost of every clustered node from its readings and its cluster neighbors."""
-    moments = PrefixMoments(matrix, clusters)
-    return dict(zip(moments.node_ids, moments.costs([moments.epoch_count])[0].tolist()))
-
-
 def placement_step(
     state: PlacementState,
     costs: np.ndarray,
@@ -244,7 +238,7 @@ def placement_step(
             record.append(
                 replace(
                     state, sigma_p2=p, sigma_b2=b, best_cost=best_cost[r].copy(), i_a=i_a, sigma_gb2=gb,
-                    round=state.round + r + 1, cost_history=state.cost_history + tuple(means[: r + 1]),
+                    cost_history=state.cost_history + tuple(means[: r + 1]),
                 )
             )
     return replace(
@@ -254,7 +248,6 @@ def placement_step(
         best_cost=best_cost[-1].copy() if len(c) else state.best_cost,
         i_a=i_a,
         sigma_gb2=gb,
-        round=state.round + len(c),
         cost_history=state.cost_history + tuple(means),
     )
 
@@ -276,13 +269,21 @@ def run_placement(
     window and the returned costs, and one ``placement_step`` call advances
     every round. Pass a list as ``record`` to capture the state after every
     round.
+
+    Raises ConfigurationError when ``clusters`` has no cluster, and then
+    DataFormatError naming every clustered node with fewer than 2 present
+    readings (a node absent from ``matrix`` has 0).
     """
+    if not clusters.clusters:
+        raise ConfigurationError("no node was clustered; nothing to place")
+    clustered = np.asarray(sorted(clusters.all_ids()))
+    counted = np.asarray(matrix.node_ids)[np.count_nonzero(~matrix.missing, axis=1) >= 2]
+    short = clustered[~np.isin(clustered, counted)]
+    if short.size:
+        raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short.tolist()}")
     moments = PrefixMoments(matrix, clusters)
     ids = tuple(moments.node_ids)
-    n, sx, sx2 = moments._nodes[:, :, -1]
-    if (n < 2).any():
-        raise ValueError(f"node {ids[np.argmax(n < 2)]} has fewer than 2 readings; variance undefined")
-    start = _variance(n, sx, sx2)
+    start = _variance(*moments._nodes[:, :, -1])
     total = moments.epoch_count
     fill_rounds = max(1, math.ceil(0.9 * params.rounds))
     windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, params.rounds + 1)]

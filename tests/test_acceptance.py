@@ -29,7 +29,7 @@ from wsn3d.geometry import (
     dodeca_vertices,
     dodeca_volume,
 )
-from wsn3d.placement import PlacementParams, cluster_costs, run_placement, select_nodes
+from wsn3d.placement import PlacementParams, run_placement, select_nodes
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -206,7 +206,7 @@ def test_c7_placement_properties(deployment):
         params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
         threshold = 5.0
         record = []
-        state, _ = run_placement(matrix, clusters, params, record=record)
+        state, costs = run_placement(matrix, clusters, params, record=record)
         # (a) per-node best cost never decreases
         for prev, cur in zip(record, record[1:]):
             for a, b in zip(prev.best_cost, cur.best_cost):
@@ -215,7 +215,6 @@ def test_c7_placement_properties(deployment):
         tail = np.asarray(state.cost_history[-30:])
         assert (tail.max() - tail.min()) / abs(tail.mean()) < 0.01
         # (c) selection shrinks monotonically as the threshold sweeps up
-        costs = cluster_costs(matrix, clusters)
         prev_sel = set(costs)
         for t in np.linspace(0.0, max(costs.values()) + 1.0, 40):
             sel = select_nodes(costs, float(t))

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from wsn3d import data_io
 from wsn3d.cli import _SUBCOMMANDS, _write_outputs, build_parser, main
 from wsn3d.clustering import Cluster, ClusterSet
 from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
-from wsn3d.placement import cluster_costs
+from wsn3d.placement import PlacementParams, run_placement
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -401,7 +402,8 @@ class TestPipeline:
         with (tmp_path / "nodes.csv").open(newline="") as f:
             written = {int(r["node_id"]): float(r["cost"]) for r in csv.DictReader(f)}
         assert set(written) == cs.all_ids()
-        assert written == cluster_costs(data_io.sun_shade_readings(deployment, epochs=60, seed=42), cs)
+        matrix = data_io.sun_shade_readings(deployment, epochs=60, seed=42)
+        assert written == run_placement(matrix, cs, PlacementParams(rounds=1))[1]
 
 
     def test_artifacts_do_not_depend_on_the_blas_thread_count(self, nodes_arg, tmp_path):
@@ -647,6 +649,27 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "{" not in err
         assert argv[-2].lstrip("-") in err.replace("_", "-")  # the message names the flag
         assert f"got {float(argv[-1])}" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--sigma-s2", "1e308"],
+        ["estimate", "--sigma-s2", "1e-308"],
+        ["estimate", "--sigma-n2", "1e308"],
+        ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--sigma-s2", "1e308"],
+    ])
+    def test_variances_that_overflow_the_noise_term_are_a_usage_error(self, argv, nodes_arg, tmp_path, capsys):
+        """Finite variances whose noise term (m * sigma_s2 + sum of sigma_n2) /
+        sigma_s2 overflows a float fail with a message naming both, and no
+        numpy warning."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run([*argv, "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert caught == []
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "sigma_s2" in err and "sigma_n2" in err
         assert stdout == ""
         assert not out.exists()
 

@@ -246,19 +246,19 @@ class TestClusterReport:
         assert text.count('"accuracy"') == 7
 
 
-def empty_state(round, cost_history):
+def empty_state(cost_history):
     from wsn3d.placement import PlacementState
 
     none = np.empty(0)
     return PlacementState(
         node_ids=(), sigma_p2=none, sigma_b2=none, best_cost=none, i_a=none,
-        sigma_gb2=0.0, round=round, cost_history=cost_history,
+        sigma_gb2=0.0, cost_history=cost_history,
     )
 
 
 class TestCostCurves:
     def test_row_counts(self):
-        state = empty_state(round=300, cost_history=tuple(float(i) for i in range(300)))
+        state = empty_state(cost_history=tuple(float(i) for i in range(300)))
         curve, nodes = data_io.write_cost_curves(state, {1: 2.0, 2: 7.0}, {2})
         assert len(curve.splitlines()) == 301
         lines = nodes.splitlines()
@@ -266,7 +266,7 @@ class TestCostCurves:
         assert lines[1] == "1,2.0,0" and lines[2] == "2,7.0,1"
 
     def test_empty_run(self):
-        state = empty_state(round=0, cost_history=())
+        state = empty_state(cost_history=())
         curve, nodes = data_io.write_cost_curves(state, {}, set())
         assert curve == "round,mean_cost\n"
         assert nodes == "node_id,cost,selected\n"

@@ -21,7 +21,7 @@ from wsn3d.clustering import (
     _row_blocks,
     form_clusters,
 )
-from wsn3d.estimation import AccuracyReport, _accuracy_terms, cluster_accuracy
+from wsn3d.estimation import AccuracyReport, _accuracy_formula, cluster_accuracy, information_accuracy
 from wsn3d.geometry import CorrelationModel, correlation, correlation_radius, pairwise_distances
 
 MODEL = CorrelationModel(theta=30.0)
@@ -36,7 +36,8 @@ def reference_cluster_accuracy(dep, cluster, model, event, sigma_s2, sigma_n2):
     rho_event = correlation(model, pairwise_distances(pos, event)[:, 0])
     rho_pair = correlation(model, pairwise_distances(pos))
     nv = np.full(m, sigma_n2)
-    accuracy, gain, off_sum, noise_num = _accuracy_terms(m, rho_event, rho_pair, sigma_s2, nv)
+    accuracy = information_accuracy(m, rho_event, rho_pair, sigma_s2, nv)
+    _, gain, off_sum, noise_num = _accuracy_formula(m, rho_event, rho_pair, sigma_s2, nv)
     return AccuracyReport(
         head=cluster.head, m=m, accuracy=accuracy,
         gain_term=gain, redundancy_term=off_sum / (m * m), noise_term=noise_num / (m * m),

@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from wsn3d import data_io
 from wsn3d.clustering import Cluster, ClusterSet, form_clusters
+from wsn3d.errors import ConfigurationError, DataFormatError
 from wsn3d.estimation import cluster_accuracy
 from wsn3d.geometry import CorrelationModel
 from wsn3d.placement import (
     PlacementParams,
     PlacementState,
     PrefixMoments,
-    cluster_costs,
     placement_step,
     run_placement,
     select_nodes,
@@ -47,7 +47,7 @@ FIELDS = ("sigma_p2", "sigma_b2", "best_cost", "i_a")
 def make_state(entries, sigma_gb2=0.0):
     values = {f: np.asarray([kw[f] for _, kw in entries], dtype=float) for f in FIELDS}
     ids = tuple(i for i, _ in entries)
-    return PlacementState(node_ids=ids, **values, sigma_gb2=sigma_gb2, round=0, cost_history=())
+    return PlacementState(node_ids=ids, **values, sigma_gb2=sigma_gb2, cost_history=())
 
 
 def node(state, node_id):
@@ -59,7 +59,7 @@ def node(state, node_id):
 def bits(state):
     """Every field of ``state`` with floats as bytes, so -0.0 and 0.0 differ and NaN equals NaN."""
     scalars = np.array([state.sigma_gb2, *state.cost_history]).tobytes()
-    return (state.node_ids, state.round, scalars, *(getattr(state, f).tobytes() for f in FIELDS))
+    return (state.node_ids, scalars, *(getattr(state, f).tobytes() for f in FIELDS))
 
 
 def reference_step(state, c, params):
@@ -73,7 +73,7 @@ def reference_step(state, c, params):
     i_a = state.i_a + params.phi1 * (sigma_b2 - state.sigma_p2) + params.phi2 * (sigma_gb2 - state.sigma_p2)
     return PlacementState(
         state.node_ids, state.sigma_p2 + i_a, sigma_b2, best_cost, i_a, sigma_gb2,
-        state.round + 1, state.cost_history + (float(np.mean(c)),),
+        state.cost_history + (float(np.mean(c)),),
     )
 
 
@@ -229,7 +229,6 @@ class TestPlacementStep:
         )
         new = placement_step(state, [2.0, 4.0], self.PARAMS)
         assert new.cost_history == (3.0,)
-        assert new.round == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -246,7 +245,6 @@ class TestPlacementStep:
             best_cost=data.draw(arrays(float, n, elements=TIED_COSTS)),
             i_a=data.draw(arrays(float, n, elements=st.sampled_from([-0.25, 0.0, 0.25]))),
             sigma_gb2=0.5,
-            round=data.draw(st.integers(0, 3)),
             cost_history=(1.5,),
         )
         params = data.draw(st.sampled_from([PlacementParams(0.5, 0.5), PlacementParams(0.1, 0.01), PlacementParams(1.9, 2.0)]))
@@ -325,14 +323,15 @@ class TestRunPlacement:
         a, costs_a = run_placement(matrix, clusters, params)
         b, costs_b = run_placement(matrix, clusters, params)
         assert a.cost_history == b.cost_history
-        assert a.node_ids == b.node_ids and (a.sigma_gb2, a.round) == (b.sigma_gb2, b.round)
+        assert a.node_ids == b.node_ids and a.sigma_gb2 == b.sigma_gb2
         for f in FIELDS:
             assert np.array_equal(getattr(a, f), getattr(b, f))
         assert costs_a == costs_b
 
     def test_returned_costs_are_the_full_series_costs(self, sun_shade_run):
         _, matrix, clusters, _, costs, _ = sun_shade_run
-        assert costs == cluster_costs(matrix, clusters)
+        moments = PrefixMoments(matrix, clusters)
+        assert costs == dict(zip(moments.node_ids, moments.costs([len(matrix.epochs)])[0].tolist()))
 
     @pytest.mark.parametrize("offset, bound", [(0.0, 1e-14), (1e3, 1e-13), (1e5, 1e-11), (1e7, 1e-9)])
     def test_full_series_costs_keep_their_digits_under_an_offset(self, sun_shade_run, offset, bound):
@@ -353,7 +352,7 @@ class TestRunPlacement:
                 covs = [math.fsum(centered[i] * centered[j]) / (t - 1) for j in group if j != i]
                 want[i] = cost + (math.fsum(covs) / len(covs) if covs else 0.0)
         lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset)
-        got = cluster_costs(lifted, clusters)
+        _, got = run_placement(lifted, clusters, PlacementParams(rounds=1))
         worst = max(abs(got[i] - w) / abs(w) for i, w in want.items())
         assert worst <= bound, f"relative error {worst:.3g} at offset {offset:g}"
 
@@ -365,8 +364,24 @@ class TestRunPlacement:
             values=matrix.values[:-1],
         )
         clusters = form_clusters(deployment, 6.0)
-        with pytest.raises(ValueError):
+        message = rf"clustered nodes with fewer than 2 readings: \[{matrix.node_ids[-1]}\]$"
+        with pytest.raises(DataFormatError, match=message):
             run_placement(short, clusters, PlacementParams(rounds=2))
+
+    def test_empty_partition_rejected(self, deployment):
+        matrix = data_io.sun_shade_readings(deployment, epochs=50)
+        with pytest.raises(ConfigurationError, match="nothing to place"):
+            run_placement(matrix, ClusterSet((), 6.0), PlacementParams(rounds=2))
+
+    def test_every_short_node_is_named(self, deployment):
+        # node 1 has no row and node 3 one present reading; both are clustered
+        matrix = data_io.sun_shade_readings(deployment, epochs=50)
+        ids = tuple(i for i in matrix.node_ids if i != 1)
+        values = matrix.values[[matrix.node_ids.index(i) for i in ids]]
+        values[ids.index(3), 1:] = np.nan
+        short = data_io.ReadingMatrix(ids, matrix.epochs, values)
+        with pytest.raises(DataFormatError, match=r"fewer than 2 readings: \[1, 3\]$"):
+            run_placement(short, form_clusters(deployment, 6.0), PlacementParams(rounds=2))
 
 
 def two_clusters(values, missing):
