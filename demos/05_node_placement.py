@@ -6,7 +6,6 @@ exactly the sunlit (high-variance) group.
 """
 
 from wsn3d import (
-    PlacementParams,
     form_clusters,
     load_bundled_deployment,
     run_placement,
@@ -21,9 +20,8 @@ print(f"deployment split: {len(sun)} sunlit nodes, {len(shade)} shaded nodes")
 
 matrix = sun_shade_readings(dep, seed=42)
 clusters = form_clusters(dep, 6.0)
-params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
 threshold = 5.0
-state, costs = run_placement(matrix, clusters, params)
+state, costs = run_placement(matrix, clusters, rounds=300)
 
 print()
 print("mean cost over rounds (window of readings grows, then saturates)")

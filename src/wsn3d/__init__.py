@@ -39,7 +39,6 @@ from .geometry import (
     pairwise_distances,
 )
 from .placement import (
-    PlacementParams,
     PlacementState,
     placement_step,
     run_placement,

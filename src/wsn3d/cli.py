@@ -62,8 +62,6 @@ def _add_readings_flags(p: _Parser):
 
 
 def _add_search_flags(p: _Parser):
-    p.add_argument("--phi1", type=float, default=0.5, help="personal-best adaptation factor (default 0.5)")
-    p.add_argument("--phi2", type=float, default=0.5, help="global-best adaptation factor (default 0.5)")
     p.add_argument("--rounds", type=int, default=300, help="search rounds (default 300)")
     p.add_argument("--threshold", type=float, default=5.0,
                    help="selection cost threshold (default 5)")
@@ -277,8 +275,7 @@ def cmd_predict(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[st
 def _place(args, cs: ClusterSet, matrix) -> tuple[set[int], str, dict[str, str]]:
     """Run the placement search on the partition ``cs``: the selected ids, the
     line to print and the texts of curve.csv and nodes.csv."""
-    params = placement.PlacementParams(phi1=args.phi1, phi2=args.phi2, rounds=args.rounds)
-    state, costs = placement.run_placement(matrix, cs, params)
+    state, costs = placement.run_placement(matrix, cs, args.rounds)
     selected = placement.select_nodes(costs, args.threshold)
     curve, nodes = data_io.write_cost_curves(state, costs, selected)
     line = f"{len(selected)} of {len(costs)} nodes selected at threshold {args.threshold:g}"

@@ -50,9 +50,9 @@ def information_accuracy(
                            + (m * sigma_s2 + sum_i noise_variances[i]) / sigma_s2)
 
     rho_event holds each node's correlation with the source, rho_pair the
-    symmetric unit-diagonal matrix of pairwise node correlations. sigma_s2
-    must be positive and finite, each noise variance non-negative and finite,
-    and together they must keep the noise term finite.
+    symmetric unit-diagonal matrix of pairwise node correlations; both must be
+    finite. sigma_s2 must be positive and finite, each noise variance
+    non-negative and finite, and together they must keep the noise term finite.
     """
     nv = np.asarray(noise_variances, dtype=float)
     _check_variances(sigma_s2, nv, "noise variances")
@@ -63,6 +63,7 @@ def information_accuracy(
     rho_e = np.asarray(rho_event, dtype=float)
     if rho_e.shape != (m,):
         raise ValueError(f"rho_event must have shape ({m},), got {rho_e.shape}")
+    _check_finite(rho_e, "rho_event")
     rp = _checked_pair_matrix(m, rho_pair)
     if np.max(np.abs(np.diag(rp) - 1.0), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must have a unit diagonal")
@@ -79,11 +80,19 @@ def _check_variances(sigma_s2: float, noise: np.ndarray, noise_name: str) -> Non
         raise ValueError(f"{noise_name} must be non-negative and finite, got {bad[0]}")
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite correlation in ``values``."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
 def _checked_pair_matrix(n: int, rho_pair) -> np.ndarray:
-    """rho_pair as a float array, once it is checked to be a symmetric (n, n) matrix."""
+    """rho_pair as a float array, once it is checked to be a finite symmetric (n, n) matrix."""
     rp = np.asarray(rho_pair, dtype=float)
     if rp.shape != (n, n):
         raise ValueError(f"rho_pair must have shape ({n}, {n}), got {rp.shape}")
+    _check_finite(rp, "rho_pair")
     if np.max(np.abs(rp - rp.T), initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("rho_pair must be symmetric")
     return rp
@@ -184,7 +193,9 @@ def prediction_accuracy(o_total: int, rho_dead, rho_pair, live_divisor: bool = F
     O nodes, shape (O,), giving a float, or the rows of k dead nodes, shape
     (k, O), giving a (k,) array; each row scores as it would alone. D is O by
     default (the dimensionally consistent choice); with live_divisor=True it
-    is the live count O - k, which must be at least 1.
+    is the live count O - k, which must be at least 1. rho_pair is the
+    symmetric (O, O) matrix of pairwise correlations; both inputs must be
+    finite.
     """
     if o_total < 1:
         raise ValueError(f"total count must be at least 1, got {o_total}")
@@ -192,6 +203,7 @@ def prediction_accuracy(o_total: int, rho_dead, rho_pair, live_divisor: bool = F
     rows = np.asarray(rho_dead, dtype=float, order="C")
     if rows.shape[-1:] != (o_total,) or rows.ndim > 2:
         raise ValueError(f"rho_dead must have shape ({o_total},) or (k, {o_total}), got {rows.shape}")
+    _check_finite(rows, "rho_dead")
     off_sum = _off_diagonal_sum(_checked_pair_matrix(o_total, rho_pair))
     dead_sums = np.sum(rows, axis=-1)
     d = o_total - dead_sums.size if live_divisor else o_total

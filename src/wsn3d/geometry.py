@@ -52,7 +52,8 @@ def correlation(model: CorrelationModel, d):
     arr = np.asarray(d, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError("distance must be non-negative")
-    out = np.exp(-(arr ** model.alpha) / model.theta)
+    with np.errstate(over="ignore"):  # d**alpha / theta past the largest float is inf: a correlation of 0
+        out = np.exp(-(arr ** model.alpha) / model.theta)
     return float(out) if np.isscalar(d) or arr.ndim == 0 else out
 
 
@@ -63,15 +64,17 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     defaults to ``a``. Returns the (M, K) matrix. Every caller goes through
     this one kernel: it sums dx**2 + dy**2, then dz**2, in place, so a pair
     gets the same bits whichever rows are asked for, and d(p, q) == d(q, p).
+    A distance past the largest float is inf.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 3)
     b = a if b is None else np.asarray(b, dtype=float).reshape(-1, 3)
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    out *= out
-    for k in (1, 2):
-        step = np.subtract.outer(a[:, k], b[:, k])
-        step *= step
-        out += step
+    with np.errstate(over="ignore"):
+        out = np.subtract.outer(a[:, 0], b[:, 0])
+        out *= out
+        for k in (1, 2):
+            step = np.subtract.outer(a[:, k], b[:, k])
+            step *= step
+            out += step
     return np.sqrt(out, out=out)
 
 

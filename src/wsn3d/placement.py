@@ -5,14 +5,10 @@ global best; an accumulator pulls the present variance toward both bests each
 round. Costs score nodes by the temporal variance of their readings plus the
 mean covariance with their cluster neighbors, so high-variability nodes win.
 
-The update has no damping. While the bests stay fixed, let phi = phi1 + phi2
-and e the present variance less phi1/phi * sigma_b2 + phi2/phi * sigma_gb2;
-one round maps (e, i_a) to ((1 - phi) * e + i_a, i_a - phi * e). That map has
-determinant 1 and trace 2 - phi, so it never decays. Below phi = 4 its
-eigenvalues lie on the unit circle and (e, i_a) oscillates without settling;
-from phi = 4 on they are real, one of modulus above 1 or a repeated -1, and
-the variance grows without bound. PlacementParams therefore requires
-phi1 + phi2 < 4.
+The update has no damping. While the bests stay fixed, let e be the present
+variance less the mean of the two bests; one round maps (e, i_a) to
+(i_a, i_a - e). That map has determinant 1 and trace 1, so its eigenvalues
+are exp(+-i pi/3): the state repeats every 6 rounds and never settles.
 """
 
 from __future__ import annotations
@@ -26,21 +22,6 @@ import numpy as np
 from .clustering import ClusterSet, _row_blocks
 from .data_io import ReadingMatrix
 from .errors import ConfigurationError, DataFormatError
-
-
-@dataclass(frozen=True)
-class PlacementParams:
-    phi1: float = 0.5
-    phi2: float = 0.5
-    rounds: int = 300
-
-    def __post_init__(self):
-        if not (0.0 <= self.phi1 < math.inf and 0.0 <= self.phi2 < math.inf and self.phi1 + self.phi2 > 0.0):
-            raise ValueError(f"adaptation factors must be finite, non-negative, not both 0: {self.phi1}, {self.phi2}")
-        if self.phi1 + self.phi2 >= 4.0:
-            raise ValueError(f"adaptation factors must sum to less than 4, where the search diverges: {self.phi1} + {self.phi2}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +174,6 @@ class PrefixMoments:
 def placement_step(
     state: PlacementState,
     costs: np.ndarray,
-    params: PlacementParams,
     record: list[PlacementState] | None = None,
 ) -> PlacementState:
     """Advance the search one round per row of ``costs``, an (R, N) array whose
@@ -205,7 +185,7 @@ def placement_step(
     the best cost so far (ties to the smaller id), and then every node updates
     its accumulator and present variance:
 
-        i_a     += phi1 * (sigma_b2 - sigma_p2) + phi2 * (sigma_gb2 - sigma_p2)
+        i_a     += 0.5 * (sigma_b2 - sigma_p2) + 0.5 * (sigma_gb2 - sigma_p2)
         sigma_p2 += i_a
 
     Each round's mean cost is appended to the history. The running best costs,
@@ -232,7 +212,7 @@ def placement_step(
     for r, leader in enumerate(leaders):
         b = np.where(improved[r], p, b)
         gb = float(b[leader])
-        i_a = i_a + params.phi1 * (b - p) + params.phi2 * (gb - p)
+        i_a = i_a + 0.5 * (b - p) + 0.5 * (gb - p)
         p = p + i_a
         if record is not None:
             record.append(
@@ -255,7 +235,7 @@ def placement_step(
 def run_placement(
     matrix: ReadingMatrix,
     clusters: ClusterSet,
-    params: PlacementParams,
+    rounds: int = 300,
     record: list[PlacementState] | None = None,
 ) -> tuple[PlacementState, dict[int, float]]:
     """Run the full placement search; return the final state and the
@@ -270,10 +250,13 @@ def run_placement(
     every round. Pass a list as ``record`` to capture the state after every
     round.
 
-    Raises ConfigurationError when ``clusters`` has no cluster, and then
-    DataFormatError naming every clustered node with fewer than 2 present
-    readings (a node absent from ``matrix`` has 0).
+    Raises ValueError when ``rounds`` is below 1, then ConfigurationError
+    when ``clusters`` has no cluster, and then DataFormatError naming every
+    clustered node with fewer than 2 present readings (a node absent from
+    ``matrix`` has 0).
     """
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     if not clusters.clusters:
         raise ConfigurationError("no node was clustered; nothing to place")
     clustered = np.asarray(sorted(clusters.all_ids()))
@@ -285,14 +268,14 @@ def run_placement(
     ids = tuple(moments.node_ids)
     start = _variance(*moments._nodes[:, :, -1])
     total = moments.epoch_count
-    fill_rounds = max(1, math.ceil(0.9 * params.rounds))
-    windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, params.rounds + 1)]
+    fill_rounds = max(1, math.ceil(0.9 * rounds))
+    windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, rounds + 1)]
     costs = moments.costs(windows + [total])
 
     state = PlacementState(
         ids, sigma_p2=start, sigma_b2=start, best_cost=np.full(len(ids), -math.inf), i_a=np.zeros(len(ids))
     )
-    return placement_step(state, costs[:-1], params, record), dict(zip(ids, costs[-1].tolist()))
+    return placement_step(state, costs[:-1], record), dict(zip(ids, costs[-1].tolist()))
 
 
 def select_nodes(costs: Mapping[int, float], threshold: float) -> set[int]:

@@ -29,7 +29,7 @@ from wsn3d.geometry import (
     dodeca_vertices,
     dodeca_volume,
 )
-from wsn3d.placement import PlacementParams, run_placement, select_nodes
+from wsn3d.placement import run_placement, select_nodes
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -203,10 +203,9 @@ def test_c7_placement_properties(deployment):
         start = time.perf_counter()
         matrix = data_io.sun_shade_readings(deployment, seed=42)
         clusters = form_clusters(deployment, 6.0)
-        params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
         threshold = 5.0
         record = []
-        state, costs = run_placement(matrix, clusters, params, record=record)
+        state, costs = run_placement(matrix, clusters, rounds=300, record=record)
         # (a) per-node best cost never decreases
         for prev, cur in zip(record, record[1:]):
             for a, b in zip(prev.best_cost, cur.best_cost):

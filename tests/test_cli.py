@@ -18,7 +18,7 @@ from wsn3d import data_io
 from wsn3d.cli import _SUBCOMMANDS, _write_outputs, build_parser, main
 from wsn3d.clustering import Cluster, ClusterSet
 from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
-from wsn3d.placement import PlacementParams, run_placement
+from wsn3d.placement import run_placement
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -403,7 +403,7 @@ class TestPipeline:
             written = {int(r["node_id"]): float(r["cost"]) for r in csv.DictReader(f)}
         assert set(written) == cs.all_ids()
         matrix = data_io.sun_shade_readings(deployment, epochs=60, seed=42)
-        assert written == run_placement(matrix, cs, PlacementParams(rounds=1))[1]
+        assert written == run_placement(matrix, cs, rounds=1)[1]
 
 
     def test_artifacts_do_not_depend_on_the_blas_thread_count(self, nodes_arg, tmp_path):
@@ -440,12 +440,10 @@ class TestPipeline:
         pytest.param([*SUN_SHADE, "--dead", "\uff11\uff11"], 1, "--dead expects comma-separated node ids, got",
                      id="fullwidth-digits"),
         pytest.param([*SUN_SHADE, "--rounds", "0"], 1, "rounds must be at least 1", id="rounds-0"),
-        pytest.param([*SUN_SHADE, "--phi1", "-1"], 1, "adaptation factors", id="negative-phi1"),
         pytest.param([*SUN_SHADE, "--epochs", "1"], 1, "at least 2 epochs", id="one-epoch"),
         pytest.param([*SUN_SHADE, "--readings", "readings.csv"], 1, "either --readings or --synthetic",
                      id="two-reading-sources"),
         pytest.param(["--readings", "no-such-readings.csv"], 2, "no-such-readings.csv", id="missing-readings-file"),
-        pytest.param([*SUN_SHADE, "--phi1", "3", "--phi2", "7"], 1, "sum to less than 4", id="phi-sum-4-or-more"),
         pytest.param(["--readings", "{tmp_path}/short.csv"], 2, "clustered nodes with fewer than 2 readings: [3]",
                      id="node-with-one-reading"),
     ])
@@ -615,7 +613,6 @@ class TestExitCodes:
             ["cluster", "--theta", "inf"],
             ["synth", "--synthetic", "uniform", "--variance", "nan"],
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
-            ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--phi1", "nan"],
             # select_nodes rejects it in the last stage, and pipeline writes only after every stage
             ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
             ["estimate", "--event", "1,2,nan"],
@@ -725,9 +722,52 @@ class TestExitCodes:
         code, _, _ = run(["cluster", "--bogus"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["place", "--phi1", "0.5"], ["pipeline", "--phi2", "0.5"]])
+    def test_adaptation_factors_are_not_options(self, argv, nodes_arg, tmp_path, capsys):
+        # the search's factors are fixed at 0.5
+        out = tmp_path / "out"
+        code, stdout, err = run([*argv, "--synthetic", "sun-shade", "--nodes", nodes_arg, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: unrecognized arguments: ")
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--theta", "1e-320"],
+        ["synth", "--epochs", "20", "--theta", "1e-320"],
+        ["predict", "--synthetic", "sun-shade", "--epochs", "20", "--dead", "1", "--theta", "1e-320"],
+        ["cluster", "--event", "1e200,0,0"],
+        ["estimate", "--event", "1e200,0,0"],
+    ])
+    def test_overflowing_distances_and_exponents_run_without_warning(self, argv, nodes_arg, tmp_path, capsys):
+        """A distance or d**alpha / theta past the largest float is inf, and
+        its correlation 0, with nothing on stderr."""
+        code, _, err = run([*argv, "--nodes", nodes_arg, "--out", str(tmp_path / "out")], capsys)
+        assert (code, err) == (0, "")
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0
+
+    def test_each_subcommand_has_its_pinned_options(self):
+        # an option is added or dropped here on purpose, never by accident
+        common = ["-h", "--help", "--nodes"]
+        cluster = [*common, "--radius", "--derive-radius", "--tau-n", "--tau-e", "--event", "--theta", "--alpha"]
+        want = {
+            "cluster": [*cluster, "--out", "--seed"],
+            "estimate": [*cluster, "--sigma-s2", "--sigma-n2", "--out", "--seed"],
+            "predict": [*common, "--readings", "--synthetic", "--epochs", "--dead", "--predict-unbiased",
+                        "--eq13-literal", "--theta", "--alpha", "--out", "--seed"],
+            "place": [*common, "--readings", "--synthetic", "--epochs", "--radius", "--rounds", "--threshold",
+                      "--theta", "--alpha", "--out", "--seed"],
+            "synth": [*common, "--synthetic", "--epochs", "--variance", "--theta", "--alpha", "--out", "--seed"],
+            "pipeline": [*cluster, "--sigma-s2", "--sigma-n2", "--readings", "--synthetic", "--epochs", "--rounds",
+                         "--threshold", "--dead", "--predict-unbiased", "--eq13-literal", "--out", "--seed"],
+        }
+        assert list(_SUBCOMMANDS) == list(want)
+        for name, options in want.items():
+            (sub,) = subcommands(build_parser(name)).values()
+            assert [s for action in sub._actions for s in action.option_strings] == options, name
 
     def test_every_option_has_help(self):
         for name, sub in subcommands().items():
@@ -751,7 +791,7 @@ class TestExitCodes:
     def test_subcommand_help_documents_defaults(self, capsys):
         code, out, _ = run(["place", "--help"], capsys)
         assert code == 0
-        for token in ("--phi1", "--rounds", "--threshold", "default 300", "default 5"):
+        for token in ("--rounds", "--threshold", "default 300", "default 5"):
             assert token in out
 
 

@@ -272,11 +272,11 @@ class TestCostCurves:
         assert nodes == "node_id,cost,selected\n"
 
     def test_selected_column_count(self, deployment):
-        from wsn3d.placement import PlacementParams, run_placement, select_nodes
+        from wsn3d.placement import run_placement, select_nodes
 
         matrix = data_io.sun_shade_readings(deployment, epochs=60)
         clusters = form_clusters(deployment, 6.0)
-        state, costs = run_placement(matrix, clusters, PlacementParams(rounds=20))
+        state, costs = run_placement(matrix, clusters, rounds=20)
         selected = select_nodes(costs, 5.0)
         _, nodes = data_io.write_cost_curves(state, costs, selected)
         ones = sum(1 for line in nodes.splitlines()[1:] if line.endswith(",1"))

@@ -66,6 +66,14 @@ class TestInformationAccuracy:
         with pytest.raises(ValueError):
             information_accuracy(2, [1.0], np.ones((2, 2)), 1.0, [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_correlation_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^rho_event must be finite, got {bad}$"):
+            information_accuracy(1, [bad], [[1.0]], 1.0, [0.0])
+        pair = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match=f"^rho_pair must be finite, got {bad}$"):
+            information_accuracy(2, [0.5, 0.5], pair, 1.0, [0.0, 0.0])
+
     def test_bad_signal_variance_rejected(self):
         for sigma_s2 in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"sigma_s2 must be positive and finite, got {sigma_s2}"):
@@ -225,6 +233,16 @@ class TestPredictionAccuracy:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             prediction_accuracy(3, [1.0, 1.0], np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_correlation_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^rho_dead must be finite, got {bad}$"):
+            prediction_accuracy(1, [bad], [[1.0]])
+        with pytest.raises(ValueError, match=f"^rho_dead must be finite, got {bad}$"):
+            prediction_accuracy(2, [[0.5, 0.5], [0.5, bad]], np.eye(2))
+        pair = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match=f"^rho_pair must be finite, got {bad}$"):
+            prediction_accuracy(2, [0.5, 0.5], pair)
 
     @pytest.mark.parametrize("rho_dead", [np.ones((2, 4)), np.ones((2, 2)), np.ones((1, 2, 3))])
     def test_row_width_other_than_rho_pair_rejected(self, rho_dead):

@@ -13,6 +13,7 @@ from wsn3d.geometry import (
     dodeca_vertices,
     dodeca_volume,
     event_volume,
+    pairwise_distances,
 )
 
 MODEL = CorrelationModel(theta=30.0, alpha=1.0)
@@ -55,6 +56,17 @@ class TestCorrelation:
 
     def test_pure_function_bitwise(self):
         assert correlation(MODEL, 1.234) == correlation(MODEL, 1.234)
+
+    def test_overflowing_exponent_is_uncorrelated(self):
+        # d**alpha overflows, and so does d / theta for a tiny theta; neither warns
+        assert correlation(CorrelationModel(theta=30.0, alpha=2.0), 1e200) == 0.0
+        got = correlation(CorrelationModel(theta=1e-320), np.array([0.0, 1.0]))
+        assert got.tolist() == [1.0, 0.0]
+
+
+def test_distance_past_the_largest_float_is_inf():
+    d = pairwise_distances([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    assert d.tolist() == [[0.0, math.inf, math.inf], [math.inf, 0.0, 3.0], [math.inf, 3.0, 0.0]]
 
 
 class TestCorrelationRadius:

@@ -13,7 +13,6 @@ from wsn3d.errors import ConfigurationError, DataFormatError
 from wsn3d.estimation import cluster_accuracy
 from wsn3d.geometry import CorrelationModel
 from wsn3d.placement import (
-    PlacementParams,
     PlacementState,
     PrefixMoments,
     placement_step,
@@ -62,7 +61,7 @@ def bits(state):
     return (state.node_ids, scalars, *(getattr(state, f).tobytes() for f in FIELDS))
 
 
-def reference_step(state, c, params):
+def reference_step(state, c):
     """One round of the search as a per-round loop computes it: the reference
     for placement_step's all-rounds array work."""
     c = np.asarray(c, dtype=float)
@@ -70,7 +69,7 @@ def reference_step(state, c, params):
     best_cost = np.where(improved, c, state.best_cost)
     sigma_b2 = np.where(improved, state.sigma_p2, state.sigma_b2)
     sigma_gb2 = float(sigma_b2[np.argmax(best_cost)])
-    i_a = state.i_a + params.phi1 * (sigma_b2 - state.sigma_p2) + params.phi2 * (sigma_gb2 - state.sigma_p2)
+    i_a = state.i_a + 0.5 * (sigma_b2 - state.sigma_p2) + 0.5 * (sigma_gb2 - state.sigma_p2)
     return PlacementState(
         state.node_ids, state.sigma_p2 + i_a, sigma_b2, best_cost, i_a, sigma_gb2,
         state.cost_history + (float(np.mean(c)),),
@@ -117,20 +116,17 @@ class TestCostFunction:
 
 
 class TestPlacementStep:
-    PARAMS = PlacementParams(phi1=0.5, phi2=0.5, rounds=10)
-
     def test_equilibrium_keeps_accumulator(self):
         # both attraction terms vanish, so sigma_p2 moves by exactly i_a
         state = make_state(
             [(1, dict(sigma_p2=2.0, sigma_b2=2.0, best_cost=9.0, i_a=0.25))], sigma_gb2=2.0
         )
-        new = placement_step(state, [1.0], self.PARAMS)
+        new = placement_step(state, [1.0])
         ns = node(new, 1)
         assert ns["i_a"] == 0.25
         assert ns["sigma_p2"] == 2.25
 
     def test_increment_formula_single_step(self):
-        params = PlacementParams(phi1=0.3, phi2=0.7, rounds=10)
         state = make_state(
             [
                 (1, dict(sigma_p2=2.0, sigma_b2=3.0, best_cost=9.0, i_a=0.1)),
@@ -138,14 +134,14 @@ class TestPlacementStep:
             ],
             sigma_gb2=6.0,
         )
-        new = placement_step(state, [1.0, 1.0], params)
+        new = placement_step(state, [1.0, 1.0])
         ns = node(new, 1)
-        want_ia = 0.1 + 0.3 * (3.0 - 2.0) + 0.7 * (6.0 - 2.0)
+        want_ia = 0.1 + 0.5 * (3.0 - 2.0) + 0.5 * (6.0 - 2.0)
         assert ns["i_a"] == pytest.approx(want_ia, abs=1e-15)
         assert ns["sigma_p2"] == pytest.approx(2.0 + want_ia, abs=1e-15)
 
     def test_halfway_move_toward_global_best(self):
-        params = PlacementParams(phi1=0.0, phi2=0.5, rounds=10)
+        # node 1's personal best is its present variance, so only the global best pulls
         state = make_state(
             [
                 (1, dict(sigma_p2=2.0, sigma_b2=2.0, best_cost=1.0, i_a=0.0)),
@@ -153,7 +149,7 @@ class TestPlacementStep:
             ],
             sigma_gb2=4.0,
         )
-        new = placement_step(state, [1.0, 9.0], params)
+        new = placement_step(state, [1.0, 9.0])
         assert new.sigma_gb2 == 4.0
         ns = node(new, 1)
         assert ns["i_a"] == 1.0
@@ -161,14 +157,14 @@ class TestPlacementStep:
 
     def test_personal_best_updates_on_improvement(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=2.0, i_a=0.0))])
-        new = placement_step(state, [5.0], self.PARAMS)
+        new = placement_step(state, [5.0])
         ns = node(new, 1)
         assert ns["best_cost"] == 5.0
         assert ns["sigma_b2"] == 7.0
 
     def test_no_update_without_improvement(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=6.0, i_a=0.0))])
-        new = placement_step(state, [5.0], self.PARAMS)
+        new = placement_step(state, [5.0])
         assert node(new, 1)["best_cost"] == 6.0
         assert node(new, 1)["sigma_b2"] == 1.0
 
@@ -179,7 +175,7 @@ class TestPlacementStep:
                 (2, dict(sigma_p2=8.0, sigma_b2=8.0, best_cost=-math.inf, i_a=0.0)),
             ]
         )
-        new = placement_step(state, [2.0, 10.0], self.PARAMS)
+        new = placement_step(state, [2.0, 10.0])
         assert new.sigma_gb2 == 8.0
 
     def test_tied_best_cost_goes_to_the_smaller_id(self):
@@ -189,7 +185,7 @@ class TestPlacementStep:
                 (2, dict(sigma_p2=8.0, sigma_b2=8.0, best_cost=-math.inf, i_a=0.0)),
             ]
         )
-        new = placement_step(state, [10.0, 10.0], self.PARAMS)
+        new = placement_step(state, [10.0, 10.0])
         assert new.sigma_gb2 == 3.0
 
     def test_fixed_point_is_stationary(self):
@@ -200,7 +196,7 @@ class TestPlacementStep:
             ],
             sigma_gb2=5.0,
         )
-        new = placement_step(state, [1.0, 1.0], self.PARAMS)
+        new = placement_step(state, [1.0, 1.0])
         for nid in new.node_ids:
             ns = node(new, nid)
             assert ns["sigma_p2"] == 5.0 and ns["i_a"] == 0.0
@@ -209,16 +205,34 @@ class TestPlacementStep:
     def test_input_state_left_unchanged(self):
         state = make_state([(1, dict(sigma_p2=7.0, sigma_b2=1.0, best_cost=2.0, i_a=0.5))])
         before = {f: getattr(state, f).copy() for f in FIELDS}
-        placement_step(state, [5.0], self.PARAMS)
+        placement_step(state, [5.0])
         for f in FIELDS:
             assert np.array_equal(getattr(state, f), before[f])
 
     def test_misaligned_costs_rejected(self):
         state = make_state([(1, dict(sigma_p2=1.0, sigma_b2=1.0, best_cost=0.0, i_a=0.0))])
         with pytest.raises(ValueError):
-            placement_step(state, [1.0, 1.0], self.PARAMS)
+            placement_step(state, [1.0, 1.0])
         with pytest.raises(ValueError):
-            placement_step(state, [[[1.0]]], self.PARAMS)
+            placement_step(state, [[[1.0]]])
+
+    def test_fixed_bests_repeat_every_six_rounds(self):
+        # a constant cost row improves every best in the first round only; from
+        # then on (e, i_a) turns through the period-6 map of the module docstring
+        state = make_state(
+            [
+                (1, dict(sigma_p2=2.0, sigma_b2=0.0, best_cost=-math.inf, i_a=0.3)),
+                (2, dict(sigma_p2=5.0, sigma_b2=0.0, best_cost=-math.inf, i_a=-1.2)),
+                (3, dict(sigma_p2=0.5, sigma_b2=0.0, best_cost=-math.inf, i_a=0.0)),
+            ]
+        )
+        record = []
+        placement_step(state, np.tile([1.0, 3.0, 2.0], (30, 1)), record)
+        assert all(s.sigma_gb2 == 5.0 for s in record)
+        assert not np.allclose(record[3].sigma_p2, record[0].sigma_p2)  # it moves, and never settles
+        for k in range(len(record) - 6):
+            for f in ("sigma_p2", "i_a"):
+                np.testing.assert_allclose(getattr(record[k + 6], f), getattr(record[k], f), rtol=0, atol=1e-12)
 
     def test_history_appends_mean(self):
         state = make_state(
@@ -227,7 +241,7 @@ class TestPlacementStep:
                 (2, dict(sigma_p2=1.0, sigma_b2=1.0, best_cost=0.0, i_a=0.0)),
             ]
         )
-        new = placement_step(state, [2.0, 4.0], self.PARAMS)
+        new = placement_step(state, [2.0, 4.0])
         assert new.cost_history == (3.0,)
 
     @settings(max_examples=200, deadline=None)
@@ -247,15 +261,14 @@ class TestPlacementStep:
             sigma_gb2=0.5,
             cost_history=(1.5,),
         )
-        params = data.draw(st.sampled_from([PlacementParams(0.5, 0.5), PlacementParams(0.1, 0.01), PlacementParams(1.9, 2.0)]))
         want, one, ref = [], state, state
         for row in costs:
-            one, ref = placement_step(one, row, params), reference_step(ref, row, params)
+            one, ref = placement_step(one, row), reference_step(ref, row)
             want.append(bits(one))
             assert bits(ref) == want[-1]
 
         record = []
-        assert bits(placement_step(state, costs, params, record)) == want[-1]
+        assert bits(placement_step(state, costs, record)) == want[-1]
         assert [bits(s) for s in record] == want
         arrays_of = [[getattr(s, f) for f in FIELDS] for s in record]
         for k, earlier in enumerate(arrays_of):
@@ -263,8 +276,8 @@ class TestPlacementStep:
 
         split = data.draw(st.integers(0, rounds))
         record = []
-        mid = placement_step(state, costs[:split], params, record)
-        placement_step(mid, costs[split:], params, record)
+        mid = placement_step(state, costs[:split], record)
+        placement_step(mid, costs[split:], record)
         assert [bits(s) for s in record] == want
 
 
@@ -272,9 +285,8 @@ class TestPlacementStep:
 def sun_shade_run(deployment):
     matrix = data_io.sun_shade_readings(deployment)
     clusters = form_clusters(deployment, 6.0)
-    params = PlacementParams(phi1=0.5, phi2=0.5, rounds=300)
     record = []
-    state, costs = run_placement(matrix, clusters, params, record=record)
+    state, costs = run_placement(matrix, clusters, rounds=300, record=record)
     return deployment, matrix, clusters, state, costs, record
 
 
@@ -282,7 +294,7 @@ class TestRunPlacement:
     def test_single_round_history(self, deployment):
         matrix = data_io.sun_shade_readings(deployment, epochs=50)
         clusters = form_clusters(deployment, 6.0)
-        state, _ = run_placement(matrix, clusters, PlacementParams(rounds=1))
+        state, _ = run_placement(matrix, clusters, rounds=1)
         assert len(state.cost_history) == 1
 
     def test_identical_readings_symmetric_state(self, deployment):
@@ -294,7 +306,7 @@ class TestRunPlacement:
             values=np.tile(series, (len(deployment), 1)),
         )
         clusters = form_clusters(deployment, 6.0)
-        state, _ = run_placement(matrix, clusters, PlacementParams(rounds=1))
+        state, _ = run_placement(matrix, clusters, rounds=1)
         shared = float(np.var(series, ddof=1))
         assert state.sigma_gb2 == pytest.approx(shared, rel=1e-12)
         assert all(b2 == state.sigma_b2[0] for b2 in state.sigma_b2)
@@ -319,9 +331,8 @@ class TestRunPlacement:
     def test_determinism_bitwise(self, deployment):
         matrix = data_io.sun_shade_readings(deployment, epochs=60)
         clusters = form_clusters(deployment, 6.0)
-        params = PlacementParams(rounds=40)
-        a, costs_a = run_placement(matrix, clusters, params)
-        b, costs_b = run_placement(matrix, clusters, params)
+        a, costs_a = run_placement(matrix, clusters, rounds=40)
+        b, costs_b = run_placement(matrix, clusters, rounds=40)
         assert a.cost_history == b.cost_history
         assert a.node_ids == b.node_ids and a.sigma_gb2 == b.sigma_gb2
         for f in FIELDS:
@@ -352,7 +363,7 @@ class TestRunPlacement:
                 covs = [math.fsum(centered[i] * centered[j]) / (t - 1) for j in group if j != i]
                 want[i] = cost + (math.fsum(covs) / len(covs) if covs else 0.0)
         lifted = data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, matrix.values + offset)
-        _, got = run_placement(lifted, clusters, PlacementParams(rounds=1))
+        _, got = run_placement(lifted, clusters, rounds=1)
         worst = max(abs(got[i] - w) / abs(w) for i, w in want.items())
         assert worst <= bound, f"relative error {worst:.3g} at offset {offset:g}"
 
@@ -366,12 +377,12 @@ class TestRunPlacement:
         clusters = form_clusters(deployment, 6.0)
         message = rf"clustered nodes with fewer than 2 readings: \[{matrix.node_ids[-1]}\]$"
         with pytest.raises(DataFormatError, match=message):
-            run_placement(short, clusters, PlacementParams(rounds=2))
+            run_placement(short, clusters, rounds=2)
 
     def test_empty_partition_rejected(self, deployment):
         matrix = data_io.sun_shade_readings(deployment, epochs=50)
         with pytest.raises(ConfigurationError, match="nothing to place"):
-            run_placement(matrix, ClusterSet((), 6.0), PlacementParams(rounds=2))
+            run_placement(matrix, ClusterSet((), 6.0), rounds=2)
 
     def test_every_short_node_is_named(self, deployment):
         # node 1 has no row and node 3 one present reading; both are clustered
@@ -381,7 +392,7 @@ class TestRunPlacement:
         values[ids.index(3), 1:] = np.nan
         short = data_io.ReadingMatrix(ids, matrix.epochs, values)
         with pytest.raises(DataFormatError, match=r"fewer than 2 readings: \[1, 3\]$"):
-            run_placement(short, form_clusters(deployment, 6.0), PlacementParams(rounds=2))
+            run_placement(short, form_clusters(deployment, 6.0), rounds=2)
 
 
 def two_clusters(values, missing):
@@ -500,7 +511,7 @@ def placement_peak(rounds):
     block = 4 * (m * (m - 1) // 2) * t * 8
     tracemalloc.start()
     try:
-        run_placement(matrix, clusters, PlacementParams(rounds=rounds))
+        run_placement(matrix, clusters, rounds=rounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -570,18 +581,11 @@ class TestSelectNodes:
 
 
 class TestParams:
-    def test_factors_must_not_both_vanish(self):
-        with pytest.raises(ValueError):
-            PlacementParams(phi1=0.0, phi2=0.0)
-
-    @pytest.mark.parametrize("phi1, phi2", [(2.0, 2.0), (3.0, 7.0), (4.0, 0.0)])
-    def test_factors_must_sum_below_four(self, phi1, phi2):
-        with pytest.raises(ValueError, match="sum to less than 4"):
-            PlacementParams(phi1=phi1, phi2=phi2)
-
-    def test_rounds_at_least_one(self):
-        with pytest.raises(ValueError):
-            PlacementParams(rounds=0)
+    def test_rounds_at_least_one(self, deployment):
+        # checked before the partition: an empty one is not reported
+        matrix = data_io.sun_shade_readings(deployment, epochs=10)
+        with pytest.raises(ValueError, match=r"^rounds must be at least 1, got 0$"):
+            run_placement(matrix, ClusterSet((), 6.0), rounds=0)
 
 
 @st.composite
@@ -665,7 +669,7 @@ class TestArrayKernelProperties:
     def test_best_cost_monotone_and_leader_dominates(self, case, rounds):
         matrix, clusters = case
         record = []
-        run_placement(matrix, clusters, PlacementParams(rounds=rounds), record=record)
+        run_placement(matrix, clusters, rounds=rounds, record=record)
         assert len(record) == rounds
         for prev, cur in zip(record, record[1:]):
             assert (cur.best_cost >= prev.best_cost).all()
