@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterSet, _row_blocks
-from .data_io import ReadingMatrix
+from .data_io import ReadingMatrix, _int64
 from .errors import ConfigurationError, DataFormatError
 
 
@@ -57,6 +57,8 @@ def _variance(n, sx, sx2):
 _GRAM_EPOCHS = 32
 # Gram cells of one chunk of windows: a chunk's (w, 2m, 2m) stack stays in cache
 _GRAM_CELLS = 2**16
+# cells of one block of gap-free cluster members: only one block's (rows, T) copies are live
+_MEMBER_CELLS = 2**14
 
 
 class PrefixMoments:
@@ -65,13 +67,14 @@ class PrefixMoments:
     Missing cells are excluded pairwise: a node's variance uses its present
     epochs, a covariance uses epochs present in both series. Prefix sums along
     the epochs make a node's variance over the first k epochs a lookup at
-    column k-1. A cluster where no member misses an epoch needs no pair sums:
-    prefix sums of each member's neighbor sum give its summed covariances.
-    Other clusters take pair sums from Gram products of their presence and
-    value rows: the Grams of fixed _GRAM_EPOCHS-epoch blocks are added in
-    order, and each window adds the Gram of its own last partial block. Either
-    way a window's sums depend only on that window. Terms with fewer than 2
-    usable epochs contribute nothing yet.
+    column k-1; ``costs`` sums one moment at a time and keeps only the
+    columns that end its windows. A cluster where no member misses an epoch
+    needs no pair sums: prefix sums of each member's neighbor sum give its
+    summed covariances. Other clusters take pair sums from Gram products of
+    their presence and value rows: the Grams of fixed _GRAM_EPOCHS-epoch
+    blocks are added in order, and each window adds the Gram of its own last
+    partial block. Either way a window's sums depend only on that window.
+    Terms with fewer than 2 usable epochs contribute nothing yet.
     """
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
@@ -88,13 +91,17 @@ class PrefixMoments:
         values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
         values[missing] = 0.0
         self._present, self._values = present, values
-        # n, sx, sx2: (3, N, T), summed in place (np.cumsum of a list would stack a copy and then allocate)
-        self._nodes = nodes = np.empty((3, *values.shape))
-        nodes[0], nodes[1] = present, values
-        np.square(values, out=nodes[2])
-        np.cumsum(nodes, axis=2, out=nodes)
         # positions in node_ids of the members of each cluster of 2 or more
         self._members = [np.searchsorted(ids, sorted(c.node_ids())) for c in clusters if c.members]
+
+    def _window_sums(self, at: np.ndarray) -> list[np.ndarray]:
+        """[n, sx, sx2], each (N, len(at)): every node's prefix moments at the epoch columns ``at``."""
+        sums = [np.empty((len(self.node_ids), at.size)) for _ in range(3)]
+        scratch = np.empty(self._values.shape)  # one moment's (N, T) prefix sums at a time
+        for end, factors in zip(sums, ((self._present, 1.0), (self._values, 1.0), (self._values, self._values))):
+            np.cumsum(np.multiply(*factors, out=scratch), axis=1, out=scratch)
+            np.take(scratch, at, axis=1, out=end, mode="clip")  # "clip" writes out unbuffered; at is in range
+        return sums
 
     def _covariances(self, members: np.ndarray, ends: np.ndarray):
         """Yield (windows, n, cov) for a chunk of windows at a time: the shared
@@ -143,24 +150,30 @@ class PrefixMoments:
         covariances with at least 2 shared epochs. In a cluster where no member
         misses an epoch every pair shares all e epochs, so the sum of node i's
         covariances is its covariance with o_i, the sum of the other members'
-        series; it comes from prefix sums of o and x * o. Other clusters take
-        the pair sums of ``_covariances``. Each distinct capped window is
-        scored once.
+        series; it comes from prefix sums of o and x * o, a block of members at
+        a time. Other clusters take the pair sums of ``_covariances``. Each
+        distinct capped window is scored once; each node's variance over the
+        longest one stays in ``_variances``.
         """
         at = np.minimum(np.asarray(windows, dtype=np.intp), self.epoch_count) - 1
         if at.size and at.min() < 1:
             raise ValueError(f"need at least 2 epochs, got {at.min() + 1}")
         at, rows = np.unique(at, return_inverse=True)
-        out = _variance(*self._nodes[:, :, at]).T
+        n, sx, sx2 = self._window_sums(at)
+        out = _variance(n, sx, sx2).T
+        del n, sx2  # the neighbor terms read only sx
+        self._variances = out[-1].copy() if at.size else None
         for members in self._members:
             if self._present[members].all():
-                x = self._values[members]  # a copy
-                o = x.sum(axis=0) - x  # (m, T): each member's neighbor sum
-                x *= o
-                so = np.cumsum(o, axis=1, out=o)[:, at]
-                sxo = np.cumsum(x, axis=1, out=x)[:, at]
-                sx = self._nodes[1, members[:, None], at]
-                out[:, members] += (_covariance(at + 1, sx, so, sxo) / (members.size - 1)).T
+                total = sum(self._values[row] for row in members)  # added from 0 in member order, as x.sum(axis=0)
+                for block in _row_blocks(members.size, max(1, _MEMBER_CELLS // self.epoch_count)):
+                    part = members[block]
+                    x = self._values[part]  # a copy
+                    o = total - x  # each member's neighbor sum
+                    x *= o
+                    so = np.cumsum(o, axis=1, out=o)[:, at]
+                    sxo = np.cumsum(x, axis=1, out=x)[:, at]
+                    out[:, part] += (_covariance(at + 1, sx[part], so, sxo) / (members.size - 1)).T
             else:
                 off_diagonal = ~np.eye(members.size, dtype=bool)
                 for chunk, n, cov in self._covariances(members, at + 1):
@@ -245,16 +258,18 @@ def run_placement(
     Each round scores nodes over a growing data window: the window fills
     linearly across the first 90 percent of the rounds and then covers the
     complete series, so the cost stream settles once additional rounds stop
-    bringing new data. One moments build serves the start state, every round's
-    window and the returned costs, and one ``placement_step`` call advances
-    every round. Pass a list as ``record`` to capture the state after every
-    round.
+    bringing new data. One ``costs`` call scores every round's window and the
+    full series; its full-series variances are the start state, and one
+    ``placement_step`` call advances every round. Pass a list as ``record`` to
+    capture the state after every round.
 
-    Raises ValueError when ``rounds`` is below 1, then ConfigurationError
-    when ``clusters`` has no cluster, and then DataFormatError naming every
-    clustered node with fewer than 2 present readings (a node absent from
-    ``matrix`` has 0).
+    Raises ValueError when ``rounds`` is not an int64 integer or is below 1,
+    then ConfigurationError when ``clusters`` has no cluster, and then
+    DataFormatError naming every clustered node with fewer than 2 present
+    readings (a node absent from ``matrix`` has 0).
     """
+    if not _int64(rounds):
+        raise ValueError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if not clusters.clusters:
@@ -266,11 +281,11 @@ def run_placement(
         raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short.tolist()}")
     moments = PrefixMoments(matrix, clusters)
     ids = tuple(moments.node_ids)
-    start = _variance(*moments._nodes[:, :, -1])
     total = moments.epoch_count
     fill_rounds = max(1, math.ceil(0.9 * rounds))
     windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, rounds + 1)]
     costs = moments.costs(windows + [total])
+    start = moments._variances  # over the longest window, the full series
 
     state = PlacementState(
         ids, sigma_p2=start, sigma_b2=start, best_cost=np.full(len(ids), -math.inf), i_a=np.zeros(len(ids))

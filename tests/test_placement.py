@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wsn3d import data_io
+from wsn3d import data_io, placement
 from wsn3d.clustering import Cluster, ClusterSet, form_clusters
 from wsn3d.errors import ConfigurationError, DataFormatError
 from wsn3d.estimation import cluster_accuracy
@@ -466,35 +466,85 @@ def sun_shade_readings(matrix, gapped):
     return data_io.ReadingMatrix(matrix.node_ids, matrix.epochs, values)
 
 
+def stacked_node_sums(matrix):
+    """(presence, shifted values, (3, N, T) prefix sums) in id order: one
+    np.cumsum over the stacked presence, shifted values and their squares."""
+    values = matrix.values[np.argsort(matrix.node_ids)]
+    present = ~np.isnan(values)
+    values = np.where(present, values, 0.0)
+    values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
+    values = np.where(present, values, 0.0)
+    return present, values, np.cumsum(np.stack([present.astype(float), values, values**2]), axis=2)
+
+
 @pytest.mark.parametrize("gapped", [False, True], ids=["gap-free", "gapped"])
 class TestMomentsBuild:
     def test_node_sums_are_the_stacked_cumsum(self, sun_shade_run, gapped):
-        """The node prefix sums hold the bits of one np.cumsum over the stacked
+        """The node sums ``costs`` reads at its window ends, taken at every
+        epoch column, hold the bits of one np.cumsum over the stacked
         presence, shifted values and their squares."""
         _, matrix, clusters, *_ = sun_shade_run
         matrix = sun_shade_readings(matrix, gapped)
         moments = PrefixMoments(matrix, clusters)
         assert moments.node_ids == sorted(matrix.node_ids)
-        values = matrix.values[np.argsort(matrix.node_ids)]
-        present = ~np.isnan(values)
-        values = np.where(present, values, 0.0)
-        values -= values.sum(axis=1, keepdims=True) / np.maximum(present.sum(axis=1, keepdims=True), 1)
-        values = np.where(present, values, 0.0)
-        want = np.cumsum(np.stack([present.astype(float), values, values**2]), axis=2)
-        assert moments._nodes.dtype == want.dtype and moments._nodes.tobytes() == want.tobytes()
+        got = np.stack(moments._window_sums(np.arange(len(matrix.epochs))))
+        want = stacked_node_sums(matrix)[2]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_build_holds_no_second_copy_of_the_sums(self, sun_shade_run, gapped):
-        """The sums are accumulated in the array that keeps them: building them
-        peaks below twice that array (a stacked list and its cumsum took 3.4x)."""
+        """Each moment is summed in place in one (N, T) scratch block and its
+        window-end columns are copied out unbuffered: taking the sums at every
+        column peaks below 1.5 times the three (N, T) arrays it returns (a
+        stacked list and its cumsum took 3.4 times)."""
         _, matrix, clusters, *_ = sun_shade_run
-        matrix = sun_shade_readings(matrix, gapped)
+        moments = PrefixMoments(sun_shade_readings(matrix, gapped), clusters)
         tracemalloc.start()
         try:
-            moments = PrefixMoments(matrix, clusters)
+            sums = moments._window_sums(np.arange(len(matrix.epochs)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * moments._nodes.nbytes, f"peak {peak} B against {moments._nodes.nbytes} B of sums"
+        held = sum(s.nbytes for s in sums)
+        assert peak < 1.5 * held, f"peak {peak} B against {held} B of sums"
+
+
+def test_run_placement_holds_no_node_sum_array(sun_shade_run):
+    """Only the window-end columns of the node sums are kept, so the bundled
+    gap-free run peaks below 1.5 times the (3, N, T) float array of every
+    node's prefix sums at every epoch (holding that array took 2.6 times)."""
+    _, matrix, clusters, *_ = sun_shade_run
+    assert not matrix.missing.any()
+    nbytes = 3 * matrix.values.size * 8
+    tracemalloc.start()
+    try:
+        run_placement(matrix, clusters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * nbytes, f"peak {peak} B against a {nbytes} B node-sum array"
+
+
+def test_gap_free_cluster_scored_in_member_blocks(sun_shade_run):
+    """The bundled run's 42-member cluster spans two or more member blocks; every
+    cost keeps the bits of scoring each gap-free cluster whole, with
+    o = x.sum(axis=0) - x as each member's neighbor sum."""
+    _, matrix, clusters, *_ = sun_shade_run
+    moments = PrefixMoments(matrix, clusters)
+    t = len(matrix.epochs)
+    assert max(len(m) for m in moments._members) > max(1, placement._MEMBER_CELLS // t)
+    windows = list(range(2, t + 1))
+    at = np.asarray(windows) - 1
+    present, values, nodes = stacked_node_sums(matrix)
+    want = placement._variance(*nodes[:, :, at]).T
+    for members in moments._members:
+        assert present[members].all()
+        x = values[members]
+        o = x.sum(axis=0) - x
+        so, sxo = np.cumsum(o, axis=1)[:, at], np.cumsum(x * o, axis=1)[:, at]
+        cov = placement._covariance(at + 1, nodes[1, members[:, None], at], so, sxo)
+        want[:, members] += (cov / (members.size - 1)).T
+    assert moments.costs(windows).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert moments.costs([]).shape == (0, len(moments.node_ids))
 
 
 def placement_peak(rounds):
@@ -586,6 +636,21 @@ class TestParams:
         matrix = data_io.sun_shade_readings(deployment, epochs=10)
         with pytest.raises(ValueError, match=r"^rounds must be at least 1, got 0$"):
             run_placement(matrix, ClusterSet((), 6.0), rounds=0)
+
+    @pytest.mark.parametrize("rounds", [2.0, True])
+    def test_rounds_must_be_an_integer(self, deployment, rounds):
+        # checked first too: a float or a bool is named, not run or passed to range
+        matrix = data_io.sun_shade_readings(deployment, epochs=10)
+        with pytest.raises(ValueError, match=rf"^rounds must be an integer, got {rounds!r}$"):
+            run_placement(matrix, ClusterSet((), 6.0), rounds=rounds)
+
+    def test_numpy_integer_rounds_accepted(self, deployment):
+        matrix = data_io.sun_shade_readings(deployment, epochs=50)
+        clusters = form_clusters(deployment, 6.0)
+        state, costs = run_placement(matrix, clusters, rounds=np.int64(3))
+        want, want_costs = run_placement(matrix, clusters, rounds=3)
+        assert len(state.cost_history) == 3 and state.cost_history == want.cost_history
+        assert costs == want_costs
 
 
 @st.composite
