@@ -1,8 +1,8 @@
 """Predicting readings for dead nodes from their live neighbors.
 
-Compares the shrinking-average predictor (divide by the total node count) with
-the unbiased live mean, and scores prediction quality from the correlation
-geometry.
+On the bundled sun-shade readings, through the CLI's prediction path, compares
+the shrinking-average predictor (divide by the total node count) with the
+unbiased live mean, and scores prediction quality from the correlation geometry.
 """
 
 from wsn3d import (
@@ -10,22 +10,20 @@ from wsn3d import (
     correlation,
     load_bundled_deployment,
     pairwise_distances,
-    predict_dead,
+    predict_dead_nodes,
     prediction_accuracy,
+    sun_shade_readings,
 )
 
 dep = load_bundled_deployment()
 model = CorrelationModel(theta=30.0, alpha=1.0)
+readings = sun_shade_readings(dep, model)  # 800 epochs, seed 42
 
-live_readings = [21.4, 22.1, 20.8, 21.9]
-for n_dead in (0, 2, 4):
-    o_total = len(live_readings) + n_dead
-    literal = predict_dead(live_readings, o_total)
-    unbiased = predict_dead(live_readings, o_total, unbiased=True)
-    print(
-        f"{len(live_readings)} live, {n_dead} dead:  "
-        f"total-divisor prediction {literal:7.3f}   live-mean {unbiased:7.3f}"
-    )
+for dead in ([], [3, 7], [3, 7, 11, 40]):
+    literal, _ = predict_dead_nodes(dep, model, readings, dead)
+    unbiased, _ = predict_dead_nodes(dep, model, readings, dead, unbiased=True)
+    print(f"{len(dep) - len(dead)} live, {len(dead)} dead:  "
+          f"total-divisor prediction {literal:7.3f}   live-mean {unbiased:7.3f}")
 
 print()
 print("predictor quality for each node, pretending it died (all 54 locations)")

@@ -25,6 +25,7 @@ from .estimation import (
     cluster_accuracy,
     information_accuracy,
     predict_dead,
+    predict_dead_nodes,
     prediction_accuracy,
 )
 from .geometry import (

@@ -13,12 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data_io, estimation, placement
 from .clustering import ClusterSet, Deployment, form_clusters
 from .errors import ConfigurationError, DataFormatError
-from .geometry import CorrelationModel, check_event, correlation, correlation_radius, pairwise_distances
+# correlation is unused here, but perfbench/layers.py wraps cli.correlation by name
+from .geometry import CorrelationModel, check_event, correlation, correlation_radius  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -222,8 +221,7 @@ def cmd_estimate(args, dep: Deployment, model: CorrelationModel) -> tuple[dict[s
 
 def _dead_ids(args, dep: Deployment) -> list[int]:
     """The --dead ids, integers in the node file's plain grammar (spaces around
-    each allowed), checked against the deployment: each at most once, none
-    unknown, not all."""
+    each allowed), checked against the deployment by estimation._check_dead_ids."""
     items = [v for v in map(str.strip, args.dead.split(",")) if v]
     try:
         if not all(map(data_io._plain, items)):
@@ -231,36 +229,14 @@ def _dead_ids(args, dep: Deployment) -> list[int]:
         dead_ids = [int(v) for v in items]
     except ValueError:
         raise ConfigurationError(f"--dead expects comma-separated node ids, got {args.dead!r}") from None
-    repeated = sorted({i for i in dead_ids if dead_ids.count(i) > 1})
-    if repeated:
-        raise ConfigurationError(f"dead ids given more than once: {repeated}")
-    known = set(dep.node_ids.tolist())
-    unknown = set(dead_ids) - known
-    if unknown:
-        raise ConfigurationError(f"dead ids not in deployment: {sorted(unknown)}")
-    if set(dead_ids) == known:
-        raise ConfigurationError("all nodes are dead; nothing observed")
+    estimation._check_dead_ids(dep, dead_ids)
     return dead_ids
 
 
 def _predict(args, dep: Deployment, model: CorrelationModel, matrix, dead_ids: list[int]) -> list[str]:
     """The table of each dead node's predicted reading and its quality, as lines."""
-    all_ids = np.sort(dep.node_ids)
-    live_ids = all_ids[~np.isin(all_ids, dead_ids)]
-    ids = np.asarray(matrix.node_ids)
-    rows = np.argsort(ids)
-    rows = rows[np.isin(ids[rows], live_ids)]  # the live nodes' rows, in id order
-    live = matrix.values[rows]
-    present = ~np.isnan(live)
-    silent = ~np.isin(live_ids, ids[rows][present.any(axis=1)])  # no row, or no present cell in it
-    if silent.any():
-        raise DataFormatError(f"no readings for live nodes {live_ids[silent].tolist()}")
-    observed = [float(row[keep].mean()) for row, keep in zip(live, present)]
-    o_total = len(all_ids)
-    value = estimation.predict_dead(observed, o_total, unbiased=args.predict_unbiased)
-    rho_pair = correlation(model, pairwise_distances(dep.positions[dep.index(all_ids)]))
-    rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
-    qualities = estimation.prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=args.eq13_literal)
+    value, qualities = estimation.predict_dead_nodes(
+        dep, model, matrix, dead_ids, unbiased=args.predict_unbiased, live_divisor=args.eq13_literal)
     return [f"{'dead':>5}  {'predicted':>10}  {'quality':>8}",
             *(f"{d:>5}  {value:>10.4f}  {quality:>8.4f}" for d, quality in zip(dead_ids, qualities))]
 

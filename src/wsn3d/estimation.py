@@ -5,18 +5,26 @@ plain mean. Its information accuracy, 1 - E[(S - mean)**2] / sigma_s2 for the
 field value S at the event, follows in closed form from the exponential
 correlation model: a gain from each node's correlation with the event, less a
 redundancy term from the pairwise correlations and a noise term.
+
+predict_dead_nodes, the one entry point of prediction for library and CLI alike,
+raises ConfigurationError for dead ids repeated, then unknown, then naming every
+node, and DataFormatError, last, for live nodes without a present reading.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .clustering import Cluster, Deployment
+from .errors import ConfigurationError, DataFormatError
 from .geometry import CorrelationModel, check_event, correlation, pairwise_distances
+
+if TYPE_CHECKING:  # data_io imports this module
+    from .data_io import ReadingMatrix
 
 _SYMMETRY_TOL = 1e-12
 
@@ -211,3 +219,56 @@ def prediction_accuracy(o_total: int, rho_dead, rho_pair, live_divisor: bool = F
         raise ValueError(f"live count must be at least 1, got {o_total} nodes of which {dead_sums.size} dead")
     quality = 2.0 / o_total * dead_sums - off_sum / (d * d)
     return quality if dead_sums.ndim else float(quality)
+
+
+def _check_dead_ids(dep: Deployment, dead_ids: Sequence[int]) -> None:
+    """Raise ConfigurationError if a dead id is given more than once, is not
+    a node of ``dep``, or if the ids name every node, checked in that order.
+    The repeat check sorts the ids once, as Python ints, so it is O(k log k)
+    and exact for ids past int64."""
+    ordered = sorted(dead_ids)
+    repeated = list(dict.fromkeys(a for a, b in zip(ordered, ordered[1:]) if a == b))
+    if repeated:
+        raise ConfigurationError(f"dead ids given more than once: {repeated}")
+    unknown = set(dead_ids) - set(dep.node_ids.tolist())
+    if unknown:
+        raise ConfigurationError(f"dead ids not in deployment: {sorted(unknown)}")
+    if len(dead_ids) == len(dep):  # distinct known ids, and the deployment's ids are distinct
+        raise ConfigurationError("all nodes are dead; nothing observed")
+
+
+def predict_dead_nodes(dep: Deployment, model: CorrelationModel, matrix: ReadingMatrix, dead_ids: Sequence[int],
+                       unbiased: bool = False, live_divisor: bool = False) -> tuple[float, np.ndarray]:
+    """The predicted reading of the dead nodes ``dead_ids`` and each one's quality.
+
+    Every other node of ``dep`` is live, and its observation is the mean of
+    its present readings in ``matrix``; rows of dead nodes, and of nodes not
+    in ``dep``, are not read. The value is predict_dead of the live
+    observations, in id order, with O the deployment's node count; the
+    qualities, one per dead id in the given order, are prediction_accuracy of
+    the dead rows of the id-ordered pairwise correlation matrix of all O
+    nodes. unbiased and live_divisor select those functions' variants.
+
+    The ids are checked first (see the module docstring for the order); a
+    live node with no row, or no present cell in its row, then raises
+    DataFormatError naming the silent ids in ascending order. An empty
+    ``dead_ids`` is accepted: every node is live, the value is their plain
+    mean under both variants, and the qualities are an empty array.
+    """
+    _check_dead_ids(dep, dead_ids)
+    all_ids = np.sort(dep.node_ids)
+    live_ids = all_ids[~np.isin(all_ids, dead_ids)]
+    ids = np.asarray(matrix.node_ids)
+    rows = np.argsort(ids)
+    rows = rows[np.isin(ids[rows], live_ids)]  # the live nodes' rows, in id order
+    live = matrix.values[rows]
+    present = ~np.isnan(live)
+    silent = ~np.isin(live_ids, ids[rows][present.any(axis=1)])  # no row, or no present cell in it
+    if silent.any():
+        raise DataFormatError(f"no readings for live nodes {live_ids[silent].tolist()}")
+    observed = [float(row[keep].mean()) for row, keep in zip(live, present)]
+    o_total = len(all_ids)
+    value = predict_dead(observed, o_total, unbiased=unbiased)
+    rho_pair = correlation(model, pairwise_distances(dep.positions[dep.index(all_ids)]))
+    rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
+    return value, prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=live_divisor)

@@ -1,16 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wsn3d.clustering import Cluster, Deployment, form_clusters
+from wsn3d.data_io import ReadingMatrix, sun_shade_readings
+from wsn3d.errors import ConfigurationError, DataFormatError
 from wsn3d.estimation import (
     cluster_accuracy,
     information_accuracy,
     predict_dead,
+    predict_dead_nodes,
     prediction_accuracy,
 )
-from wsn3d.geometry import CorrelationModel
+from wsn3d.geometry import CorrelationModel, correlation, pairwise_distances
 
 
 class TestInformationAccuracy:
@@ -248,3 +252,87 @@ class TestPredictionAccuracy:
     def test_row_width_other_than_rho_pair_rejected(self, rho_dead):
         with pytest.raises(ValueError, match="rho_dead must have shape"):
             prediction_accuracy(3, rho_dead, np.eye(3))
+
+
+MODEL = CorrelationModel(theta=30.0, alpha=1.0)
+DEAD = [3, 7, 11, 40]
+
+
+def with_rows(matrix: ReadingMatrix, keep, values=None) -> ReadingMatrix:
+    """The matrix's rows at positions ``keep``, in that order, over ``values`` if given."""
+    values = matrix.values if values is None else values
+    return ReadingMatrix(tuple(np.asarray(matrix.node_ids)[keep].tolist()), matrix.epochs, values[keep])
+
+
+class TestPredictDeadNodes:
+    @pytest.fixture(scope="class")
+    def readings(self, deployment):
+        return sun_shade_readings(deployment, MODEL, seed=42)
+
+    @staticmethod
+    def oracle(dep, matrix, dead, unbiased, live_divisor):
+        """predict_dead of the live nodes' means in id order, and prediction_accuracy
+        on the dead rows of the full id-ordered rho_pair."""
+        ids = sorted(dep.node_ids.tolist())
+        row_of = {i: k for k, i in enumerate(matrix.node_ids)}
+        observed = [float(matrix.values[row_of[i]].mean()) for i in ids if i not in dead]
+        value = predict_dead(observed, len(ids), unbiased=unbiased)
+        rho_pair = correlation(MODEL, pairwise_distances(dep.positions[dep.index(ids)]))
+        rho_dead = rho_pair[[ids.index(d) for d in dead]]
+        return value, prediction_accuracy(len(ids), rho_dead, rho_pair, live_divisor=live_divisor)
+
+    @pytest.mark.parametrize("unbiased", [False, True])
+    @pytest.mark.parametrize("live_divisor", [False, True])
+    def test_matches_the_oracle_bit_for_bit(self, deployment, readings, unbiased, live_divisor):
+        value, qualities = predict_dead_nodes(deployment, MODEL, readings, DEAD, unbiased, live_divisor)
+        want_value, want_qualities = self.oracle(deployment, readings, DEAD, unbiased, live_divisor)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert qualities.shape == (len(DEAD),)
+        assert qualities.tobytes() == want_qualities.tobytes()
+
+    def test_row_order_and_dead_rows_are_not_read(self, deployment, readings):
+        want = predict_dead_nodes(deployment, MODEL, readings, DEAD)
+        n = len(readings.node_ids)
+        permuted = with_rows(readings, np.random.default_rng(0).permutation(n))
+        live_only = with_rows(readings, [k for k, i in enumerate(readings.node_ids) if i not in DEAD])
+        for matrix in (permuted, live_only):
+            value, qualities = predict_dead_nodes(deployment, MODEL, matrix, DEAD)
+            assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
+            assert qualities.tobytes() == want[1].tobytes()
+
+    def test_silent_live_nodes_named_in_ascending_order(self, deployment, readings):
+        values = readings.values.copy()
+        rows = [readings.node_ids.index(i) for i in (12, 5)]
+        values[rows] = np.nan  # all-NaN rows for 12 and 5
+        no_row_for_9 = [k for k, i in enumerate(readings.node_ids) if i != 9]
+        matrix = with_rows(readings, no_row_for_9, values)
+        with pytest.raises(DataFormatError, match=re.escape("no readings for live nodes [5, 9, 12]")):
+            predict_dead_nodes(deployment, MODEL, matrix, DEAD)
+        value, _ = predict_dead_nodes(deployment, MODEL, matrix, [*DEAD, 5, 9, 12])  # dead: not read
+        assert math.isfinite(value)
+
+    def test_no_dead_ids_predict_the_plain_mean(self, deployment, readings):
+        means = [float(row.mean()) for row in readings.values]
+        for switches in ((False, False), (True, True)):
+            value, qualities = predict_dead_nodes(deployment, MODEL, readings, [], *switches)
+            assert value == predict_dead(means, len(means))
+            assert qualities.shape == (0,)
+
+    @pytest.mark.parametrize("dead, error, message", [
+        ([3, 999, 3], ConfigurationError, "dead ids given more than once: [3]"),
+        ([2**63, 2**63], ConfigurationError, "dead ids given more than once: [9223372036854775808]"),
+        ([5, 3, 5, 3, 3], ConfigurationError, "dead ids given more than once: [3, 5]"),
+        ([*range(1, 55), 999], ConfigurationError, "dead ids not in deployment: [999]"),
+        ([-1, 2**63, 2**63 + 1], ConfigurationError,
+         "dead ids not in deployment: [-1, 9223372036854775808, 9223372036854775809]"),
+        ([*range(54, 0, -1)], ConfigurationError, "all nodes are dead; nothing observed"),
+        ([3], DataFormatError, "no readings for live nodes [1, 2, 4, 5]"),
+    ], ids=["repeated", "repeated-past-int64", "repeated-sorted", "unknown", "unknown-past-int64",
+            "all-dead", "silent-live"])
+    def test_errors_come_in_order(self, deployment, readings, dead, error, message):
+        """Each case also fails the later checks that it can: the matrix holds
+        readings for nodes 3 and 6 onward only, so nodes 1, 2, 4 and 5 are silent."""
+        matrix = with_rows(readings, [k for k, i in enumerate(readings.node_ids) if i == 3 or i > 5])
+        with pytest.raises(error) as caught:
+            predict_dead_nodes(deployment, MODEL, matrix, dead)
+        assert str(caught.value) == message
