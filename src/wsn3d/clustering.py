@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_event, pairwise_distances
+from .geometry import _squared_bound, _squared_distances, check_event, pairwise_distances
 
 
 def _node_problem(node_id, position) -> str | None:
@@ -133,7 +133,7 @@ class ElectionRecord:
     singleton_sweep: bool = False
 
 
-_BLOCK_ROWS = 128
+_BLOCK_ROWS = 32
 
 
 def _check_radius(radius: float) -> None:
@@ -148,16 +148,19 @@ def _row_blocks(n: int, size: int = _BLOCK_ROWS):
 def _adjacency(pos: np.ndarray, radius: float) -> np.ndarray:
     """The (N, N) boolean in-radius relation of the points, False on the diagonal.
 
-    Distances are taken _BLOCK_ROWS rows at a time, so no N x N float matrix
-    is ever held: the relation costs N**2 bytes (25 MB at N = 5000). Each
+    Squared distances are taken _BLOCK_ROWS rows at a time, so no N x N float
+    matrix is ever held: the relation costs N**2 bytes (25 MB at N = 5000).
+    They are compared with _squared_bound(radius), which gives exactly the
+    pairs with pairwise_distances <= radius and needs no square root. Each
     block is measured only against the columns from its own first row on and
-    is written with its transpose, since pairwise_distances gives d(p, q) and
-    d(q, p) the same bits; this takes about half of the distances.
+    is written with its transpose, since a pair's squared distance has the
+    same bits either way round; this takes about half of the distances.
     """
+    bound = _squared_bound(radius)
     adj = np.empty((len(pos), len(pos)), dtype=bool)
     for rows in _row_blocks(len(pos)):
         block = adj[rows, rows.start:]
-        np.less_equal(pairwise_distances(pos[rows], pos[rows.start:]), radius, out=block)
+        np.less_equal(_squared_distances(pos[rows], pos[rows.start:]), bound, out=block)
         adj[rows.start:, rows] = block.T
     np.fill_diagonal(adj, False)
     return adj
@@ -220,8 +223,9 @@ def form_clusters(
             for block in _row_blocks(len(candidates)):
                 near = adj[candidates[block]] & alive
                 cols = np.flatnonzero(near.any(axis=0))
-                dmax[block] = np.max(pairwise_distances(pos[candidates[block]], pos[cols]), axis=1,
+                dmax[block] = np.max(_squared_distances(pos[candidates[block]], pos[cols]), axis=1,
                                      where=near[:, cols], initial=0.0)
+            np.sqrt(dmax, out=dmax)  # sqrt is monotone: the root of the maximum is the maximum root
             tied = candidates[dmax <= dmax.min() + 1e-12]
         head = tied[0]
         if len(tied) > 1 and event is not None:

@@ -61,21 +61,44 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     """Euclidean distances from every point of ``a`` to every point of ``b``.
 
     ``a`` and ``b`` are 3D points or arrays of them, (M, 3) and (K, 3); ``b``
-    defaults to ``a``. Returns the (M, K) matrix. Every caller goes through
-    this one kernel: it sums dx**2 + dy**2, then dz**2, in place, so a pair
-    gets the same bits whichever rows are asked for, and d(p, q) == d(q, p).
-    A distance past the largest float is inf.
+    defaults to ``a``. Returns the (M, K) matrix, the square root of
+    _squared_distances, which every caller goes through: a pair gets the same
+    bits whichever rows are asked for, and d(p, q) == d(q, p). A distance past
+    the largest float is inf.
     """
+    out = _squared_distances(a, b)
+    return np.sqrt(out, out=out)
+
+
+def _squared_distances(a, b=None) -> np.ndarray:
+    """Squared distances of pairwise_distances: dx**2 + dy**2, then + dz**2, in
+    place; (p - q)**2 == (q - p)**2 exactly, so the result is symmetric to the bit."""
     a = np.asarray(a, dtype=float).reshape(-1, 3)
     b = a if b is None else np.asarray(b, dtype=float).reshape(-1, 3)
     with np.errstate(over="ignore"):
         out = np.subtract.outer(a[:, 0], b[:, 0])
         out *= out
+        step = np.empty_like(out)
         for k in (1, 2):
-            step = np.subtract.outer(a[:, k], b[:, k])
+            np.subtract.outer(a[:, k], b[:, k], out=step)
             step *= step
             out += step
-    return np.sqrt(out, out=out)
+    return out
+
+
+def _squared_bound(radius: float) -> float:
+    """The largest float s with sqrt(s) <= radius, for a finite radius >= 0.
+
+    IEEE sqrt is correctly rounded and so monotone: sqrt(s) <= radius holds
+    exactly when s <= this bound, an s of inf included. The walk starts at
+    radius * radius, a few ulps from the answer, or at inf or 0 past the range.
+    """
+    s = radius * radius
+    while math.sqrt(s) > radius:
+        s = math.nextafter(s, -math.inf)
+    while math.sqrt(up := math.nextafter(s, math.inf)) <= radius:
+        s = up
+    return s
 
 
 def _power(base: float, exponent: float) -> float:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,24 +95,63 @@ class TestNeighborSets:
             for j in s:
                 assert i in nbrs[j]
 
-    @pytest.mark.parametrize("kind", ["uniform", "lattice"])
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize(
+        "kind", ["uniform", "lattice", "ulp-below", "exact", "ulp-above", "overflow", "underflow", "coincident"]
+    )
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 127, 128, 129, 300])
     def test_relation_matches_the_distance_matrix(self, n, kind):
-        # up to three blocks of rows, each mirrored into the columns below it.
+        # up to ten 32-row blocks, each mirrored into the columns below it.
         # The lattice is 7 x 7 x 7 at unit spacing, shuffled, at radius sqrt(2),
-        # so that face diagonals lie exactly on the radius.
+        # so that face diagonals lie exactly on the radius. The ulp kinds set
+        # the radius to the computed distance of the first and last uniform
+        # points, or to the float just below or above it. Overflow spreads the
+        # points over 2e154 at radius 1e200, so some squared distances are inf;
+        # underflow mixes points 1e-200 and 1e-150 apart at radius 1e-200, whose
+        # bound is 0; coincident puts the points on 27 sites.
         rng = np.random.default_rng(n)
-        if kind == "uniform":
-            pos, radius = rng.uniform(0.0, 10.0 * (n / 54) ** (1 / 3), (n, 3)), 6.0
-        else:
+        pos = rng.uniform(0.0, 10.0 * (n / 54) ** (1 / 3), (n, 3))
+        on = float(pairwise_distances(pos[0], pos[-1])[0, 0])
+        radius = {
+            "uniform": 6.0, "lattice": float(np.sqrt(2.0)),
+            "ulp-below": math.nextafter(on, 0.0), "exact": on, "ulp-above": math.nextafter(on, math.inf),
+            "overflow": 1e200, "underflow": 1e-200, "coincident": 1.0,
+        }[kind]
+        if kind == "lattice":
             pts = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-            pos, radius = rng.permutation(pts)[:n], float(np.sqrt(2.0))
+            pos = np.random.default_rng(n).permutation(pts)[:n]
+        elif kind == "overflow":
+            pos = rng.uniform(0.0, 2e154, (n, 3))
+        elif kind == "underflow":
+            pos = rng.integers(0, 3, (n, 3)) * rng.choice([1e-200, 1e-150], (n, 1))
+        elif kind == "coincident":
+            pos = rng.integers(0, 3, (n, 3)).astype(float)
         d = pairwise_distances(pos)
         want = d <= radius
         np.fill_diagonal(want, False)
         assert np.array_equal(_adjacency(pos, radius), want)
-        if kind == "lattice" and n > 1:
-            assert (d == radius).any()
+        if n > 1:
+            exercised = {
+                "lattice": (d == radius).any(),
+                "ulp-below": not want[0, -1] and d[0, -1] == math.nextafter(radius, math.inf),
+                "exact": want[0, -1] and d[0, -1] == radius,
+                "ulp-above": want[0, -1] and d[0, -1] == math.nextafter(radius, 0.0),
+                "overflow": np.isinf(d).any() and want.any(),
+                "underflow": want.any() and (d > radius).any(),
+                "coincident": (want & (d == 0.0)).any(),
+            }
+            assert exercised.get(kind, True)
+
+    def test_relation_holds_no_n_by_n_float_matrix(self):
+        # the relation's N**2 bytes and a few row blocks of float64 distances
+        n = 2000
+        pos = np.random.default_rng(2).uniform(0.0, 10.0 * (n / 54) ** (1 / 3), (n, 3))
+        tracemalloc.start()
+        try:
+            _adjacency(pos, 6.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n + 2 * 2**20
 
     def test_fixture_node47_superset(self, deployment):
         # brute-force oracle over the full 54-node set
@@ -198,6 +240,14 @@ class TestFormClusters:
         trace = []
         assert form_clusters(dep, 6.0, event=event, trace=trace).clusters[0].head == head
         assert trace == [ElectionRecord(head=head, candidates=[1, 2], dmax_ties=[1, 2])]
+
+    def test_dmax_tolerance_is_in_meters(self):
+        # farthest neighbors 3 m + 5e-13 and 3 m away tie within 1e-12 m, so the
+        # smallest id heads; their squares, 3e-12 apart, would not tie
+        dep = line_deployment([0.0, 3.0000000000005, 10.0, 13.0])
+        trace = []
+        assert form_clusters(dep, 6.0, trace=trace).clusters[0].head == 1
+        assert trace[0].dmax_ties == [1, 2, 3, 4]
 
 
 def per_pair_form_clusters(dep, radius, event=None, event_radius=np.inf, trace=None):

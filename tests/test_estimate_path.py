@@ -1,10 +1,11 @@
 """The estimate path's array forms against reference copies of the loops they
 replaced, bit for bit: cluster_accuracy over a whole ClusterSet, which skips
 the matrix checks, against one checked per-cluster call each, and the
-election on the mirrored block relation, with tie-break distances taken over
-each candidate's unassigned neighbors, against the full distance matrix and
-the blocked maximum over every column. Fixed 300-node cases cross the
-128-row block boundaries."""
+election on the mirrored block relation of squared distances, with tie-break
+distances taken as the root of the largest squared distance to each
+candidate's unassigned neighbors, against the full distance matrix and the
+blocked maximum of the distances over every column. Fixed 300-node cases
+cross the 32-row block boundaries."""
 
 import dataclasses
 
@@ -47,7 +48,7 @@ def reference_cluster_accuracy(dep, cluster, model, event, sigma_s2, sigma_n2):
 def blocked_dmax_form_clusters(dep, radius, event=None, event_radius=np.inf, trace=None):
     """form_clusters with the in-radius relation read off the full distance
     matrix, and the tie-break distance of every candidate, lone or not,
-    taken as the maximum over all N columns, 128 candidate rows at a time,
+    taken as the maximum over all N columns, 32 candidate rows at a time,
     where the row's unassigned neighbors are."""
     participating = dep.node_ids
     if event is not None:
@@ -115,7 +116,7 @@ def deployments(draw):
 
 
 def large_deployments():
-    """Fixed 300-node cases, three blocks of rows: uniform at the fixture's
+    """Fixed 300-node cases, ten blocks of rows: uniform at the fixture's
     density, and a shuffled integer grid whose counts and distances tie; each
     with shuffled ids, without and with an event and its range."""
     rng = np.random.default_rng(300)

@@ -1,10 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wsn3d.geometry import (
     CorrelationModel,
+    _squared_bound,
+    _squared_distances,
     check_event,
     correlation,
     correlation_radius,
@@ -67,6 +72,26 @@ class TestCorrelation:
 def test_distance_past_the_largest_float_is_inf():
     d = pairwise_distances([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
     assert d.tolist() == [[0.0, math.inf, math.inf], [math.inf, 0.0, 3.0], [math.inf, 3.0, 0.0]]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e154])
+def test_distances_are_the_roots_of_the_squared_distances(scale):
+    # bit for bit, with squares that underflow to 0 or overflow to inf
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.0, 2.0 * scale, (40, 3)), rng.uniform(0.0, 2.0 * scale, (7, 3))
+    for args in ((a,), (a, b), (a[3], b)):
+        assert pairwise_distances(*args).tobytes() == np.sqrt(_squared_distances(*args)).tobytes()
+
+
+@given(st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True, allow_subnormal=True))
+@example(5e-324)
+@example(sys.float_info.min)
+@example(1e-200)
+@example(1e200)
+@example(sys.float_info.max)
+def test_squared_bound_is_the_largest_square_within_the_radius(radius):
+    bound = _squared_bound(radius)
+    assert math.sqrt(bound) <= radius < math.sqrt(math.nextafter(bound, math.inf))
 
 
 class TestCorrelationRadius:
