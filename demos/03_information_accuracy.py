@@ -42,7 +42,7 @@ draws = 20_000
 print(f"closed form against 1 - MSE of the fused mean over {draws} field draws")
 event_id = int(dep.node_ids.max()) + 1
 with_event = Deployment(np.append(dep.node_ids, event_id), np.vstack([dep.positions, event]))
-field = generate_synthetic(with_event, model, sigma_s2, draws, seed=5).values
+field = generate_synthetic(with_event, model, draws, seed=5).values
 readings = field + np.random.default_rng(5).normal(0.0, math.sqrt(sigma_n2), field.shape)
 s = field[with_event.index([event_id])[0]]
 for cluster, rep in zip(clusters, reports):

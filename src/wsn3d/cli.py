@@ -106,8 +106,6 @@ def _add_synth_flags(p: _Parser):
     p.add_argument("--synthetic", default="sun-shade", choices=["sun-shade", "uniform"],
                    help="scenario to draw (default sun-shade)")
     p.add_argument("--epochs", type=int, default=800, help="epochs to draw (default 800)")
-    p.add_argument("--variance", type=float, default=None,
-                   help="field variance of --synthetic uniform (default 1); sun-shade fixes it at 1")
 
 
 # the top-level --help text, kept apart from the module docstring so that
@@ -179,13 +177,10 @@ def _readings_matrix(args, dep: Deployment, model: CorrelationModel):
         raise ConfigurationError("pass either --readings or --synthetic, not both")
     if readings:
         return data_io.parse_readings(readings, deployment=dep)
+    if args.synthetic == "sun-shade":
+        return data_io.sun_shade_readings(dep, model, args.epochs, args.seed)
     if args.synthetic:
-        variance = getattr(args, "variance", None)
-        if args.synthetic == "sun-shade":
-            if variance is not None:
-                raise ConfigurationError("--variance applies to --synthetic uniform only; sun-shade fixes it at 1")
-            return data_io.sun_shade_readings(dep, model, args.epochs, args.seed)
-        return data_io.generate_synthetic(dep, model, 1.0 if variance is None else variance, args.epochs, args.seed)
+        return data_io.generate_synthetic(dep, model, args.epochs, args.seed)
     raise ConfigurationError("readings required: pass --readings PATH or --synthetic NAME")
 
 

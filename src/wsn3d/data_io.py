@@ -1,7 +1,8 @@
 """File ingestion, synthetic readings and report serialization.
 
 Synthetic readings come from two functions: generate_synthetic draws a
-zero-mean correlated field, and sun_shade_readings scales and shifts one.
+zero-mean, unit-variance correlated field, and sun_shade_readings scales
+and shifts one.
 All CSV traffic uses one dialect: comma separated, '.' decimal, LF line
 endings, mandatory header, UTF-8. Parsers also read CRLF line endings, quoted
 fields and blank rows, and reject malformed input with the offending line
@@ -273,24 +274,24 @@ def _reading_matrix(epochs, nids, values) -> ReadingMatrix:
     return ReadingMatrix(node_ids=tuple(node_ids.tolist()), epochs=tuple(epoch_ids.tolist()), values=grid)
 
 
-def generate_synthetic(dep: Deployment, model: CorrelationModel, variance: float = 1.0, epochs: int = 800,
+def generate_synthetic(dep: Deployment, model: CorrelationModel, epochs: int = 800,
                        seed: int = 42) -> ReadingMatrix:
-    """Draw ``epochs`` readings per node from the zero-mean Gaussian field
-    over the deployment with covariance variance * correlation(distance).
+    """Draw ``epochs`` readings per node from the zero-mean, unit-variance
+    Gaussian field over the deployment with covariance correlation(distance).
+    Accuracy reads the signal variance only through sigma_n2 / sigma_s2, so
+    the field's own scale is fixed at 1.
 
     The covariance matrix is Cholesky-factored; if coincident nodes make it
-    numerically singular, a diagonal jitter of 1e-10 * variance is added once
-    before giving up.
+    numerically singular, a diagonal jitter of 1e-10 is added once before
+    giving up.
     """
-    if not (0.0 < variance < math.inf):
-        raise ValueError(f"variance must be positive and finite, got {variance}")
     if epochs < 2:
         raise ValueError(f"need at least 2 epochs, got {epochs}")
-    cov = variance * correlation(model, pairwise_distances(dep.positions))
+    cov = correlation(model, pairwise_distances(dep.positions))
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        jittered = cov + _JITTER_FRACTION * variance * np.eye(len(dep))
+        jittered = cov + _JITTER_FRACTION * np.eye(len(dep))
         try:
             chol = np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
@@ -322,7 +323,7 @@ def sun_shade_readings(dep: Deployment, model: CorrelationModel | None = None, e
     field, scaled by 3 and shifted by 25 on the sunlit nodes (high variance)
     and scaled by 0.5 and shifted by 18 on the shaded ones (see
     sun_shade_groups)."""
-    matrix = generate_synthetic(dep, model or CorrelationModel(theta=30.0, alpha=1.0), 1.0, epochs, seed)
+    matrix = generate_synthetic(dep, model or CorrelationModel(theta=30.0, alpha=1.0), epochs, seed)
     high = _sunlit(dep)[:, None]
     matrix.values *= np.where(high, 3.0, 0.5)
     matrix.values += np.where(high, 25.0, 18.0)

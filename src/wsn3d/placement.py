@@ -118,8 +118,7 @@ class PrefixMoments:
         blocks = z.reshape(-1, b, 2 * m)  # (K + 1, b, 2m)
         prefix = np.zeros((len(blocks), 2 * m, 2 * m))  # prefix[k]: the Gram of the first k blocks
         np.matmul(blocks[:-1].transpose(0, 2, 1), blocks[:-1], out=prefix[1:])
-        for k in range(2, len(prefix)):
-            prefix[k] += prefix[k - 1]
+        np.cumsum(prefix[1:], axis=0, out=prefix[1:])
         for chunk in _row_blocks(ends.size, max(1, _GRAM_CELLS // (2 * m) ** 2)):
             full, rest = np.divmod(ends[chunk], b)
             tail = blocks[full]
@@ -258,10 +257,11 @@ def run_placement(
     Each round scores nodes over a growing data window: the window fills
     linearly across the first 90 percent of the rounds and then covers the
     complete series, so the cost stream settles once additional rounds stop
-    bringing new data. One ``costs`` call scores every round's window and the
-    full series; its full-series variances are the start state, and one
-    ``placement_step`` call advances every round. Pass a list as ``record`` to
-    capture the state after every round.
+    bringing new data. One ``costs`` call scores every round's window; the
+    last round's window is the full series, so its row gives the returned
+    costs and its variances the start state, and one ``placement_step`` call
+    advances every round. Pass a list as ``record`` to capture the state after
+    every round.
 
     Raises ValueError when ``rounds`` is not an int64 integer or is below 1,
     then ConfigurationError when ``clusters`` has no cluster, and then
@@ -284,13 +284,13 @@ def run_placement(
     total = moments.epoch_count
     fill_rounds = max(1, math.ceil(0.9 * rounds))
     windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, rounds + 1)]
-    costs = moments.costs(windows + [total])
-    start = moments._variances  # over the longest window, the full series
+    costs = moments.costs(windows)
+    start = moments._variances  # over the last round's window, the full series
 
     state = PlacementState(
         ids, sigma_p2=start, sigma_b2=start, best_cost=np.full(len(ids), -math.inf), i_a=np.zeros(len(ids))
     )
-    return placement_step(state, costs[:-1], record), dict(zip(ids, costs[-1].tolist()))
+    return placement_step(state, costs, record), dict(zip(ids, costs[-1].tolist()))
 
 
 def select_nodes(costs: Mapping[int, float], threshold: float) -> set[int]:

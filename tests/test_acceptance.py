@@ -163,7 +163,7 @@ def test_c5_cluster_accuracy_matches_simulated_field(deployment):
         for position in (deployment.centroid(), (2.0, 2.0, 2.0)):
             # the event is one more node of the field, so S is drawn with the readings
             dep = Deployment(np.append(deployment.node_ids, event_id), np.vstack([deployment.positions, position]))
-            field = data_io.generate_synthetic(dep, model, sigma_s2, draws, seed=5)
+            field = data_io.generate_synthetic(dep, model, draws, seed=5)
             rng = np.random.default_rng(5)
             readings = field.values + rng.normal(0.0, math.sqrt(sigma_n2), field.values.shape)
             s = field.values[dep.index([event_id])[0]]
@@ -228,7 +228,7 @@ def test_c7_placement_properties(deployment):
 def test_c8_synthetic_field_fidelity(deployment):
     with criterion("C8", "synthetic field correlation fidelity and reproducibility"):
         model = CorrelationModel(theta=30.0, alpha=1.0)
-        matrix = data_io.generate_synthetic(deployment, model, 1.0, 800, 42)
+        matrix = data_io.generate_synthetic(deployment, model, 800, 42)
         pos = deployment.positions
         diff = pos[:, None, :] - pos[None, :, :]
         want = np.exp(-np.sqrt((diff**2).sum(axis=2)) / 30.0)
@@ -236,7 +236,7 @@ def test_c8_synthetic_field_fidelity(deployment):
         err = np.abs(emp - want)
         np.fill_diagonal(err, 0.0)
         assert err.max() <= 0.05
-        again = data_io.generate_synthetic(deployment, model, 1.0, 800, 42)
+        again = data_io.generate_synthetic(deployment, model, 800, 42)
         assert np.array_equal(matrix.values, again.values)
 
 

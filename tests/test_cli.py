@@ -356,6 +356,18 @@ class TestSynth:
         assert code == 0
         matrix = data_io.parse_readings(tmp_path / "readings.csv")
         assert matrix.values.shape == (54, 40)
+        # the written field is the one that --synthetic uniform draws for place and predict
+        source = ["--seed", "42", "--epochs", "40"]
+        for argv in (["place", "--rounds", "7"], ["predict", "--dead", "3,7,11"]):
+            results = []
+            for readings in (["--readings", str(tmp_path / "readings.csv")], ["--synthetic", "uniform"]):
+                out = tmp_path / "out"
+                code, stdout, err = run([*argv, *readings, *source, "--nodes", nodes_arg, "--out", str(out)], capsys)
+                files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+                shutil.rmtree(out, ignore_errors=True)
+                results.append((code, stdout, err, files))
+            assert results[0] == results[1], argv
+            assert results[0][0] == 0 and results[0][1]
 
     def test_rows_follow_the_node_file_order(self, tmp_path, capsys):
         nodes = tmp_path / "nodes.csv"
@@ -364,15 +376,6 @@ class TestSynth:
         assert run(argv, capsys)[0] == 0
         rows = (tmp_path / "readings.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [[epoch, nid] for epoch in "01" for nid in "312"]
-
-    @pytest.mark.parametrize("variance", ["4", "nan"])
-    def test_variance_with_sun_shade_is_usage_error(self, nodes_arg, tmp_path, capsys, variance):
-        out = tmp_path / "out"
-        argv = ["synth", "--nodes", nodes_arg, "--variance", variance, "--epochs", "5", "--out", str(out)]
-        code, _, err = run(argv, capsys)
-        assert code == 1
-        assert "--variance" in err
-        assert not out.exists()
 
 
 SUN_SHADE = ["--synthetic", "sun-shade"]
@@ -390,6 +393,23 @@ class TestPipeline:
         assert code == 0
         for name in ("clusters.json", "curve.csv", "nodes.csv"):
             assert (tmp_path / name).exists()
+
+    def test_dead_list_without_ids_predicts_nothing(self, nodes_arg, tmp_path, capsys):
+        """A --dead of separators alone names no node: the run says so and
+        writes the artifacts of a run without --dead."""
+        def outputs(*dead):
+            out = tmp_path / "out"
+            argv = ["pipeline", "--nodes", nodes_arg, *SUN_SHADE, "--rounds", "3", "--epochs", "30",
+                    "--out", str(out), *dead]
+            code, stdout, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return stdout, files
+
+        stdout, files = outputs()
+        assert outputs("--dead", ",") == (stdout + "no dead nodes given; nothing to predict\n", files)
+        assert sorted(files) == ["clusters.json", "curve.csv", "nodes.csv"]
 
     @pytest.mark.parametrize("flags", [["--derive-radius", "--tau-n", "0.95"], ["--event", "2,2,2"]])
     def test_places_on_the_partition_it_reports(self, nodes_arg, deployment, tmp_path, capsys, flags):
@@ -611,7 +631,6 @@ class TestExitCodes:
             ["estimate", "--sigma-n2", "nan"],
             ["cluster", "--radius", "inf"],
             ["cluster", "--theta", "inf"],
-            ["synth", "--synthetic", "uniform", "--variance", "nan"],
             ["place", "--synthetic", "uniform", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
             # select_nodes rejects it in the last stage, and pipeline writes only after every stage
             ["pipeline", "--synthetic", "sun-shade", "--epochs", "20", "--rounds", "2", "--threshold", "nan"],
@@ -760,7 +779,7 @@ class TestExitCodes:
                         "--eq13-literal", "--theta", "--alpha", "--out", "--seed"],
             "place": [*common, "--readings", "--synthetic", "--epochs", "--radius", "--rounds", "--threshold",
                       "--theta", "--alpha", "--out", "--seed"],
-            "synth": [*common, "--synthetic", "--epochs", "--variance", "--theta", "--alpha", "--out", "--seed"],
+            "synth": [*common, "--synthetic", "--epochs", "--theta", "--alpha", "--out", "--seed"],
             "pipeline": [*cluster, "--sigma-s2", "--sigma-n2", "--readings", "--synthetic", "--epochs", "--rounds",
                          "--threshold", "--dead", "--predict-unbiased", "--eq13-literal", "--out", "--seed"],
         }

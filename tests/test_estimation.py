@@ -70,6 +70,17 @@ class TestInformationAccuracy:
         with pytest.raises(ValueError):
             information_accuracy(2, [1.0], np.ones((2, 2)), 1.0, [0.0, 0.0])
 
+    @pytest.mark.parametrize("m, rho_pair, noise, message", [
+        (0, np.ones((0, 0)), [], "node count must be at least 1, got 0"),
+        (2, np.ones((2, 2)), [0.0], "noise_variances must have shape (2,), got (1,)"),
+        (2, np.ones((2, 2)), [[0.0, 0.0]], "noise_variances must have shape (2,), got (1, 2)"),
+        (2, np.ones((3, 3)), [0.0, 0.0], "rho_pair must have shape (2, 2), got (3, 3)"),
+        (2, np.ones(2), [0.0, 0.0], "rho_pair must have shape (2, 2), got (2,)"),
+    ], ids=["m-0", "noise-short", "noise-2d", "pair-3x3", "pair-1d"])
+    def test_count_and_shapes_rejected(self, m, rho_pair, noise, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            information_accuracy(m, np.ones(m), rho_pair, 1.0, noise)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_correlation_rejected(self, bad):
         with pytest.raises(ValueError, match=f"^rho_event must be finite, got {bad}$"):
@@ -237,6 +248,11 @@ class TestPredictionAccuracy:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             prediction_accuracy(3, [1.0, 1.0], np.eye(3))
+
+    @pytest.mark.parametrize("o_total", [0, -1])
+    def test_total_below_one_rejected(self, o_total):
+        with pytest.raises(ValueError, match=f"^total count must be at least 1, got {o_total}$"):
+            prediction_accuracy(o_total, [], np.ones((0, 0)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_correlation_rejected(self, bad):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -342,7 +343,11 @@ class TestRunPlacement:
     def test_returned_costs_are_the_full_series_costs(self, sun_shade_run):
         _, matrix, clusters, _, costs, _ = sun_shade_run
         moments = PrefixMoments(matrix, clusters)
-        assert costs == dict(zip(moments.node_ids, moments.costs([len(matrix.epochs)])[0].tolist()))
+        full = dict(zip(moments.node_ids, moments.costs([len(matrix.epochs)])[0].tolist()))
+        assert costs == full
+        # the last round's window caps to the full series whatever the round count
+        for rounds in (1, 2, 7, 30, 299):
+            assert run_placement(matrix, clusters, rounds)[1] == full, rounds
 
     @pytest.mark.parametrize("offset, bound", [(0.0, 1e-14), (1e3, 1e-13), (1e5, 1e-11), (1e7, 1e-9)])
     def test_full_series_costs_keep_their_digits_under_an_offset(self, sun_shade_run, offset, bound):
@@ -455,6 +460,20 @@ class TestCovariance:
         matrix, clusters = two_clusters(np.ones((7, 5)), np.zeros((7, 5), dtype=bool))
         with pytest.raises(KeyError):
             PrefixMoments(matrix, clusters).covariance(i, j, 5)
+
+
+class TestMomentsInputs:
+    def test_clustered_node_without_a_row_rejected(self):
+        matrix, clusters = two_clusters(np.ones((7, 5)), np.zeros((7, 5), dtype=bool))
+        rows = data_io.ReadingMatrix(matrix.node_ids[:5], matrix.epochs, matrix.values[:5])
+        with pytest.raises(ValueError, match=re.escape("readings missing for nodes [6, 7]")):
+            PrefixMoments(rows, clusters)
+
+    @pytest.mark.parametrize("windows, got", [([1], 1), ([5, 1, 3], 1), ([0], 0), ([4, -2], -2)])
+    def test_window_below_two_epochs_rejected(self, windows, got):
+        matrix, clusters = two_clusters(np.arange(35.0).reshape(7, 5) ** 2, np.zeros((7, 5), dtype=bool))
+        with pytest.raises(ValueError, match=f"^need at least 2 epochs, got {got}$"):
+            PrefixMoments(matrix, clusters).costs(windows)
 
 
 def sun_shade_readings(matrix, gapped):
