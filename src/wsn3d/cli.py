@@ -106,6 +106,7 @@ def _add_synth_flags(p: _Parser):
     p.add_argument("--synthetic", default="sun-shade", choices=["sun-shade", "uniform"],
                    help="scenario to draw (default sun-shade)")
     p.add_argument("--epochs", type=int, default=800, help="epochs to draw (default 800)")
+    p.set_defaults(readings=None)  # synth always draws; _readings_matrix reads args.readings
 
 
 # the top-level --help text, kept apart from the module docstring so that
@@ -172,11 +173,10 @@ def _cluster_table(cs, reports=None) -> list[str]:
 
 
 def _readings_matrix(args, dep: Deployment, model: CorrelationModel):
-    readings = getattr(args, "readings", None)
-    if readings and args.synthetic:
+    if args.readings and args.synthetic:
         raise ConfigurationError("pass either --readings or --synthetic, not both")
-    if readings:
-        return data_io.parse_readings(readings, deployment=dep)
+    if args.readings:
+        return data_io.parse_readings(args.readings, deployment=dep)
     if args.synthetic == "sun-shade":
         return data_io.sun_shade_readings(dep, model, args.epochs, args.seed)
     if args.synthetic:

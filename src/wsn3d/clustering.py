@@ -31,14 +31,15 @@ def _node_problem(node_id, position) -> str | None:
 class Deployment:
     """Sensor nodes as two read-only arrays: ``node_ids`` (int64, unique, from
     1 to 2**63 - 1) and ``positions`` ((N, 3) float64, finite), row k of each
-    belonging to the same node."""
+    belonging to the same node. The rows are in ascending id order, whatever
+    order they were given in, so every stage walks the nodes in one order."""
 
     node_ids: np.ndarray
     positions: np.ndarray
 
     def __post_init__(self):
         ids = np.asarray(self.node_ids)
-        pos = np.array(self.positions, dtype=np.float64, order="C")  # a copy, made read-only below
+        pos = np.asarray(self.positions, dtype=np.float64)
         if ids.size == 0:
             raise ValueError("deployment needs at least one node")
         if ids.ndim != 1 or pos.shape != (len(ids), 3):
@@ -50,9 +51,9 @@ class Deployment:
             problem = next(filter(None, (_node_problem(i, p) for i, p in nodes)), None)
             if problem:
                 raise ValueError(problem)
-        ids = np.array(ids, dtype=np.int64)
-        ordered = np.sort(ids)  # not np.unique, which imports numpy.ma (about 1 MB) on first use
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        order = np.argsort(ids)  # not np.unique, which imports numpy.ma (about 1 MB) on first use
+        ids, pos = ids.astype(np.int64)[order], pos[order]  # copies, made read-only below
+        repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate node ids: {sorted(set(repeated.tolist()))}")
         ids.flags.writeable = pos.flags.writeable = False
@@ -65,8 +66,7 @@ class Deployment:
     def index(self, ids) -> np.ndarray:
         """Rows of the nodes with these ids, in the order given; an unknown id is a KeyError."""
         want = np.asarray(ids)
-        order = np.argsort(self.node_ids)
-        rows = order[np.minimum(np.searchsorted(self.node_ids, want, sorter=order), len(order) - 1)]
+        rows = np.minimum(np.searchsorted(self.node_ids, want), len(self) - 1)
         unknown = self.node_ids[rows] != want
         if unknown.any():
             raise KeyError(f"no node with id {want[unknown][0]}")
@@ -198,9 +198,8 @@ def form_clusters(
         event = check_event(event)
         rows = rows[pairwise_distances(dep.positions, event)[:, 0] <= event_radius]
 
-    # Index k is the k-th smallest participating id, so ascending index order
-    # is id order and the first of a tied set is the smallest id.
-    rows = rows[np.argsort(dep.node_ids[rows])]
+    # The deployment's rows are in id order, so ascending index order is id
+    # order and the first of a tied set is the smallest id.
     ids, pos = dep.node_ids[rows], dep.positions[rows]
     adj = _adjacency(pos, radius)
     counts = adj.sum(axis=1)  # in-radius neighbors that are still unassigned

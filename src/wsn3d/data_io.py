@@ -55,7 +55,8 @@ def _int64(value) -> bool:
 
 @dataclass
 class ReadingMatrix:
-    """Per-node, per-epoch readings; NaN marks a missing cell, and only NaN."""
+    """Per-node, per-epoch readings; NaN marks a missing cell, and only NaN.
+    Rows run in node id order, as in Deployment, and columns in epoch order."""
 
     node_ids: tuple[int, ...]
     epochs: tuple[int, ...]
@@ -72,10 +73,11 @@ class ReadingMatrix:
             bad = [v for v in getattr(self, name) if not _int64(v)]
             if bad:
                 raise ValueError(f"{name} must be int64 integers, got {bad[0]!r}")
-            ordered = np.sort(np.asarray(getattr(self, name)))  # not np.unique, as in Deployment
-            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-            if repeated.size:
-                raise ValueError(f"repeated {name}: {sorted(set(repeated.tolist()))}")
+            seq = np.asarray(getattr(self, name), dtype=np.int64)
+            unordered = seq[1:] <= seq[:-1]  # a repeat is one case of not ascending
+            if unordered.any():
+                k = unordered.argmax()
+                raise ValueError(f"{name} must be strictly ascending, got {seq[k]} before {seq[k + 1]}")
 
     @property
     def missing(self) -> np.ndarray:

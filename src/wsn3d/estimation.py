@@ -256,19 +256,16 @@ def predict_dead_nodes(dep: Deployment, model: CorrelationModel, matrix: Reading
     mean under both variants, and the qualities are an empty array.
     """
     _check_dead_ids(dep, dead_ids)
-    all_ids = np.sort(dep.node_ids)
-    live_ids = all_ids[~np.isin(all_ids, dead_ids)]
+    dead = dep.index(dead_ids)
+    live_ids = np.delete(dep.node_ids, dead)
     ids = np.asarray(matrix.node_ids)
-    rows = np.argsort(ids)
-    rows = rows[np.isin(ids[rows], live_ids)]  # the live nodes' rows, in id order
+    rows = np.isin(ids, live_ids)  # the live nodes' rows, in id order as both types keep them
     live = matrix.values[rows]
     present = ~np.isnan(live)
     silent = ~np.isin(live_ids, ids[rows][present.any(axis=1)])  # no row, or no present cell in it
     if silent.any():
         raise DataFormatError(f"no readings for live nodes {live_ids[silent].tolist()}")
     observed = [float(row[keep].mean()) for row, keep in zip(live, present)]
-    o_total = len(all_ids)
-    value = predict_dead(observed, o_total, unbiased=unbiased)
-    rho_pair = correlation(model, pairwise_distances(dep.positions[dep.index(all_ids)]))
-    rho_dead = rho_pair[np.searchsorted(all_ids, dead_ids)]
-    return value, prediction_accuracy(o_total, rho_dead, rho_pair, live_divisor=live_divisor)
+    value = predict_dead(observed, len(dep), unbiased=unbiased)
+    rho_pair = correlation(model, pairwise_distances(dep.positions))
+    return value, prediction_accuracy(len(dep), rho_pair[dead], rho_pair, live_divisor=live_divisor)

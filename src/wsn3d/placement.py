@@ -83,7 +83,7 @@ class PrefixMoments:
         if rows.size < len(ids):
             raise ValueError(f"readings missing for nodes {sorted(set(ids) - set(matrix.node_ids))}")
         self.epoch_count = len(matrix.epochs)
-        values = matrix.values[rows[np.argsort(np.take(matrix.node_ids, rows))]]  # a copy, rows in id order
+        values = matrix.values[rows]  # a copy, rows in id order as ReadingMatrix keeps them
         missing = np.isnan(values)
         present = ~missing
         values[missing] = 0.0

@@ -240,6 +240,37 @@ def test_c8_synthetic_field_fidelity(deployment):
         assert np.array_equal(matrix.values, again.values)
 
 
+def c9_commands(nodes: str) -> dict[str, list[str]]:
+    """C9's argv of each command, without --out, on the node file ``nodes``."""
+    return {
+        "cluster": ["cluster", "--nodes", nodes, "--radius", "6"],
+        "estimate": ["estimate", "--nodes", nodes],
+        "place": [
+            "place", "--nodes", nodes, "--synthetic", "sun-shade",
+            "--rounds", "300", "--threshold", "5", "--seed", "42",
+        ],
+        "synth": ["synth", "--nodes", nodes, "--synthetic", "uniform", "--epochs", "60"],
+        "predict": [
+            "predict", "--nodes", nodes, "--synthetic", "uniform",
+            "--epochs", "60", "--dead", "16",
+        ],
+        "pipeline": [
+            "pipeline", "--nodes", nodes, "--synthetic", "sun-shade",
+            "--rounds", "15", "--epochs", "60",
+        ],
+    }
+
+
+C9_ARTIFACTS = {
+    "cluster": ["clusters.json"],
+    "estimate": ["clusters.json"],
+    "place": ["curve.csv", "nodes.csv"],
+    "synth": ["readings.csv"],
+    "predict": [],
+    "pipeline": ["clusters.json", "curve.csv", "nodes.csv"],
+}
+
+
 def test_c9_cli_determinism_and_goldens(fixture_path, tmp_path, capsys, assert_matches_golden_csv):
     """Every command's artifacts are byte-identical across reruns, and the
     radius-6 clusters.json is byte-identical to its golden file.
@@ -251,47 +282,47 @@ def test_c9_cli_determinism_and_goldens(fixture_path, tmp_path, capsys, assert_m
     GOLDEN_RTOL (see conftest.py).
     """
     with criterion("C9", "byte-identical CLI reruns and repository golden files"):
-        nodes = str(fixture_path)
-        commands = {
-            "cluster": ["cluster", "--nodes", nodes, "--radius", "6"],
-            "estimate": ["estimate", "--nodes", nodes],
-            "place": [
-                "place", "--nodes", nodes, "--synthetic", "sun-shade",
-                "--rounds", "300", "--threshold", "5", "--seed", "42",
-            ],
-            "synth": ["synth", "--nodes", nodes, "--synthetic", "uniform", "--epochs", "60"],
-            "predict": [
-                "predict", "--nodes", nodes, "--synthetic", "uniform",
-                "--epochs", "60", "--dead", "16",
-            ],
-            "pipeline": [
-                "pipeline", "--nodes", nodes, "--synthetic", "sun-shade",
-                "--rounds", "15", "--epochs", "60",
-            ],
-        }
-        artifacts = {
-            "cluster": ["clusters.json"],
-            "estimate": ["clusters.json"],
-            "place": ["curve.csv", "nodes.csv"],
-            "synth": ["readings.csv"],
-            "predict": [],
-            "pipeline": ["clusters.json", "curve.csv", "nodes.csv"],
-        }
-        for name, argv in commands.items():
+        for name, argv in c9_commands(str(fixture_path)).items():
             out_a, out_b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
             assert cli_main(argv + ["--out", str(out_a)]) == 0
             stdout_a = capsys.readouterr().out
             assert cli_main(argv + ["--out", str(out_b)]) == 0
             stdout_b = capsys.readouterr().out
-            for fname in artifacts[name]:
+            for fname in C9_ARTIFACTS[name]:
                 assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
-            if not artifacts[name]:
+            if not C9_ARTIFACTS[name]:
                 assert stdout_a == stdout_b
         assert (tmp_path / "cluster_a" / "clusters.json").read_bytes() == (
             GOLDEN_DIR / "clusters_r6.json"
         ).read_bytes()
         assert_matches_golden_csv(tmp_path / "place_a" / "curve.csv", {"mean_cost"})
         assert_matches_golden_csv(tmp_path / "place_a" / "nodes.csv", {"cost"})
+
+
+def test_node_file_order_changes_no_output(fixture_path, tmp_path, monkeypatch, capsys):
+    """The C9 argvs, and pipeline with dead nodes, give the same stdout and
+    artifacts, byte for byte, on a row-shuffled copy of the bundled node file:
+    every stage reads the nodes in id order, whatever the file's order."""
+    header, *rows = fixture_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(rows))
+    assert (order != np.arange(len(rows))).any()
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[k] for k in order), encoding="utf-8")
+    outputs = {}
+    for nodes in (fixture_path, shuffled):
+        commands = c9_commands(str(nodes))
+        commands["pipeline_dead"] = commands["pipeline"] + ["--dead", "3,7,11"]
+        run_dir = tmp_path / nodes.stem
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # relative --out, so stdout names the same paths
+        for name, argv in commands.items():
+            assert cli_main(argv + ["--out", name]) == 0
+            outputs.setdefault(name, []).append((
+                capsys.readouterr().out,
+                {path.name: path.read_bytes() for path in sorted((run_dir / name).glob("*"))},
+            ))
+    for name, (bundled, reshuffled) in outputs.items():
+        assert reshuffled == bundled, name
 
 
 def test_reported_table_capture_consistency(deployment):

@@ -369,13 +369,14 @@ class TestSynth:
             assert results[0] == results[1], argv
             assert results[0][0] == 0 and results[0][1]
 
-    def test_rows_follow_the_node_file_order(self, tmp_path, capsys):
+    def test_rows_come_in_id_order(self, tmp_path, capsys):
+        # each epoch's rows come in id order, whatever order the node file lists them in
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("node_id,x,y,z\n3,0,0,0\n1,1,0,0\n2,0,1,0\n", encoding="utf-8")
         argv = ["synth", "--nodes", str(nodes), "--synthetic", "uniform", "--epochs", "2", "--out", str(tmp_path)]
         assert run(argv, capsys)[0] == 0
         rows = (tmp_path / "readings.csv").read_text(encoding="utf-8").splitlines()[1:]
-        assert [row.split(",")[:2] for row in rows] == [[epoch, nid] for epoch in "01" for nid in "312"]
+        assert [row.split(",")[:2] for row in rows] == [[epoch, nid] for epoch in "01" for nid in "123"]
 
 
 SUN_SHADE = ["--synthetic", "sun-shade"]

@@ -295,9 +295,10 @@ GRID = 4  # coordinates are integers in [0, GRID]
 
 
 @st.composite
-def integer_deployments(draw):
-    """Deployments on an integer grid, with shuffled distinct ids, a radius
-    whose square is an integer, and an optional event with its range.
+def integer_deployments(draw, max_id=99):
+    """Deployments on an integer grid, with shuffled distinct ids from 1 to
+    ``max_id``, a radius whose square is an integer, and an optional event
+    with its range.
 
     Squared distances are then exact integers, so the per-pair norm and the
     array kernel agree bit for bit and pairs sit exactly on the radius. The
@@ -311,7 +312,7 @@ def integer_deployments(draw):
     mirrored = draw(st.booleans())
     if mirrored:
         coords += [tuple(GRID - c for c in p) for p in coords]
-    ids = draw(st.lists(st.integers(1, 99), min_size=len(coords), max_size=len(coords), unique=True))
+    ids = draw(st.lists(st.integers(1, max_id), min_size=len(coords), max_size=len(coords), unique=True))
     if mirrored:
         at = (GRID / 2,) * 3
     else:
@@ -350,6 +351,29 @@ class TestElectionProperties:
             remaining -= c.node_ids()
         if event is None:
             assert capture_clusters(dep, [c.head for c in cs], radius) == cs
+
+
+class TestNodeOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_deployments(max_id=2**63 - 1), st.data())
+    def test_rows_in_id_order_from_any_permutation(self, case, data):
+        dep = case[0]
+        perm = data.draw(st.permutations(range(len(dep))))
+        again = Deployment(dep.node_ids[perm], dep.positions[perm])
+        assert (dep.node_ids[1:] > dep.node_ids[:-1]).all()
+        assert again.node_ids.tobytes() == dep.node_ids.tobytes()
+        assert again.positions.tobytes() == dep.positions.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_deployments(max_id=2**63 - 1), st.data())
+    def test_index_agrees_with_a_dict(self, case, data):
+        dep = case[0]
+        row_of = {i: k for k, i in enumerate(dep.node_ids.tolist())}
+        ids = data.draw(st.lists(st.sampled_from(list(row_of)), max_size=10))
+        assert dep.index(ids).tolist() == [row_of[i] for i in ids]
+        probe = data.draw(st.integers(1, 2**63 - 1).filter(lambda i: i not in row_of))
+        with pytest.raises(KeyError, match=f"no node with id {probe}'"):
+            dep.index(ids + [probe])
 
 
 class TestCaptureClusters:
@@ -409,6 +433,6 @@ class TestTypes:
         dep = Deployment([5, 2, 9], [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
         assert dep.node_ids.dtype == np.int64 and dep.positions.dtype == np.float64
         assert not dep.node_ids.flags.writeable and not dep.positions.flags.writeable
-        assert dep.index([9, 5, 9]).tolist() == [2, 0, 2]
+        assert dep.index([9, 5, 9]).tolist() == [2, 1, 2]  # rows in id order: 2, 5, 9
         with pytest.raises(KeyError, match="no node with id 7"):
             dep.index([2, 7])

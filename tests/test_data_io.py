@@ -78,7 +78,7 @@ class TestParseNodes:
     def test_row_order_preserved(self, csv_file):
         src = csv_file("node_id,x,y,z\n5,0,0,0\n2,1,1,1\n")
         dep = data_io.parse_nodes(src)
-        assert dep.node_ids.tolist() == [5, 2]
+        assert dep.node_ids.tolist() == [2, 5]  # rows in id order, whatever the file's order
 
     def test_field_over_the_csv_limit_reports_line(self, csv_file):
         src = csv_file(f'node_id,x,y,z\n1,0,0,0\n2,0,0,"{"1" * (csv.field_size_limit() + 1)}"\n')
@@ -280,13 +280,13 @@ class TestReadingsRoundTrip:
     def test_write_then_parse_preserves_values(self, deployment, csv_file):
         matrix = data_io.generate_synthetic(deployment, CorrelationModel(theta=30.0), epochs=20, seed=4)
         back = data_io.parse_readings(csv_file(data_io.write_readings(matrix)))
-        assert back.node_ids == tuple(sorted(matrix.node_ids))
-        assert np.array_equal(back.values, matrix.values[np.argsort(matrix.node_ids)])
+        assert back.node_ids == matrix.node_ids and back.epochs == matrix.epochs
+        assert back.values.tobytes() == matrix.values.tobytes()
 
     def test_integer_values_written_as_floats(self):
-        matrix = data_io.ReadingMatrix(node_ids=(2, 1), epochs=(0, 1), values=np.array([[3, 4], [5, 6]]))
+        matrix = data_io.ReadingMatrix(node_ids=(1, 2), epochs=(0, 1), values=np.array([[3, 4], [5, 6]]))
         text = data_io.write_readings(matrix)
-        assert text == "epoch,node_id,value\n0,2,3.0\n0,1,5.0\n1,2,4.0\n1,1,6.0\n"
+        assert text == "epoch,node_id,value\n0,1,3.0\n0,2,5.0\n1,1,4.0\n1,2,6.0\n"
         assert text == reference_write_readings(matrix)
 
     # write_readings joins its rows 64 epochs at a time
@@ -344,15 +344,18 @@ class TestReadingMatrix:
                 data_io.ReadingMatrix(node_ids=(4, 9), epochs=(0, 3, 8), values=np.where(m.missing, bad, values))
 
     @pytest.mark.parametrize("node_ids, epochs, message", [
-        ((1, 1, 2), (0, 1, 2), r"repeated node_ids: \[1\]"),
-        ((1, 2, 3), (0, 0, 2), r"repeated epochs: \[0\]"),
-        ((7, 3, 7), (2**63 - 1, -(2**63), 2**63 - 1), r"repeated node_ids: \[7\]"),
-        ((1, 2, 3), (5, 4, 5, 4, 5), r"repeated epochs: \[4, 5\]"),
-    ], ids=["node id", "epoch", "node ids named first", "two epochs"])
+        ((1, 1, 2), (0, 1, 2), "node_ids must be strictly ascending, got 1 before 1"),
+        ((1, 2, 3), (0, 0, 2), "epochs must be strictly ascending, got 0 before 0"),
+        ((7, 3, 7), (2**63 - 1, -(2**63), 2**63 - 1), "node_ids must be strictly ascending, got 7 before 3"),
+        ((1, 2, 3), (5, 4, 5, 4, 5), "epochs must be strictly ascending, got 5 before 4"),
+        ((2, 1), (0, 1), "node_ids must be strictly ascending, got 2 before 1"),
+        ((1, 2), (3, 0), "epochs must be strictly ascending, got 3 before 0"),
+    ], ids=["node id", "epoch", "node ids named first", "two epochs", "unordered node ids", "unordered epochs"])
     def test_repeated_ids_and_epochs_rejected(self, node_ids, epochs, message):
         # a repeat would give one cell two rows, which write_readings would emit
-        # as a trace parse_readings rejects
-        with pytest.raises(ValueError, match=message):
+        # as a trace parse_readings rejects; distinct ids or epochs out of order
+        # would break the one row and column order every stage reads
+        with pytest.raises(ValueError, match=f"^{message}$"):
             data_io.ReadingMatrix(node_ids=node_ids, epochs=epochs, values=np.ones((len(node_ids), len(epochs))))
 
 
