@@ -22,7 +22,7 @@ model = CorrelationModel(theta=30.0, alpha=1.0)
 def show(cs, title):
     print(title)
     for order, c in enumerate(cs, start=1):
-        members = ",".join(str(m) for m in sorted(c.members)) or "-"
+        members = ",".join(str(m) for m in c.members) or "-"
         print(f"  #{order}: head {c.head:>2} ({c.size} nodes)  {members}")
     print()
 

@@ -167,7 +167,7 @@ def _cluster_table(cs, reports=None) -> list[str]:
     lines = [f"{len(cs)} clusters at radius {cs.radius:g} m",
              f"{'order':>5}  {'head':>4}  {'size':>4}  {header}members"]
     for order, (c, acc) in enumerate(zip(cs, accuracies), start=1):
-        members = ",".join(str(m) for m in sorted(c.members)) or "-"
+        members = ",".join(str(m) for m in c.members) or "-"
         lines.append(f"{order:>5}  {c.head:>4}  {c.size:>4}  {acc}{members}")
     return lines
 

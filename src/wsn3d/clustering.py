@@ -79,10 +79,15 @@ class Deployment:
 
 @dataclass(frozen=True)
 class Cluster:
+    """A head node and its members. ``members`` is held as the tuple of the
+    distinct ids in ascending order, whatever iterable it is given as, so every
+    stage walks a cluster's members in one order, as it walks a Deployment's."""
+
     head: int
-    members: frozenset[int]
+    members: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         if self.head in self.members:
             raise ValueError(f"head {self.head} cannot be its own member")
 
@@ -209,7 +214,7 @@ def form_clusters(
         best_count = counts[alive].max()
         if best_count == 0:
             for i in ids[alive].tolist():
-                clusters.append(Cluster(head=i, members=frozenset()))
+                clusters.append(Cluster(head=i, members=()))
                 if trace is not None:
                     trace.append(ElectionRecord(head=i, candidates=[i], singleton_sweep=True))
             break
@@ -235,7 +240,7 @@ def form_clusters(
             trace.append(ElectionRecord(
                 head=int(ids[head]), candidates=ids[candidates].tolist(), dmax_ties=ids[tied].tolist()
             ))
-        clusters.append(Cluster(head=int(ids[head]), members=frozenset(ids[members].tolist())))
+        clusters.append(Cluster(head=int(ids[head]), members=tuple(ids[members].tolist())))
         absorbed = np.append(np.flatnonzero(members), head)
         alive[absorbed] = False
         counts -= adj[absorbed].sum(axis=0)  # the relation is symmetric: rows stand for columns
@@ -263,9 +268,9 @@ def capture_clusters(dep: Deployment, heads, radius: float) -> ClusterSet:
         if not alive[k]:
             raise ValueError(f"head {head} was already assigned to an earlier cluster")
         members = adj[k] & alive
-        clusters.append(Cluster(head=head, members=frozenset(ids[members].tolist())))
+        clusters.append(Cluster(head=head, members=tuple(ids[members].tolist())))
         alive[k] = False
         alive[members] = False
     if alive.any():
-        raise ValueError(f"head sequence leaves nodes unassigned: {sorted(ids[alive].tolist())}")
+        raise ValueError(f"head sequence leaves nodes unassigned: {ids[alive].tolist()}")
     return ClusterSet(clusters=tuple(clusters), radius=radius)

@@ -373,7 +373,7 @@ def write_cluster_report(
         entry: dict[str, object] = {
             "order": order,
             "head": c.head,
-            "members": sorted(c.members),
+            "members": list(c.members),
         }
         if reports:
             r = reports[order - 1]

@@ -149,7 +149,7 @@ def cluster_accuracy(
     """
     event = check_event(event)
     _check_variances(sigma_s2, np.asarray(sigma_n2, dtype=float), "sigma_n2")
-    orders = [(c.head, *sorted(c.members)) for c in clusters]
+    orders = [(c.head, *c.members) for c in clusters]
     nodes = [i for order in orders for i in order]
     pos = dep.positions[dep.index(nodes)]
     rho_event = correlation(model, pairwise_distances(pos, event)[:, 0])

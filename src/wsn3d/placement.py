@@ -274,11 +274,10 @@ def run_placement(
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if not clusters.clusters:
         raise ConfigurationError("no node was clustered; nothing to place")
-    clustered = np.asarray(sorted(clusters.all_ids()))
     counted = np.asarray(matrix.node_ids)[np.count_nonzero(~matrix.missing, axis=1) >= 2]
-    short = clustered[~np.isin(clustered, counted)]
-    if short.size:
-        raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short.tolist()}")
+    short = sorted(clusters.all_ids() - set(counted.tolist()))
+    if short:
+        raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short}")
     moments = PrefixMoments(matrix, clusters)
     ids = tuple(moments.node_ids)
     total = moments.epoch_count

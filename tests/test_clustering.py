@@ -185,7 +185,7 @@ class TestFormClusters:
         dep = line_deployment([0.0])
         cs = form_clusters(dep, 5.0)
         assert len(cs) == 1
-        assert cs.clusters[0].head == 1 and cs.clusters[0].members == frozenset()
+        assert cs.clusters[0].head == 1 and cs.clusters[0].members == ()
 
     def test_partition_and_monotone_sizes(self, deployment):
         cs = form_clusters(deployment, 6.0)
@@ -375,6 +375,16 @@ class TestNodeOrder:
         with pytest.raises(KeyError, match=f"no node with id {probe}'"):
             dep.index(ids + [probe])
 
+    @settings(max_examples=150, deadline=None)
+    @given(integer_deployments(max_id=2**63 - 1))
+    def test_cluster_members_in_id_order(self, case):
+        dep, radius, event, event_radius = case
+        formed = form_clusters(dep, radius, event, event_radius)
+        replayed = capture_clusters(dep, [c.head for c in form_clusters(dep, radius)], radius)
+        for c in (*formed, *replayed):
+            assert type(c.members) is tuple
+            assert all(a < b for a, b in zip(c.members, c.members[1:]))
+
 
 class TestCaptureClusters:
     def test_reported_partition_is_radius_consistent(self, deployment):
@@ -400,6 +410,27 @@ class TestTypes:
     def test_head_cannot_be_member(self):
         with pytest.raises(ValueError):
             Cluster(head=1, members=frozenset({1, 2}))
+
+    def test_members_held_in_id_order(self):
+        # a frozenset of these ids iterates as 1000, 2**40, 130, 3
+        assert Cluster(1, frozenset({1000, 3, 130, 2**40})).members == (3, 130, 1000, 2**40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2**63 - 1), unique=True, max_size=12), st.data())
+    def test_any_member_iterable_gives_the_sorted_distinct_tuple(self, distinct, data):
+        repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=6)) if distinct else []
+        given_ids = data.draw(st.permutations(distinct + repeats))
+        form = data.draw(st.sampled_from([list, tuple, set, frozenset]))
+        head = st.integers(1, 2**63 - 1)
+        head = data.draw(head | st.sampled_from(distinct) if distinct else head)
+        if head in distinct:
+            with pytest.raises(ValueError, match=f"head {head} cannot be its own member"):
+                Cluster(head, form(given_ids))
+            return
+        got, want = Cluster(head, form(given_ids)), Cluster(head, tuple(sorted(distinct)))
+        assert got.members == tuple(sorted(distinct))
+        assert got == want and hash(got) == hash(want)
+        assert got.size == want.size == 1 + len(distinct)
 
     def test_cluster_set_rejects_overlap(self):
         a = Cluster(head=1, members=frozenset({2}))
