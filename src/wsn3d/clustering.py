@@ -91,9 +91,6 @@ class Cluster:
         if self.head in self.members:
             raise ValueError(f"head {self.head} cannot be its own member")
 
-    def node_ids(self) -> set[int]:
-        return {self.head} | set(self.members)
-
     @property
     def size(self) -> int:
         return 1 + len(self.members)
@@ -101,16 +98,20 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterSet:
+    """Clusters in formation order, their member counts non-increasing, and no
+    node in more than one of them. ``node_ids`` holds every clustered id, heads
+    and members, in ascending order, as a Deployment holds its ids."""
+
     clusters: tuple[Cluster, ...]
     radius: float
+    node_ids: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for c in self.clusters:
-            overlap = seen & c.node_ids()
-            if overlap:
-                raise ValueError(f"nodes {sorted(overlap)} appear in more than one cluster")
-            seen |= c.node_ids()
+        ids = sorted(i for c in self.clusters for i in (c.head, *c.members))
+        repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+        if repeated:
+            raise ValueError(f"nodes {repeated} appear in more than one cluster")
+        object.__setattr__(self, "node_ids", tuple(ids))
         sizes = [len(c.members) for c in self.clusters]
         if any(a < b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"member counts must be non-increasing in formation order, got {sizes}")
@@ -120,12 +121,6 @@ class ClusterSet:
 
     def __len__(self) -> int:
         return len(self.clusters)
-
-    def all_ids(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.clusters:
-            out |= c.node_ids()
-        return out
 
 
 @dataclass
@@ -268,7 +263,7 @@ def capture_clusters(dep: Deployment, heads, radius: float) -> ClusterSet:
         if not alive[k]:
             raise ValueError(f"head {head} was already assigned to an earlier cluster")
         members = adj[k] & alive
-        clusters.append(Cluster(head=head, members=tuple(ids[members].tolist())))
+        clusters.append(Cluster(head=int(ids[k]), members=tuple(ids[members].tolist())))
         alive[k] = False
         alive[members] = False
     if alive.any():

@@ -29,7 +29,8 @@ class PlacementState:
     """Search state after ``len(cost_history)`` rounds.
 
     Entry k of each (N,) array belongs to node ``node_ids[k]``; the ids are
-    ascending. Compare two states field by field with ``np.array_equal``.
+    the partition's ``ClusterSet.node_ids``, ascending. Compare two states
+    field by field with ``np.array_equal``.
     """
 
     node_ids: tuple[int, ...]
@@ -78,10 +79,10 @@ class PrefixMoments:
     """
 
     def __init__(self, matrix: ReadingMatrix, clusters: ClusterSet):
-        self.node_ids = ids = sorted(clusters.all_ids())
+        self.node_ids = ids = np.asarray(clusters.node_ids)
         rows = np.flatnonzero(np.isin(matrix.node_ids, ids))
         if rows.size < len(ids):
-            raise ValueError(f"readings missing for nodes {sorted(set(ids) - set(matrix.node_ids))}")
+            raise ValueError(f"readings missing for nodes {ids[~np.isin(ids, matrix.node_ids)].tolist()}")
         self.epoch_count = len(matrix.epochs)
         values = matrix.values[rows]  # a copy, rows in id order as ReadingMatrix keeps them
         missing = np.isnan(values)
@@ -92,7 +93,7 @@ class PrefixMoments:
         values[missing] = 0.0
         self._present, self._values = present, values
         # positions in node_ids of the members of each cluster of 2 or more
-        self._members = [np.searchsorted(ids, sorted(c.node_ids())) for c in clusters if c.members]
+        self._members = [np.searchsorted(ids, sorted((c.head, *c.members))) for c in clusters if c.members]
 
     def _window_sums(self, at: np.ndarray) -> list[np.ndarray]:
         """[n, sx, sx2], each (N, len(at)): every node's prefix moments at the epoch columns ``at``."""
@@ -274,12 +275,12 @@ def run_placement(
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if not clusters.clusters:
         raise ConfigurationError("no node was clustered; nothing to place")
-    counted = np.asarray(matrix.node_ids)[np.count_nonzero(~matrix.missing, axis=1) >= 2]
-    short = sorted(clusters.all_ids() - set(counted.tolist()))
+    counted = set(np.asarray(matrix.node_ids)[np.count_nonzero(~matrix.missing, axis=1) >= 2].tolist())
+    short = [i for i in clusters.node_ids if i not in counted]
     if short:
         raise DataFormatError(f"clustered nodes with fewer than 2 readings: {short}")
     moments = PrefixMoments(matrix, clusters)
-    ids = tuple(moments.node_ids)
+    ids = clusters.node_ids
     total = moments.epoch_count
     fill_rounds = max(1, math.ceil(0.9 * rounds))
     windows = [max(2, math.ceil(total * k / fill_rounds)) for k in range(1, rounds + 1)]

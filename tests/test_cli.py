@@ -422,7 +422,7 @@ class TestPipeline:
         cs = ClusterSet(tuple(Cluster(e["head"], frozenset(e["members"])) for e in doc["clusters"]), doc["radius"])
         with (tmp_path / "nodes.csv").open(newline="") as f:
             written = {int(r["node_id"]): float(r["cost"]) for r in csv.DictReader(f)}
-        assert set(written) == cs.all_ids()
+        assert set(written) == set(cs.node_ids)
         matrix = data_io.sun_shade_readings(deployment, epochs=60, seed=42)
         assert written == run_placement(matrix, cs, rounds=1)[1]
 

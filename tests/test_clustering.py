@@ -16,6 +16,7 @@ from wsn3d.clustering import (
     capture_clusters,
     form_clusters,
 )
+from wsn3d.data_io import write_cluster_report
 from wsn3d.geometry import CorrelationModel, correlation_radius, pairwise_distances
 
 MODEL = CorrelationModel(theta=30.0, alpha=1.0)
@@ -53,18 +54,18 @@ class TestEuclideanDistance:
 class TestEventFilter:
     def test_node_at_event_is_kept(self):
         dep = line_deployment([0.0, 2.0, 50.0])
-        assert 2 in form_clusters(dep, 6.0, (2.0, 0.0, 0.0), RANGE_085).all_ids()
-        assert form_clusters(dep, 6.0, (2.0, 0.0, 0.0), 0.0).all_ids() == {2}
+        assert 2 in set(form_clusters(dep, 6.0, (2.0, 0.0, 0.0), RANGE_085).node_ids)
+        assert set(form_clusters(dep, 6.0, (2.0, 0.0, 0.0), 0.0).node_ids) == {2}
 
     def test_tau_near_one_excludes_everything_away(self):
         dep = line_deployment([0.0, 2.0, 50.0])
         tiny = correlation_radius(MODEL, 1.0 - 1e-12)
-        assert form_clusters(dep, 6.0, (100.0, 0.0, 0.0), tiny).all_ids() == set()
+        assert set(form_clusters(dep, 6.0, (100.0, 0.0, 0.0), tiny).node_ids) == set()
 
     def test_three_node_line(self):
         # distances 1, 5, 10 from the event; radius ~4.876 keeps only the first
         dep = line_deployment([1.0, 5.0, 10.0])
-        assert form_clusters(dep, 6.0, (0.0, 0.0, 0.0), RANGE_085).all_ids() == {1}
+        assert set(form_clusters(dep, 6.0, (0.0, 0.0, 0.0), RANGE_085).node_ids) == {1}
 
     @pytest.mark.parametrize("event, event_radius, message", [
         pytest.param((0.0, np.nan, 0.0), 1.0, r"event must be a finite 3D point, got \(0.0, nan, 0.0\)", id="nan"),
@@ -189,7 +190,7 @@ class TestFormClusters:
 
     def test_partition_and_monotone_sizes(self, deployment):
         cs = form_clusters(deployment, 6.0)
-        seen = sorted(i for c in cs for i in c.node_ids())
+        seen = sorted(i for c in cs for i in {c.head, *c.members})
         assert seen == sorted(deployment.node_ids.tolist())
         sizes = [len(c.members) for c in cs]
         assert sizes == sorted(sizes, reverse=True)
@@ -220,12 +221,12 @@ class TestFormClusters:
                 for i in remaining
             }
             assert counts[c.head] == max(counts.values())
-            remaining -= c.node_ids()
+            remaining -= {c.head, *c.members}
 
     def test_event_restricts_participants(self):
         dep = line_deployment([1.0, 2.0, 50.0])
         cs = form_clusters(dep, 6.0, (0.0, 0.0, 0.0), RANGE_085)
-        assert cs.all_ids() == {1, 2}
+        assert set(cs.node_ids) == {1, 2}
 
     def test_empty_participants_no_error(self):
         dep = line_deployment([0.0, 1.0])
@@ -340,7 +341,7 @@ class TestElectionProperties:
         dep, radius, event, event_radius = case
         cs = form_clusters(dep, radius, event, event_radius)
         participating = in_event_range_ids(dep, event, event_radius) if event else set(dep.node_ids.tolist())
-        assert sorted(i for c in cs for i in c.node_ids()) == sorted(participating)
+        assert sorted(i for c in cs for i in {c.head, *c.members}) == sorted(participating)
         sizes = [len(c.members) for c in cs]
         assert sizes == sorted(sizes, reverse=True)
         nbrs = neighbor_ids(dep, radius)
@@ -348,7 +349,7 @@ class TestElectionProperties:
         remaining = set(participating)
         for c in cs:
             assert set(c.members) == nbrs[c.head] & remaining
-            remaining -= c.node_ids()
+            remaining -= {c.head, *c.members}
         if event is None:
             assert capture_clusters(dep, [c.head for c in cs], radius) == cs
 
@@ -384,6 +385,9 @@ class TestNodeOrder:
         for c in (*formed, *replayed):
             assert type(c.members) is tuple
             assert all(a < b for a, b in zip(c.members, c.members[1:]))
+        for cs in (formed, replayed):
+            assert cs.node_ids == tuple(sorted(i for c in cs for i in (c.head, *c.members)))
+            assert all(a < b for a, b in zip(cs.node_ids, cs.node_ids[1:]))
 
 
 class TestCaptureClusters:
@@ -404,6 +408,13 @@ class TestCaptureClusters:
     def test_already_claimed_head_rejected(self, deployment):
         with pytest.raises(ValueError):
             capture_clusters(deployment, [34, 22], 6.0)
+
+    def test_numpy_heads_report_as_plain_ints(self, deployment):
+        heads = reference.REPORTED_HEAD_ORDER
+        from_array = capture_clusters(deployment, np.array(heads), 6.0)
+        assert all(type(c.head) is int for c in from_array)
+        want = write_cluster_report(capture_clusters(deployment, list(heads), 6.0))
+        assert write_cluster_report(from_array) == want
 
 
 class TestTypes:
@@ -437,6 +448,8 @@ class TestTypes:
         b = Cluster(head=3, members=frozenset({2}))
         with pytest.raises(ValueError):
             ClusterSet(clusters=(a, b), radius=1.0)
+        with pytest.raises(ValueError, match=r"^nodes \[1, 2\] appear in more than one cluster$"):
+            ClusterSet(clusters=(Cluster(1, (2,)), Cluster(3, (2,)), Cluster(4, (1,))), radius=1.0)
 
     def test_cluster_set_rejects_growing_sizes(self):
         a = Cluster(head=1, members=frozenset())

@@ -362,7 +362,7 @@ class TestRunPlacement:
         centered = {nid: x - math.fsum(x) / t for nid, x in zip(matrix.node_ids, matrix.values)}
         want = {}
         for c in clusters:
-            group = sorted(c.node_ids())
+            group = sorted({c.head, *c.members})
             for i in group:
                 cost = math.fsum(centered[i] ** 2) / (t - 1)
                 covs = [math.fsum(centered[i] * centered[j]) / (t - 1) for j in group if j != i]
@@ -505,7 +505,7 @@ class TestMomentsBuild:
         _, matrix, clusters, *_ = sun_shade_run
         matrix = sun_shade_readings(matrix, gapped)
         moments = PrefixMoments(matrix, clusters)
-        assert moments.node_ids == sorted(matrix.node_ids)
+        assert moments.node_ids.tolist() == sorted(matrix.node_ids)
         got = np.stack(moments._window_sums(np.arange(len(matrix.epochs))))
         want = stacked_node_sums(matrix)[2]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -637,7 +637,7 @@ class TestSelectNodes:
         def accuracy(cluster):
             return cluster_accuracy(dep, [cluster], model, centroid, 1.0, 0.05)[0].accuracy
 
-        kept = {c.head: sorted(c.node_ids() & selected) for c in clusters}
+        kept = {c.head: sorted({c.head, *c.members} & selected) for c in clusters}
         assert kept[10] == kept[51] == []
         # head -> (whole cluster, selected nodes, number selected)
         want = {34: (0.9056, 0.8688, 17), 49: (0.7144, 0.6941, 3), 27: (0.5664, 0.5664, 2),
@@ -722,7 +722,7 @@ def assert_every_window_matches_brute_force(got, matrix, clusters):
     windows = range(2, len(matrix.epochs) + 1)
     assert got.shape == (len(windows), len(matrix.node_ids))
     for c in clusters:
-        group = sorted(c.node_ids())
+        group = sorted({c.head, *c.members})
         for nid in group:
             neighbors = [j - 1 for j in group if j != nid]
             for w, k in enumerate(windows):
@@ -778,8 +778,8 @@ class TestArrayKernelProperties:
         assert np.array_equal(moments.costs(windows[::-1] + [len(windows) + 9]), np.vstack([got[::-1], got[-1:]]))
         seen = ~matrix.missing
         for c in clusters:
-            for i in sorted(c.node_ids()):
-                for j in sorted(c.node_ids() - {i}):
+            for i in sorted({c.head, *c.members}):
+                for j in sorted({c.head, *c.members} - {i}):
                     for upto in (31, 32, 33, 64, 65):
                         both = (seen[i - 1] & seen[j - 1])[:upto]
                         got_cov = moments.covariance(i, j, upto)
